@@ -330,14 +330,19 @@ def parse_ring_header(tokens: list[str], line=None) -> QuotientRing:
     i = 1
     while i < len(tokens):
         tok = tokens[i]
-        if tok == "rep":
-            rep_rows = tuple(int(v, 16) for v in tokens[i + 1].split(","))
-            i += 2
-        elif tok == "cost":
-            model = tokens[i + 1]
-            i += 2
-        else:
+        if tok not in ("rep", "cost"):
             raise FormatError(f"unexpected ring token {tok!r}", line)
+        if i + 1 == len(tokens):
+            raise FormatError(f"missing value after {tok!r}", line)
+        value = tokens[i + 1]
+        if tok == "rep":
+            try:
+                rep_rows = tuple(int(v, 16) for v in value.split(","))
+            except ValueError:
+                raise FormatError(f"bad rep value {value!r}", line) from None
+        else:
+            model = value
+        i += 2
     try:
         return _interned_ring(modulus, rep_rows, model)
     except ValueError as e:

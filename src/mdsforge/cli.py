@@ -40,18 +40,27 @@ class _Parser(argparse.ArgumentParser):
 
 def _threads(args) -> int:
     if args.threads is not None:
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     env = os.environ.get("MDSFORGE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            n = int(env)
         except ValueError:
             raise UsageError(f"bad MDSFORGE_THREADS value {env!r}")
+        if n < 1:
+            raise UsageError(f"MDSFORGE_THREADS must be at least 1, got {env!r}")
+        return n
     return 1
 
 
 def _parse_ring(text: str) -> QuotientRing:
-    return QuotientRing(poly_parse(text))
+    modulus = poly_parse(text)
+    try:
+        return QuotientRing(modulus)
+    except ValueError as e:
+        raise UsageError(f"bad --ring {text!r}: {e}") from None
 
 
 def _parse_values(ring: QuotientRing, spec: str) -> list[int]:

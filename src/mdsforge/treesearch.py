@@ -9,6 +9,12 @@ canonical encoding minimized over input relabelings and over every normal
 re-serialization (any output order).  That quotient is what makes the
 reported feasible-type sets reproducible: a tree serialized with a fat first
 segment, e.g. type (5,1,1,1), canonicalizes back to its minimal type.
+
+`canonical_tree` finds that minimum by a pruned search: the type vector
+first, from the output order alone, then serializations built token by token
+and cut at the first token above the best so far.  Each type's survivors are
+canonicalized where they are generated, inside the worker at threads > 1, so
+only its set of keys comes back.
 """
 
 from __future__ import annotations
@@ -361,62 +367,96 @@ def _tree_dag(t: ImplTree):
 
 def canonical_tree(t: ImplTree) -> tuple:
     """Canonical encoding: lexicographically least (type, tokens) over all
-    input relabelings and all normal serializations of the marked DAG."""
+    input relabelings and all normal serializations of the marked DAG.
+
+    A serialization follows an output order.  Each output's segment is its
+    not yet placed ancestors, placed one by one (next is the node whose
+    sorted pair of operand labels is least), then the output itself.  An
+    order whose segment would take in another output is not normal.  The
+    type vector and the segments depend on the output order alone, so only
+    the orders of least type vector are serialized, and each candidate is
+    abandoned at its first token above the best found so far.
+    """
     k = t.k
-    c = t.capacity
+    nodes = t.nodes
     anc = _tree_dag(t)
-    out_nodes = list(t.outs)
-    out_set = set(out_nodes)
+    out_mask = 0
+    for o in t.outs:
+        out_mask |= 1 << o
+    best_tv = None
+    plans: list[list[list[int]]] = []
+    for order in itertools.permutations(t.outs):
+        placed = 0
+        tv = []
+        plan = []
+        for o in order:
+            seg = anc[o] & ~placed
+            if seg & out_mask:
+                break  # an unplaced output would be swallowed by this segment
+            tv.append(seg.bit_count() + 1)
+            placed |= seg | (1 << o)
+            plan.append((seg, o))
+        else:
+            tv = tuple(tv)
+            if best_tv is None or tv < best_tv:
+                best_tv, plans = tv, []
+            if tv == best_tv:
+                plans.append([_segment(seg, o) for seg, o in plan])
+    c = len(nodes)
     best = None
     for sigma in itertools.permutations(range(k)):
-        # input term i (0..-(k-1)) gets new index -sigma[-i]
-        imap = {-j: -sigma[j] for j in range(k)}
-        for order in itertools.permutations(out_nodes):
-            enc = _serialize(t, anc, out_set, order, imap)
-            if enc is not None and (best is None or enc < best):
-                best = enc
-    return best
+        # labels by term: node q at index q, input -j at index -j (from the
+        # end), where it gets the new label -sigma[j]
+        lab: list = [None] * (c + k)
+        for j in range(k):
+            lab[-j] = -sigma[j]
+        for plan in plans:
+            tokens = _serialize_below(nodes, plan, lab.copy(), best)
+            if tokens is not None:
+                best = tokens
+    return (best_tv, best)
 
 
-def _serialize(t: ImplTree, anc, out_set, order, imap) -> tuple | None:
-    placed: dict[int, int] = dict(imap)
+def _segment(seg: int, o: int) -> list[int]:
+    """The nodes of a segment (bitmask seg, output o), output last.
+
+    Two nodes tie for the next place only when they share both operands.
+    The encoding breaks such ties by the iteration order of the segment's
+    node set built in ascending order; keeping that keeps every key.
+    """
+    return list(set(q for q in range(1, o) if (seg >> q) & 1)) + [o]
+
+
+def _serialize_below(nodes, plan, lab: list, best: tuple | None) -> tuple | None:
+    """Tokens of one serialization, or None unless they are below best."""
     tokens: list[tuple[int, int, int]] = []
-    type_vec: list[int] = []
-    done_mask = 0
+    tied = best is not None  # every token so far equals best's
     pos = 0
-    for o in order:
-        seg = [q for q in range(1, o + 1)
-               if (anc[o] >> q) & 1 and q not in placed]
-        if any(q in out_set for q in seg):
-            return None  # an unplaced output would be swallowed by this segment
-        type_vec.append(len(seg) + 1)
-        pending = set(seg)
+    for seg in plan:
+        # the output becomes placeable only once the rest of its segment is
+        pending = seg.copy()
         while pending:
-            bestq = None
-            bestpair = None
-            for q in pending:
-                m, n = t.nodes[q - 1]
-                if m in placed and n in placed:
-                    pair = (placed[m], placed[n])
-                    if pair[0] > pair[1]:
-                        pair = (pair[1], pair[0])
-                    if bestpair is None or pair < bestpair:
-                        bestpair = pair
-                        bestq = q
-            if bestq is None:
-                return None
-            pending.discard(bestq)
+            q = pair = None
+            for r in pending:
+                m, n = nodes[r - 1]
+                a = lab[m]
+                b = lab[n]
+                if a is None or b is None:
+                    continue
+                rp = (a, b) if a < b else (b, a)
+                if pair is None or rp < pair:
+                    pair, q = rp, r
+            pending.remove(q)
             pos += 1
-            placed[bestq] = pos
-            tokens.append((bestpair[0], bestpair[1], 0))
-        m, n = t.nodes[o - 1]
-        pair = (placed[m], placed[n])
-        if pair[0] > pair[1]:
-            pair = (pair[1], pair[0])
-        pos += 1
-        placed[o] = pos
-        tokens.append((pair[0], pair[1], 1))
-    return (tuple(type_vec), tuple(tokens))
+            lab[q] = pos
+            tok = (pair[0], pair[1], 0 if pending else 1)
+            if tied:
+                ref = best[pos - 1]
+                if tok > ref:
+                    return None
+                tied = tok == ref
+            tokens.append(tok)
+    return None if tied else tuple(tokens)
 
 
 def tree_from_encoding(k: int, enc: tuple) -> ImplTree:
@@ -430,8 +470,12 @@ def tree_from_encoding(k: int, enc: tuple) -> ImplTree:
 # search drivers
 
 
-def _generate_worker(args):
-    return _generate_type(*args)
+def _type_classes(k: int, type_vec: tuple[int, ...], max_depth: int | None) -> set:
+    """canonical_tree keys of one type's raw survivors."""
+    # canonical_tree is looked up by its module-level name, so a wrapper set
+    # on the module attribute (perfbench's tracer) sees every call
+    return {canonical_tree(ImplTree(k, nodes, outs))
+            for nodes, outs in _generate_type(k, type_vec, max_depth)}
 
 
 def search_at_capacity(k: int, capacity: int, max_depth: int | None = None,
@@ -443,15 +487,12 @@ def search_at_capacity(k: int, capacity: int, max_depth: int | None = None,
     if threads > 1 and len(types) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(k, tv, max_depth) for tv in types]
+        n = len(types)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(_generate_worker, jobs))
+            batches = list(pool.map(_type_classes, [k] * n, types, [max_depth] * n))
     else:
-        batches = [_generate_type(k, tv, max_depth) for tv in types]
-    keys = set()
-    for batch in batches:
-        for nodes, outs in batch:
-            keys.add(canonical_tree(ImplTree(k, nodes, outs)))
+        batches = [_type_classes(k, tv, max_depth) for tv in types]
+    keys = set().union(*batches)
     return [tree_from_encoding(k, enc) for enc in sorted(keys)]
 
 

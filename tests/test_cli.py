@@ -121,3 +121,31 @@ def test_cli_determinism(capsys):
     a = run(capsys, "search-trees", "--k", "3")
     b = run(capsys, "search-trees", "--k", "3", "--threads", "2")
     assert a[1] == b[1]
+
+
+@pytest.mark.parametrize("header", [
+    "ring x^8+x^2+1 rep k 4",
+    "ring x^8+x^2+1 cost k 4",
+    "ring x^8+x^2+1 rep zz k 4",
+])
+def test_verify_bad_ring_header_is_parse_error(tmp_path, capsys, header):
+    path = tmp_path / "bad.matrix"
+    path.write_text(header + "\n" + "1,1,1,1\n" * 4)
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 65
+    assert "parse error: line 1:" in err
+
+
+def test_bad_ring_modulus_is_usage_error(capsys):
+    code, _, err = run(capsys, "involutory", "--ring", "x^8")
+    assert code == 64
+    assert "usage error" in err and "x^8" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_is_usage_error(capsys, monkeypatch, value):
+    code, _, err = run(capsys, "search-trees", "--k", "2", "-j", value)
+    assert code == 64 and "usage error" in err
+    monkeypatch.setenv("MDSFORGE_THREADS", value)
+    code, _, err = run(capsys, "search-trees", "--k", "2")
+    assert code == 64 and "usage error" in err

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from mdsforge import catalogs
@@ -6,6 +9,8 @@ from mdsforge.sympoly import MinorTracker, SymMatrix, mds_precheck
 from mdsforge.slp import extract_matrix, is_normal
 from mdsforge.treesearch import (
     ImplTree,
+    _generate_type,
+    _tree_dag,
     canonical_tree,
     enumerate_types,
     search_at_capacity,
@@ -14,6 +19,117 @@ from mdsforge.treesearch import (
     tree_from_text,
     tree_to_text,
 )
+
+
+# Reference for canonical_tree: the brute-force encoding, which serializes
+# every input relabeling x output order in full and keeps the least.
+
+
+def brute_force_canonical_tree(t: ImplTree) -> tuple:
+    """Canonical encoding: lexicographically least (type, tokens) over all
+    input relabelings and all normal serializations of the marked DAG."""
+    k = t.k
+    c = t.capacity
+    anc = _tree_dag(t)
+    out_nodes = list(t.outs)
+    out_set = set(out_nodes)
+    best = None
+    for sigma in itertools.permutations(range(k)):
+        # input term i (0..-(k-1)) gets new index -sigma[-i]
+        imap = {-j: -sigma[j] for j in range(k)}
+        for order in itertools.permutations(out_nodes):
+            enc = _serialize(t, anc, out_set, order, imap)
+            if enc is not None and (best is None or enc < best):
+                best = enc
+    return best
+
+
+def _serialize(t: ImplTree, anc, out_set, order, imap) -> tuple | None:
+    placed: dict[int, int] = dict(imap)
+    tokens: list[tuple[int, int, int]] = []
+    type_vec: list[int] = []
+    done_mask = 0
+    pos = 0
+    for o in order:
+        seg = [q for q in range(1, o + 1)
+               if (anc[o] >> q) & 1 and q not in placed]
+        if any(q in out_set for q in seg):
+            return None  # an unplaced output would be swallowed by this segment
+        type_vec.append(len(seg) + 1)
+        pending = set(seg)
+        while pending:
+            bestq = None
+            bestpair = None
+            for q in pending:
+                m, n = t.nodes[q - 1]
+                if m in placed and n in placed:
+                    pair = (placed[m], placed[n])
+                    if pair[0] > pair[1]:
+                        pair = (pair[1], pair[0])
+                    if bestpair is None or pair < bestpair:
+                        bestpair = pair
+                        bestq = q
+            if bestq is None:
+                return None
+            pending.discard(bestq)
+            pos += 1
+            placed[bestq] = pos
+            tokens.append((bestpair[0], bestpair[1], 0))
+        m, n = t.nodes[o - 1]
+        pair = (placed[m], placed[n])
+        if pair[0] > pair[1]:
+            pair = (pair[1], pair[0])
+        pos += 1
+        placed[o] = pos
+        tokens.append((pair[0], pair[1], 1))
+    return (tuple(type_vec), tuple(tokens))
+
+
+def _relabel_inputs(t: ImplTree, sigma) -> ImplTree:
+    """t with input term -j renamed to -sigma[j]."""
+    def ren(q):
+        return -sigma[-q] if q <= 0 else q
+    return ImplTree(t.k, tuple(tuple(sorted((ren(m), ren(n)))) for m, n in t.nodes), t.outs)
+
+
+def _reserializations(t: ImplTree) -> list[ImplTree]:
+    """t re-serialized in every valid output order, inputs kept."""
+    anc = _tree_dag(t)
+    imap = {-j: -j for j in range(t.k)}
+    encs = (_serialize(t, anc, set(t.outs), order, imap)
+            for order in itertools.permutations(t.outs))
+    return [tree_from_encoding(t.k, enc) for enc in encs if enc is not None]
+
+
+def test_canonical_tree_matches_brute_force_on_raw_survivors():
+    raws = [raw for tv in enumerate_types(3, 5) for raw in _generate_type(3, tv, None)]
+    assert len(raws) == 148
+    # some survivors have two nodes on the same operands, where ties matter
+    assert any(len(set(nodes)) < len(nodes) for nodes, _ in raws)
+    for nodes, outs in raws:
+        t = ImplTree(3, nodes, outs)
+        assert canonical_tree(t) == brute_force_canonical_tree(t)
+    # nodes 4 and 9 share operands, and from node 8 on the set iteration
+    # order that breaks such ties is no longer ascending
+    t = ImplTree(3, ((-1, 0), (0, 1), (1, 2), (1, 3), (-1, 3), (-1, 3), (1, 4), (4, 7),
+                     (1, 3), (7, 9)), (1, 2, 10))
+    assert canonical_tree(t) == brute_force_canonical_tree(t)
+
+
+def test_canonical_tree_matches_brute_force_on_reserializations(trees8):
+    rng = random.Random(2024)
+    for t in trees8:
+        for _ in range(2):
+            sigma = rng.sample(range(t.k), t.k)
+            for v in _reserializations(_relabel_inputs(t, sigma)):
+                assert canonical_tree(v) == brute_force_canonical_tree(v)
+    # one brute-force call takes 14,400 serializations at k=5, so the 120
+    # re-serializations are compared with the key of the tree they share
+    t5 = _relabel_inputs(catalogs.tree_5x5(), rng.sample(range(5), 5))
+    key = brute_force_canonical_tree(t5)
+    variants = _reserializations(t5)
+    assert len(variants) == 120
+    assert all(canonical_tree(v) == key for v in variants)
 
 
 def test_enumerate_types_counts():
@@ -43,6 +159,10 @@ def test_search_determinism_with_threads():
     single = search_at_capacity(3, 5, threads=1)
     multi = search_at_capacity(3, 5, threads=2)
     assert [canonical_tree(t) for t in single] == [canonical_tree(t) for t in multi]
+    # at threads > 1 each type is canonicalized inside its worker
+    single = search_at_capacity(3, 6, threads=1)
+    assert len(single) == 2915
+    assert search_at_capacity(3, 6, threads=2) == single
 
 
 def test_returned_trees_are_normal_without_dead_nodes():
