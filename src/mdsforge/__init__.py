@@ -2,9 +2,14 @@
 
 Library layout:
 
-- ``gf2``         polynomials, bit matrices, quotient rings F2[x]/(p)
-- ``sympoly``     multivariate GF(2) polynomials and the symbolic MDS pre-check
-- ``blockmat``    k x k matrices over a ring: MDS test, branch number, equivalence
+- ``gf2``         polynomials, bit matrices, quotient rings F2[x]/(p); ``ring``
+                  is the one shared, interned ring constructor
+- ``sympoly``     multivariate GF(2) polynomials and the symbolic MDS pre-check:
+                  rows evaluated at one GF(2^8) point per parameter, with an
+                  exact determinant for every minor that vanishes there
+- ``blockmat``    k x k matrices over a ring: MDS test, branch number,
+                  equivalence; ``MinorTracker`` is the one all-minors tracker
+                  and ``packed_rows`` the one row encoding of every search
 - ``slp``         word-level linear straight-line programs, cost and depth
 - ``treesearch``  exhaustive search for simplest implementation trees
 - ``instantiate`` parameter assignment, lowest-cost and involutory catalogs

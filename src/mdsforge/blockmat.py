@@ -1,17 +1,18 @@
 """k x k matrices with entries in a quotient ring of binary matrices.
 
 Provides the MDS test via minors (cofactor determinants; the rings may have
-zero divisors, so no elimination), a brute-force branch-number oracle for
+zero divisors, so no elimination) through `MinorTracker`, the one
+incremental all-minors tracker that every search shares, the packed-row
+helper the searches scale rows with, a brute-force branch-number oracle for
 small total bit widths, PMQ-equivalence canonical forms, the involution test
 and row permutation/scaling.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, permutations
 
-from .gf2 import FormatError, NonUnitError, QuotientRing, RingElement, poly_parse, poly_text
+from .gf2 import FormatError, NonUnitError, QuotientRing, RingElement, poly_text, ring as _ring
 
 
 class OracleTooLargeError(ValueError):
@@ -112,15 +113,22 @@ def _minor_plan(k: int, j: int):
 class MinorTracker:
     """Incremental all-minors-are-units check over ring rows.
 
-    Mirrors the symbolic tracker in sympoly: adding row j validates exactly
-    the minors whose row set contains j, so prefix rows of a candidate matrix
-    can prune a search as soon as any minor fails to be a unit.  Determinant
-    cache keys pack (row subset, column subset) bitmasks into one int.
+    Adding row j validates exactly the minors whose row set contains j, so
+    prefix rows of a candidate matrix can prune a search as soon as any
+    minor fails to be a unit.  Determinant cache keys pack (row subset,
+    column subset) bitmasks into one int.
+
+    `exact`, if given, is consulted for each minor that is not a unit, order
+    1 included: `exact(rowmask, colmask)` says whether that minor is truly
+    zero.  The row is rejected only if it is; otherwise the value is kept
+    and the check goes on.  The symbolic searches track evaluations of
+    formal-parameter rows this way, with an exact determinant behind each
+    vanishing value (see sympoly).
     """
 
-    __slots__ = ("ring", "k", "nrows", "_dets", "_mul", "_units", "_last_full")
+    __slots__ = ("ring", "k", "nrows", "_dets", "_mul", "_units", "_last_full", "_exact")
 
-    def __init__(self, ring: QuotientRing, k: int):
+    def __init__(self, ring: QuotientRing, k: int, exact=None):
         self.ring = ring
         self.k = k
         self.nrows = 0
@@ -128,6 +136,7 @@ class MinorTracker:
         self._mul = ring.mul_rows()
         self._units = ring.unit_flags()
         self._last_full = 0
+        self._exact = exact
 
     def clone(self) -> "MinorTracker":
         c = MinorTracker.__new__(MinorTracker)
@@ -138,6 +147,7 @@ class MinorTracker:
         c._mul = self._mul
         c._units = self._units
         c._last_full = self._last_full
+        c._exact = self._exact
         return c
 
     def add_row(self, row) -> bool:
@@ -147,12 +157,16 @@ class MinorTracker:
         dets = self._dets
         units = self._units
         mul = self._mul
+        exact = self._exact
         jbit = 1 << j
         base = jbit << k
         store = j + 1 < k  # the last row's minors are never expanded against
         for e in row:
             if not units[e]:
-                return False
+                if exact is None or any(exact(jbit, 1 << c)
+                                        for c in range(k) if not units[row[c]]):
+                    return False
+                break
         if store:
             for c in range(k):
                 dets[base | (1 << c)] = row[c]
@@ -167,7 +181,8 @@ class MinorTracker:
                     if e:
                         acc ^= mul[e][dets[prev_base | sub]]
                 if not units[acc]:
-                    return False
+                    if exact is None or exact(prm | jbit, cm):
+                        return False
                 if store:
                     dets[new_base | cm] = acc
                 else:
@@ -181,28 +196,37 @@ class MinorTracker:
         return self._last_full
 
 
-def det(m: BlockMatrix) -> RingElement:
-    """Determinant over the ring by memoized cofactor expansion."""
-    memo: dict[tuple, int] = {}
+def packed_rows(ring: QuotientRing, k: int):
+    """(scale, unpack) for rows of k ring entries packed n bits each into
+    one int, entry c at bits n*c: scale(v, s) multiplies every entry by s,
+    unpack(v) returns the entry tuple."""
+    n = ring.n
+    if n == 8:
+        # one byte per entry: scaling is a byte translation
+        tables = ring.mul_bytes()
 
-    def rec(ridx, cidx):
-        if len(ridx) == 1:
-            return m.rows[ridx[0]][cidx[0]]
-        key = (ridx, cidx)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        r0, rest = ridx[0], ridx[1:]
-        acc = 0
-        for pos, c in enumerate(cidx):
-            e = m.rows[r0][c]
-            if e:
-                acc ^= m.ring.mul(e, rec(rest, cidx[:pos] + cidx[pos + 1:]))
-        memo[key] = acc
-        return acc
+        def scale(v: int, s: int) -> int:
+            return int.from_bytes(v.to_bytes(k, "little").translate(tables[s]), "little")
 
-    idx = tuple(range(m.k))
-    return RingElement(m.ring, rec(idx, idx))
+        def unpack(v: int) -> tuple[int, ...]:
+            return tuple(v.to_bytes(k, "little"))
+
+        return scale, unpack
+    mask = (1 << n) - 1
+    shifts = [n * c for c in range(k)]
+    mul = ring.mul_rows()
+
+    def scale(v: int, s: int) -> int:
+        t = mul[s]
+        out = 0
+        for sh in shifts:
+            out |= t[(v >> sh) & mask] << sh
+        return out
+
+    def unpack(v: int) -> tuple[int, ...]:
+        return tuple([(v >> sh) & mask for sh in shifts])
+
+    return scale, unpack
 
 
 def is_mds(m: BlockMatrix) -> bool:
@@ -299,32 +323,23 @@ def permute_and_scale(m: BlockMatrix, row_perm, row_scalars) -> BlockMatrix:
 
 
 def ring_header_text(ring: QuotientRing) -> str:
-    from .gf2 import companion
-
-    parts = [f"ring {poly_text(ring.modulus)}"]
-    if ring.rep.rows != companion(ring.modulus).rows:
-        parts.append("rep " + ",".join(f"{r:02x}" for r in ring.rep.rows))
-    if ring.scalar_cost_model != "rowweight":
-        parts.append(f"cost {ring.scalar_cost_model}")
+    modulus, rep_rows, model = ring.key
+    parts = [f"ring {poly_text(modulus)}"]
+    if rep_rows is not None:
+        parts.append("rep " + ",".join(f"{r:02x}" for r in rep_rows))
+    if model != "rowweight":
+        parts.append(f"cost {model}")
     return " ".join(parts)
-
-
-@lru_cache(maxsize=None)
-def _interned_ring(modulus: int, rep_rows, model: str) -> QuotientRing:
-    from .gf2 import BitMatrix
-
-    rep = BitMatrix(rep_rows, len(rep_rows)) if rep_rows else None
-    return QuotientRing(modulus, rep=rep, scalar_cost_model=model)
 
 
 def parse_ring_header(tokens: list[str], line=None) -> QuotientRing:
     """Parse tokens after "ring": modulus [rep r0,..,r_{n-1}] [cost MODEL].
 
-    Equal headers share one ring instance (and its lookup tables).
+    Equal headers share one ring instance (and its lookup tables), that of
+    gf2.ring.
     """
     if not tokens:
         raise FormatError("missing ring modulus", line)
-    modulus = poly_parse(tokens[0])
     rep_rows = None
     model = "rowweight"
     i = 1
@@ -344,8 +359,8 @@ def parse_ring_header(tokens: list[str], line=None) -> QuotientRing:
             model = value
         i += 2
     try:
-        return _interned_ring(modulus, rep_rows, model)
-    except ValueError as e:
+        return _ring(tokens[0], rep_rows, model)
+    except ValueError as e:  # FormatError included: the modulus gets the line
         raise FormatError(str(e), line) from None
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from .gf2 import BitMatrix, QuotientRing, poly_parse, ring
+from .gf2 import QuotientRing, ring
 from .instantiate import CatalogEntry, catalog_from_text
 from .slp import Slp, slp_from_text
 from .treesearch import ImplTree, tree_from_text
@@ -37,11 +37,8 @@ def list_data_files() -> list[str]:
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
 def higher_order_ring() -> QuotientRing:
-    return QuotientRing(poly_parse(RING_HIGHER),
-                        rep=BitMatrix(HIGHER_REP_ROWS, 8),
-                        scalar_cost_model="chained")
+    return ring(RING_HIGHER, HIGHER_REP_ROWS, "chained")
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import catalogs
-from .gf2 import FormatError, QuotientRing, poly_parse
+from .gf2 import FormatError, QuotientRing, poly_parse, ring as _ring
 from . import blockmat
 from .blockmat import canonical_form, is_involutory, is_mds, matrix_to_text
 from . import slp as slpmod
@@ -58,7 +58,7 @@ def _threads(args) -> int:
 def _parse_ring(text: str) -> QuotientRing:
     modulus = poly_parse(text)
     try:
-        return QuotientRing(modulus)
+        return _ring(modulus)
     except ValueError as e:
         raise UsageError(f"bad --ring {text!r}: {e}") from None
 
@@ -160,15 +160,15 @@ def _trees_for_assign(args):
 
 
 def cmd_assign(args) -> int:
+    threads = _threads(args)
     ring = _parse_ring(args.ring)
     values = (_parse_values(ring, args.values) if args.values
               else instantiate.default_value_set(ring))
-    entries = []
-    for tree in _trees_for_assign(args):
-        if args.depth_bound is not None and tree.skeleton_depth() > args.depth_bound:
-            continue
-        entries.extend(instantiate.assign_parameters(
-            tree, ring, args.cost_bound, values, args.depth_bound))
+    jobs = [(tree, ring, args.cost_bound, values, args.depth_bound)
+            for tree in _trees_for_assign(args)
+            if args.depth_bound is None or tree.skeleton_depth() <= args.depth_bound]
+    entries = [e for batch in treesearch.pool_map(instantiate.assign_parameters, jobs, threads)
+               for e in batch]
     classes: dict[tuple, CatalogEntry] = {}
     for e in entries:
         cur = classes.get(e.canonical)
@@ -211,6 +211,13 @@ def cmd_verify(args) -> int:
             print(f"entry {idx} (line {lineno}): cost {entry.cost} depth {entry.depth} "
                   f"mds {int(entry.mds)} involutory {int(entry.involutory)} .. {status}")
             failures += bool(probs)
+    elif kind == "tree":
+        t = tree_from_text(text)
+        ok = instantiate._symbolic_subset_ok(t, range(t.scalar_positions()))
+        tv = ",".join(map(str, t.type_vector))
+        print(f"tree k {t.k}: capacity {t.capacity} type ({tv}) depth {t.skeleton_depth()} "
+              f"symbolic mds {int(ok)} .. {'ok' if ok else 'FAIL some minor is identically zero'}")
+        failures += not ok
     elif kind == "matrix":
         m = blockmat.matrix_from_text(text)
         print(f"matrix k {m.k}: mds {int(is_mds(m))} involutory {int(is_involutory(m))}")
@@ -318,7 +325,7 @@ def build_parser() -> _Parser:
     add_threads(p)
     p.set_defaults(func=cmd_assign)
 
-    p = sub.add_parser("verify", help="recompute and check a catalog, matrix or SLP file")
+    p = sub.add_parser("verify", help="recompute and check a catalog, matrix, SLP or tree file")
     p.add_argument("file")
     p.set_defaults(func=cmd_verify)
 

@@ -10,7 +10,6 @@ sending the class of x to a representation matrix, the companion matrix of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class NonUnitError(ValueError):
@@ -323,8 +322,6 @@ class QuotientRing:
 
     def __init__(self, modulus: int, rep: BitMatrix | None = None,
                  scalar_cost_model: str = "rowweight"):
-        if isinstance(modulus, str):
-            modulus = poly_parse(modulus)
         n = poly_deg(modulus)
         if n < 1:
             raise ValueError("modulus must have degree >= 1")
@@ -347,6 +344,7 @@ class QuotientRing:
         for _ in range(1, n):
             self._pow_mats.append(self._pow_mats[-1] * rep)
         self._mul_table: list[list[int]] | None = None
+        self._mul_bytes: list[bytes] | None = None
         self._unit_flags: list[bool] | None = None
         self._unit_cache: dict[int, bool] = {}
         self._inv_cache: dict[int, int] = {}
@@ -366,8 +364,19 @@ class QuotientRing:
     def __hash__(self):
         return hash((self.modulus, self.rep.rows, self.scalar_cost_model))
 
+    @property
+    def key(self) -> tuple:
+        """(modulus, rep rows or None for the companion matrix, cost model)."""
+        rep_rows = None if self.rep.rows == companion(self.modulus).rows else self.rep.rows
+        return (self.modulus, rep_rows, self.scalar_cost_model)
+
+    def __reduce__(self):
+        # pickled as its key: unpickling returns the receiving process's
+        # shared instance, tables included, instead of a copy of the tables
+        return (ring, self.key)
+
     def __repr__(self):
-        extra = "" if self.rep.rows == companion(self.modulus).rows else ", rep=..."
+        extra = "" if self.key[1] is None else ", rep=..."
         return f"QuotientRing({poly_text(self.modulus)}{extra})"
 
     @property
@@ -430,6 +439,13 @@ class QuotientRing:
                 self._build_table()
             return self._mul_table
         return _LazyMulRows(self)
+
+    def mul_bytes(self) -> list[bytes]:
+        """mul_rows() as one bytes object per element, for bytes.translate
+        (n == 8 only)."""
+        if self._mul_bytes is None:
+            self._mul_bytes = [bytes(row) for row in self.mul_rows()]
+        return self._mul_bytes
 
     def unit_flags(self):
         """Indexable truth table: unit_flags()[a] iff a is a unit."""
@@ -669,7 +685,23 @@ class RingElement:
         return self.ring.element_text(self.val)
 
 
-@lru_cache(maxsize=None)
-def ring(modulus_text: str) -> QuotientRing:
-    """Shared ring instances keyed by the modulus text form."""
-    return QuotientRing(poly_parse(modulus_text))
+_RINGS: dict[tuple, QuotientRing] = {}
+
+
+def ring(modulus, rep_rows=None, cost: str = "rowweight") -> QuotientRing:
+    """The shared instance of F2[x]/(modulus), with its lookup tables.
+
+    `modulus` is a polynomial as text ("x^8+x^2+1") or int; `rep_rows` are
+    the rows of the representation matrix of x (None: the companion
+    matrix); `cost` is the scalar cost model.  Calls naming the same ring
+    return one instance: rings are interned on their normalized `key`.
+    """
+    key = (modulus, None if rep_rows is None else tuple(rep_rows), cost)
+    got = _RINGS.get(key)
+    if got is None:
+        rep = None if rep_rows is None else BitMatrix(key[1], len(key[1]))
+        got = QuotientRing(poly_parse(modulus) if isinstance(modulus, str) else modulus,
+                           rep, cost)
+        got = _RINGS.setdefault(got.key, got)
+        _RINGS[key] = got
+    return got

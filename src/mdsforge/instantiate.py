@@ -14,11 +14,12 @@ from itertools import combinations, permutations
 
 from .gf2 import FormatError, QuotientRing
 from . import blockmat
-from .blockmat import BlockMatrix, MinorTracker, canonical_key, is_involutory, is_mds
+from .blockmat import (BlockMatrix, MinorTracker, canonical_key, is_involutory, is_mds,
+                       packed_rows)
 from . import slp as slpmod
 from .slp import Slp, Step
-from . import sympoly
-from .treesearch import ImplTree, search_at_capacity
+from .sympoly import minor_tracker, point, term_vectors
+from .treesearch import ImplTree, pool_map, search_at_capacity
 
 
 class InfeasibleError(ValueError):
@@ -101,16 +102,11 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
         raise ValueError("value set must consist of units (and 1)")
     val_cost = {v: ring.scalar_xor_count(v) for v in value_set}
 
-    vecs: dict[int, tuple[int, ...]] = {
-        -j: tuple(1 if c == j else 0 for c in range(k)) for j in range(k)
-    }
+    scale, unpack = packed_rows(ring, k)
+    vecs: dict[int, int] = {-j: 1 << (ring.n * j) for j in range(k)}
     depths: dict[int, int] = {-j: 0 for j in range(k)}
     scalars: dict[int, int] = {}
     entries: list[CatalogEntry] = []
-    mul = ring.mul
-
-    def scaled(vec, s):
-        return vec if s == 1 else tuple(mul(s, c) for c in vec)
 
     def rec(p: int, tracker: MinorTracker, t_used: int, products: dict):
         if p > tree.capacity:
@@ -126,6 +122,7 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                 ca = val_cost[a]
                 if t_used + ca > budget:
                     continue
+            va = vm if a == 1 else scale(vm, a)
             for b in value_set:
                 cb = 0
                 kb = (n, b)
@@ -140,11 +137,11 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                         continue
                 else:
                     d = 0
-                row = tuple(x ^ y for x, y in zip(scaled(vm, a), scaled(vn, b)))
+                row = va ^ (vn if b == 1 else scale(vn, b))
                 tr = tracker
                 if is_out:
                     tr = tracker.clone()
-                    if not tr.add_row(row):
+                    if not tr.add_row(unpack(row)):
                         continue
                 vecs[p] = row
                 depths[p] = d
@@ -165,7 +162,6 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                     if not products[kb]:
                         del products[kb]
                     del scalars[2 * (p - 1) + 1]
-                del vecs[p]
 
     rec(1, MinorTracker(ring, k), 0, {})
     return entries
@@ -264,61 +260,53 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
 
 
 def _symbolic_subset_ok(tree: ImplTree, subset) -> bool:
+    """Whether every minor of the output rows is a nonzero polynomial when
+    the positions in subset carry formal parameters and the others 1."""
     k = tree.k
     chosen = set(subset)
-    vecs: dict[int, tuple] = {
-        -j: tuple(sympoly.SP_ONE if c == j else sympoly.SP_ZERO for c in range(k))
-        for j in range(k)
-    }
-    tracker = sympoly.MinorTracker(k)
+    sym_vec, _ = term_vectors(k, tree.nodes, chosen)
+    tracker = minor_tracker(k, lambda i: sym_vec(tree.outs[i]))
+    scale, unpack = packed_rows(tracker.ring, k)
+    vecs: dict[int, int] = {-j: 1 << (tracker.ring.n * j) for j in range(k)}
     for p, (m, n) in enumerate(tree.nodes, start=1):
         vm, vn = vecs[m], vecs[n]
         if 2 * (p - 1) in chosen:
-            vm = tuple(sympoly.sp_mul_param(c, 2 * p - 1) for c in vm)
+            vm = scale(vm, point(2 * p - 1))
         if 2 * (p - 1) + 1 in chosen:
-            vn = tuple(sympoly.sp_mul_param(c, 2 * p) for c in vn)
-        vecs[p] = tuple(a ^ b for a, b in zip(vm, vn))
-        if p in set(tree.outs):
-            if not tracker.add_row(vecs[p]):
-                return False
+            vn = scale(vn, point(2 * p))
+        vecs[p] = vm ^ vn
+        if p in tree.outs and not tracker.add_row(unpack(vecs[p])):
+            return False
     return True
 
 
 def _concrete_subset_hit(tree: ImplTree, ring: QuotientRing, subset, values) -> bool:
     k = tree.k
     out_set = set(tree.outs)
-    pos_of_step: dict[int, list[int]] = {}
-    for pos in subset:
-        pos_of_step.setdefault(pos // 2 + 1, []).append(pos)
-    mul = ring.mul
-    vecs: dict[int, tuple[int, ...]] = {
-        -j: tuple(1 if c == j else 0 for c in range(k)) for j in range(k)
-    }
+    free = set(subset)
+    scale, unpack = packed_rows(ring, k)
+    vecs: dict[int, int] = {-j: 1 << (ring.n * j) for j in range(k)}
 
     def rec(p: int, tracker: MinorTracker) -> bool:
         if p > tree.capacity:
             return True
         m, n = tree.nodes[p - 1]
-        free = pos_of_step.get(p, ())
         left_vals = values if 2 * (p - 1) in free else (1,)
         right_vals = values if 2 * (p - 1) + 1 in free else (1,)
         vm, vn = vecs[m], vecs[n]
         is_out = p in out_set
         for a in left_vals:
-            va = vm if a == 1 else tuple(mul(a, c) for c in vm)
+            va = vm if a == 1 else scale(vm, a)
             for b in right_vals:
-                vb = vn if b == 1 else tuple(mul(b, c) for c in vn)
-                row = tuple(x ^ y for x, y in zip(va, vb))
+                row = va ^ (vn if b == 1 else scale(vn, b))
                 tr = tracker
                 if is_out:
                     tr = tracker.clone()
-                    if not tr.add_row(row):
+                    if not tr.add_row(unpack(row)):
                         continue
                 vecs[p] = row
                 if rec(p + 1, tr):
-                    del vecs[p]
                     return True
-                del vecs[p]
         return False
 
     return rec(1, MinorTracker(ring, k))
@@ -338,15 +326,6 @@ class InvolutoryHit:
     entry: CatalogEntry
 
 
-def _involutory_worker(args):
-    tree, t_idx, modulus, rep_rows, model, max_s, max_t = args
-    from .gf2 import BitMatrix, QuotientRing
-
-    rep = BitMatrix(rep_rows, len(rep_rows)) if rep_rows else None
-    ring = QuotientRing(modulus, rep=rep, scalar_cost_model=model)
-    return _involutory_one_tree(tree, t_idx, ring, max_s, max_t)
-
-
 def involutory_search(trees: list[ImplTree], ring: QuotientRing,
                       max_s: int = 6, max_t: int = 8,
                       threads: int = 1) -> list[InvolutoryHit]:
@@ -359,22 +338,8 @@ def involutory_search(trees: list[ImplTree], ring: QuotientRing,
     row order and scaling, so it prunes before the permutation scan.
     Results are deterministic for any thread count.
     """
-    hits: list[InvolutoryHit] = []
-    if threads > 1 and len(trees) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from .gf2 import companion
-
-        rep_rows = None
-        if ring.rep.rows != companion(ring.modulus).rows:
-            rep_rows = ring.rep.rows
-        jobs = [(tree, i, ring.modulus, rep_rows, ring.scalar_cost_model,
-                 max_s, max_t) for i, tree in enumerate(trees, start=1)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for batch in pool.map(_involutory_worker, jobs):
-                hits.extend(batch)
-    else:
-        for t_idx, tree in enumerate(trees, start=1):
-            hits.extend(_involutory_one_tree(tree, t_idx, ring, max_s, max_t))
+    jobs = [(tree, i, ring, max_s, max_t) for i, tree in enumerate(trees, start=1)]
+    hits = [h for batch in pool_map(_involutory_one_tree, jobs, threads) for h in batch]
     hits.sort(key=lambda h: (h.entry.cost, h.tree_index, h.assignment, h.row_order))
     return hits
 
@@ -383,26 +348,15 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                          max_s: int, max_t: int) -> list[InvolutoryHit]:
     k = tree.k
     n = ring.n
-    mask = (1 << n) - 1
-    shifts = [n * c for c in range(k)]
     out_set = set(tree.outs)
     mul = ring.mul
     mrows = ring.mul_rows()
     alpha_pow = {e: ring.pow(2, e) for e in range(-max_t, max_t + 1)}
+    scale, unpack = packed_rows(ring, k)
     # coefficient vectors packed into one int, n bits per input coordinate
-    vecs: dict[int, int] = {-j: 1 << shifts[j] for j in range(k)}
+    vecs: dict[int, int] = {-j: 1 << (n * j) for j in range(k)}
     exps: dict[int, int] = {}  # position -> chosen exponent (nonzero)
     hits: list[InvolutoryHit] = []
-
-    def scale(v: int, e: int) -> int:
-        t = mrows[alpha_pow[e]]
-        out = 0
-        for sh in shifts:
-            out |= t[(v >> sh) & mask] << sh
-        return out
-
-    def unpack(v: int) -> tuple[int, ...]:
-        return tuple((v >> sh) & mask for sh in shifts)
 
     _opt_cache: dict[tuple[bool, int], list[int]] = {}
 
@@ -464,15 +418,13 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     def finish(s_used: int, t_used: int, det_r: int):
         if det_r not in fixable[max_t - t_used]:
             return
-        rows = [unpack(vecs[o]) for o in tree.outs]
 
         def scal_rec(i: int, s2: int, t2: int, fs: list[int], dprod: int):
             if i == k:
                 if mul(det_r, dprod) not in sqrt_one:
                     return
-                scaled = [rows[j] if fs[j] == 0 else
-                          tuple(mrows[alpha_pow[fs[j]]][c] for c in rows[j])
-                          for j in range(k)]
+                scaled = [unpack(scale(vecs[o], alpha_pow[f]) if f else vecs[o])
+                          for o, f in zip(tree.outs, fs)]
                 for order in permutations(range(k)):
                     mat = tuple(scaled[order[i2]] for i2 in range(k))
                     if involution_ok(mat):
@@ -501,22 +453,18 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
         opts_a = exponent_options(s_used, t_used)
         for ea in opts_a:
             sa, ta = s_used + (ea != 0), t_used + abs(ea)
-            va = vm if ea == 0 else scale(vm, ea)
+            va = vm if ea == 0 else scale(vm, alpha_pow[ea])
             for eb in exponent_options(sa, ta):
                 sb, tb = sa + (eb != 0), ta + abs(eb)
-                row = va ^ (vn if eb == 0 else scale(vn, eb))
+                row = va ^ (vn if eb == 0 else scale(vn, alpha_pow[eb]))
                 tr = tracker
                 if is_out:
-                    # cheap unit screen on the packed row before cloning
-                    ok = True
-                    for sh in shifts:
-                        if not units[(row >> sh) & mask]:
-                            ok = False
-                            break
-                    if not ok:
+                    entries = unpack(row)
+                    # cheap unit screen before cloning
+                    if not all(map(units.__getitem__, entries)):
                         continue
                     tr = tracker.clone()
-                    if not tr.add_row(unpack(row)):
+                    if not tr.add_row(entries):
                         continue
                 vecs[p] = row
                 if ea:

@@ -10,6 +10,11 @@ re-serialization (any output order).  That quotient is what makes the
 reported feasible-type sets reproducible: a tree serialized with a fat first
 segment, e.g. type (5,1,1,1), canonicalizes back to its minimal type.
 
+The pre-check is `sympoly.minor_tracker`: `blockmat.MinorTracker` on the
+rows evaluated at one GF(2^8) point per parameter, packed 8 bits per entry
+and scaled with `blockmat.packed_rows`.  A minor that evaluates to zero is
+decided by its exact symbolic determinant, so pruning stays exact.
+
 `canonical_tree` finds that minimum by a pruned search: the type vector
 first, from the output order alone, then serializations built token by token
 and cut at the first token above the best so far.  Each type's survivors are
@@ -22,11 +27,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf2 import FormatError, QuotientRing, ring as _ring
-from .blockmat import _minor_plan
+from .gf2 import FormatError, QuotientRing
+from .blockmat import packed_rows
 from .slp import Slp, Step
-from . import sympoly
-from .sympoly import SP_ONE, sp_mul_param
+from .sympoly import minor_tracker, point, term_vectors
 
 
 @dataclass(frozen=True)
@@ -105,95 +109,6 @@ def enumerate_types(k: int, capacity: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # generation
 
-# Minors are certified nonzero by evaluating the parameter polynomials at
-# fixed points of GF(2^8): evaluation is a ring homomorphism, so a nonzero
-# value proves the polynomial nonzero.  Only minors vanishing at every point
-# pay for an exact symbolic determinant (and those are almost always truly
-# zero).  Two points make spurious fallbacks rare; results stay exact.
-_EVAL_POINTS = 2
-
-
-def _param_point_value(pid: int, point: int) -> int:
-    v = ((pid * 0x9E3779B1) ^ (point * 0x7F4A7C15) ^ (pid >> 3)) & 0xFF
-    return v if v else 1
-
-
-class _HybridTracker:
-    """Incremental all-minors-nonzero check over formal-parameter rows.
-
-    Hot path: minor determinants on the packed GF(2^8) evaluations (plain
-    ints).  A minor vanishing at every point triggers the exact fallback,
-    which materializes the symbolic rows lazily and computes the one
-    determinant; those polynomials never touch the common case.  Callers
-    must ensure full input coverage of every row (order-1 minors are then
-    structurally nonzero: fresh parameters per path cannot cancel).
-    """
-
-    __slots__ = ("k", "pt_dets", "providers", "materialized", "nrows", "mul")
-
-    def __init__(self, k: int):
-        self.k = k
-        self.pt_dets = [dict() for _ in range(_EVAL_POINTS)]
-        self.providers: list = []      # callables yielding the symbolic rows
-        self.materialized: list = []   # cached symbolic rows, filled on demand
-        self.nrows = 0
-        self.mul = _ring("x^8+x^4+x^3+x+1").mul_rows()
-
-    def clone(self) -> "_HybridTracker":
-        c = _HybridTracker.__new__(_HybridTracker)
-        c.k = self.k
-        c.pt_dets = [dict(d) for d in self.pt_dets]
-        c.providers = list(self.providers)
-        c.materialized = list(self.materialized)
-        c.nrows = self.nrows
-        c.mul = self.mul
-        return c
-
-    def _sym_row(self, i: int) -> tuple:
-        row = self.materialized[i]
-        if row is None:
-            row = self.providers[i]()
-            self.materialized[i] = row
-        return row
-
-    def _sym_zero(self, ridx: tuple, cidx: tuple) -> bool:
-        rows = [self._sym_row(i) if i in ridx else () for i in range(self.nrows)]
-        det = sympoly._det(rows, ridx, cidx, {})
-        return not det
-
-    def add_row(self, provider, pt_rows) -> bool:
-        k = self.k
-        j = self.nrows
-        self.nrows = j + 1
-        self.providers.append(provider)
-        self.materialized.append(None)
-        mul = self.mul
-        jbit = 1 << j
-        base = jbit << k
-        for c in range(k):
-            # structural coverage guarantees nonzero entries; store evaluations
-            for d, row in zip(self.pt_dets, pt_rows):
-                d[base | (1 << c)] = row[c]
-        for prm, cols in _minor_plan(k, j):
-            prev_base = prm << k
-            new_base = (prm | jbit) << k
-            for cm, items in cols:
-                nz = False
-                for d, row in zip(self.pt_dets, pt_rows):
-                    acc = 0
-                    for c, sub in items:
-                        e = row[c]
-                        if e:
-                            acc ^= mul[e][d[prev_base | sub]]
-                    d[new_base | cm] = acc
-                    nz = nz or acc
-                if not nz:
-                    ridx = tuple(i for i in range(j + 1) if (prm | jbit) >> i & 1)
-                    cidx = tuple(c for c in range(k) if cm >> c & 1)
-                    if self._sym_zero(ridx, cidx):
-                        return False
-        return True
-
 
 def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     """DFS over normal trees of one type; yields (nodes, outs) survivors.
@@ -206,49 +121,24 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     """
     capacity = sum(type_vec)
     out_positions = set(itertools.accumulate(type_vec))
+    seg_end = sorted(out_positions)
     lo = -(k - 1)
     inputs = list(range(0, lo - 1, -1))
 
-    unit_rows = {i: tuple(SP_ONE if c == -i else sympoly.SP_ZERO for c in range(k))
-                 for i in inputs}
-
     nodes: list[tuple[int, int]] = []
     fresh_flags: list[bool] = []
-    # packed GF(2^8) evaluations of each term, one int per evaluation point;
-    # symbolic vectors are materialized lazily, only for tracker fallbacks
-    gf = _ring("x^8+x^4+x^3+x+1")
-    mul = gf.mul_rows()
-    pvecs: dict[int, tuple[int, ...]] = {
-        i: tuple(1 << (8 * -i) for _ in range(_EVAL_POINTS)) for i in inputs
-    }
-    mask = 0xFF
-    shifts = [8 * c for c in range(k)]
+    # tracker row i is the output at seg_end[i] of the current path; its
+    # symbolic vector is built only when a minor vanishes at the points
+    sym_vec, svecs = term_vectors(k, nodes)
+    root = minor_tracker(k, lambda i: sym_vec(seg_end[i]))
+    scale, unpack = packed_rows(root.ring, k)
+    # each term's vector evaluated at sympoly.point, packed into one int
+    pvecs: dict[int, int] = {i: 1 << (root.ring.n * -i) for i in inputs}
     full_cov = (1 << k) - 1
     cov: dict[int, int] = {i: 1 << -i for i in inputs}
-    svecs: dict[int, tuple] = dict(unit_rows)
-
-    def scale_packed(v: int, s: int) -> int:
-        t = mul[s]
-        out = 0
-        for sh in shifts:
-            out |= t[(v >> sh) & mask] << sh
-        return out
-
-    def sym_vec(q: int) -> tuple:
-        got = svecs.get(q)
-        if got is None:
-            m, n = nodes[q - 1]
-            vm, vn = sym_vec(m), sym_vec(n)
-            got = tuple(sp_mul_param(cm, 2 * q - 1) ^ sp_mul_param(cn, 2 * q)
-                        for cm, cn in zip(vm, vn))
-            svecs[q] = got
-        return got
-
     depths: dict[int, int] = {i: 0 for i in inputs}
     anc: dict[int, int] = {}
     results: list[tuple[tuple, tuple]] = []
-
-    seg_end = sorted(out_positions)
 
     def seg_bounds(p: int) -> tuple[int, int]:
         start = 1
@@ -279,6 +169,7 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
             and not fresh_flags[-1]
         )
         prev_pair = nodes[-1] if orderable else None
+        pa, pb = point(2 * p - 1), point(2 * p)
         for m, n in cand:
             fresh = [-t for t in (m, n) if t <= 0 and not (used_inputs >> -t) & 1]
             if fresh:
@@ -306,31 +197,15 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
             new_cov = cov[m] | cov[n]
             if is_out and new_cov != full_cov:
                 continue  # an output row must reach every input
-            prow = tuple(
-                scale_packed(pa, _param_point_value(2 * p - 1, pt))
-                ^ scale_packed(pb, _param_point_value(2 * p, pt))
-                for pt, (pa, pb) in enumerate(zip(pvecs[m], pvecs[n]))
-            )
+            prow = scale(pvecs[m], pa) ^ scale(pvecs[n], pb)
+            nodes.append((m, n))
             new_tracker = tracker
             if is_out:
-                unpacked = tuple(
-                    tuple((pv >> sh) & mask for sh in shifts) for pv in prow
-                )
-                pa, pb = 2 * p - 1, 2 * p
-                cell: list = []
-
-                def provider(m=m, n=n, pa=pa, pb=pb, cell=cell):
-                    if not cell:
-                        vm, vn = sym_vec(m), sym_vec(n)
-                        cell.append(tuple(
-                            sp_mul_param(cm, pa) ^ sp_mul_param(cn, pb)
-                            for cm, cn in zip(vm, vn)))
-                    return cell[0]
-
                 new_tracker = tracker.clone()
-                if not new_tracker.add_row(provider, unpacked):
+                if not new_tracker.add_row(unpack(prow)):
+                    nodes.pop()
+                    svecs.pop(p, None)
                     continue
-            nodes.append((m, n))
             fresh_flags.append(bool(fresh))
             pvecs[p] = prow
             cov[p] = new_cov
@@ -345,7 +220,7 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
             svecs.pop(p, None)
             del pvecs[p], cov[p], depths[p], anc[p]
 
-    rec(1, _HybridTracker(k), 0, 0)
+    rec(1, root, 0, 0)
     return results
 
 
@@ -478,21 +353,24 @@ def _type_classes(k: int, type_vec: tuple[int, ...], max_depth: int | None) -> s
             for nodes, outs in _generate_type(k, type_vec, max_depth)}
 
 
+def pool_map(fn, jobs: list[tuple], threads: int) -> list:
+    """[fn(*job) for job in jobs], spread over `threads` worker processes
+    when threads > 1 and there is more than one job; order is kept."""
+    if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
+
+
 def search_at_capacity(k: int, capacity: int, max_depth: int | None = None,
                        threads: int = 1) -> list[ImplTree]:
     """All canonical simplest-tree classes of the given capacity (may be empty)."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    types = enumerate_types(k, capacity)
-    if threads > 1 and len(types) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        n = len(types)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(_type_classes, [k] * n, types, [max_depth] * n))
-    else:
-        batches = [_type_classes(k, tv, max_depth) for tv in types]
-    keys = set().union(*batches)
+    jobs = [(k, tv, max_depth) for tv in enumerate_types(k, capacity)]
+    keys = set().union(*pool_map(_type_classes, jobs, threads))
     return [tree_from_encoding(k, enc) for enc in sorted(keys)]
 
 
@@ -526,31 +404,40 @@ def tree_to_text(t: ImplTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _term_index(text: str, lineno: int) -> int:
+    """p of a term reference 'T<p>'."""
+    if text.startswith("T"):
+        try:
+            return int(text[1:])
+        except ValueError:
+            pass
+    raise FormatError(f"bad term {text!r}, expected T<p>", lineno)
+
+
 def tree_from_text(text: str) -> ImplTree:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines or not lines[0].startswith("type"):
         raise FormatError("tree file must start with a 'type (...)' header", 1)
-    body = lines[0].split("(", 1)[1].rsplit(")", 1)[0]
-    type_vec = tuple(int(x) for x in body.split(","))
+    try:
+        body = lines[0].split("(", 1)[1].rsplit(")", 1)[0]
+        type_vec = tuple(int(x) for x in body.split(","))
+    except (IndexError, ValueError):
+        raise FormatError(f"bad type header {lines[0]!r}", 1) from None
     k = len(type_vec)
     nodes: list[tuple[int, int]] = []
     outs: list[int] = []
     for lineno, ln in enumerate(lines[1:], start=2):
-        if ln.startswith("out "):
-            term = ln.split("=")[1].strip()
-            if not term.startswith("T"):
-                raise FormatError("output mark must reference T<p>", lineno)
-            outs.append(int(term[1:]))
-            continue
         lhs, _, rhs = ln.partition("=")
+        if ln.startswith("out "):
+            outs.append(_term_index(rhs.strip(), lineno))
+            continue
         expected = f"T{len(nodes) + 1}"
         if lhs.strip() != expected:
             raise FormatError(f"expected node {expected}", lineno)
         parts = [s.strip() for s in rhs.split("+")]
-        if len(parts) != 2 or not all(s.startswith("T") for s in parts):
+        if len(parts) != 2:
             raise FormatError("node line must read 'T<p> = T<m> + T<n>'", lineno)
-        m, n = int(parts[0][1:]), int(parts[1][1:])
-        nodes.append((m, n))
+        nodes.append((_term_index(parts[0], lineno), _term_index(parts[1], lineno)))
     try:
         tree = ImplTree(k, tuple(nodes), tuple(sorted(set(outs))))
     except ValueError as e:

@@ -21,7 +21,7 @@ from mdsforge.blockmat import (
     is_mds,
 )
 from mdsforge.slp import Slp, Step, cost, depth, extract_matrix, normalize
-from mdsforge.sympoly import SP_ONE, SP_ZERO, MinorTracker as SymTracker, sp_eval, sp_mul_param
+from mdsforge.sympoly import SP_ONE, SP_ZERO, minor_tracker, point, sp_eval, sp_mul_param
 from mdsforge.treesearch import canonical_tree, search_simplest
 from mdsforge.instantiate import (
     CatalogEntry,
@@ -303,16 +303,20 @@ def test_criterion_7_precheck_soundness():
         outs = sorted(rng.sample(range(1, capacity + 1), 2))
         vecs = {-j: tuple(SP_ONE if c == j else SP_ZERO for c in range(k))
                 for j in range(k)}
-        tracker = SymTracker(k)
         ok = True
         rows = []
+        # the symbolic pre-check: rows evaluated at sympoly.point, exact on
+        # every minor that vanishes there
+        tracker = minor_tracker(k, rows.__getitem__)
+        points = {pid: point(pid) for pid in range(1, 2 * capacity + 1)}
         for p, (m, n) in enumerate(nodes, start=1):
             row = tuple(sp_mul_param(a, 2 * p - 1) ^ sp_mul_param(b, 2 * p)
                         for a, b in zip(vecs[m], vecs[n]))
             vecs[p] = row
             if p in outs:
                 rows.append(row)
-                ok = ok and tracker.add_row(row)
+                ok = ok and tracker.add_row(tuple(sp_eval(c, tracker.ring, points)
+                                                  for c in row))
         if ok:
             continue
         pruned += 1

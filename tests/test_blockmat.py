@@ -6,15 +6,16 @@ import pytest
 from mdsforge.gf2 import NonUnitError, ring
 from mdsforge.blockmat import (
     BlockMatrix,
+    MinorTracker,
     OracleTooLargeError,
     branch_number,
     canonical_form,
     canonical_key,
-    det,
     is_involutory,
     is_mds,
     matrix_from_text,
     matrix_to_text,
+    packed_rows,
     permute_and_scale,
 )
 from mdsforge import catalogs
@@ -72,9 +73,64 @@ def test_branch_number_equivalent_to_minor_test():
     assert agree == 120
 
 
+def _leibniz_det(m: BlockMatrix) -> int:
+    acc = 0
+    for perm in permutations(range(m.k)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = m.ring.mul(term, m.rows[i][j])
+        acc ^= term  # signs are irrelevant in characteristic 2
+    return acc
+
+
 def test_determinant_of_mds_matrix_is_unit():
     for entry in catalogs.load_catalog("cost67_4x4")[:5]:
-        assert det(entry.matrix).is_unit()
+        m = entry.matrix
+        tracker = MinorTracker(m.ring, m.k)
+        assert all(tracker.add_row(row) for row in m.rows)
+        assert tracker.full_det() == _leibniz_det(m)
+        assert m.ring.is_unit(tracker.full_det())
+
+
+def test_exact_hook_decides_non_unit_minors():
+    # over x^2+x+1 the identity has zero entries but every 2x2 minor is 1
+    r = ring("x^2+x+1")
+    calls = []
+
+    def says(zero):
+        def exact(rowmask, colmask):
+            calls.append((rowmask, colmask))
+            return zero
+        return exact
+
+    rows = BlockMatrix.identity(r, 2).rows
+    tracker = MinorTracker(r, 2, says(False))
+    assert all(tracker.add_row(row) for row in rows)
+    assert calls == [(0b01, 0b10), (0b10, 0b01)]
+    assert tracker.full_det() == 1
+    calls.clear()
+    assert not MinorTracker(r, 2, says(True)).add_row(rows[0])
+    assert calls == [(0b01, 0b10)]
+    # without a hook a non-unit minor fails at once
+    assert not MinorTracker(r, 2).add_row(rows[0])
+    # a vanishing 2x2 minor reaches the hook with its row and column masks
+    calls.clear()
+    tracker = MinorTracker(r, 2, says(False))
+    assert tracker.add_row((1, 1)) and tracker.add_row((1, 1))
+    assert calls == [(0b11, 0b11)]
+
+
+def test_packed_rows_match_ring_mul():
+    rng = random.Random(7)
+    for modulus in ("x^4+x+1", "x^8+x^2+1"):
+        r = ring(modulus)
+        scale, unpack = packed_rows(r, 4)
+        for _ in range(50):
+            row = tuple(rng.randrange(1 << r.n) for _ in range(4))
+            packed = sum(e << (r.n * c) for c, e in enumerate(row))
+            s = rng.randrange(1 << r.n)
+            assert unpack(packed) == row
+            assert unpack(scale(packed, s)) == tuple(r.mul(s, e) for e in row)
 
 
 def test_canonical_form_orbit_invariance():

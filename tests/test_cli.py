@@ -127,6 +127,7 @@ def test_cli_determinism(capsys):
     "ring x^8+x^2+1 rep k 4",
     "ring x^8+x^2+1 cost k 4",
     "ring x^8+x^2+1 rep zz k 4",
+    "ring x^y k 4",
 ])
 def test_verify_bad_ring_header_is_parse_error(tmp_path, capsys, header):
     path = tmp_path / "bad.matrix"
@@ -148,4 +149,49 @@ def test_threads_below_one_is_usage_error(capsys, monkeypatch, value):
     assert code == 64 and "usage error" in err
     monkeypatch.setenv("MDSFORGE_THREADS", value)
     code, _, err = run(capsys, "search-trees", "--k", "2")
+    assert code == 64 and "usage error" in err
+
+
+def test_verify_bundled_trees(capsys):
+    for i in range(1, 9):
+        path = catalogs.data_path("trees", f"4x4_tree{i}.txt")
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0, path
+        assert out.startswith("tree k 4: capacity 8 type (") and out.endswith(".. ok\n")
+    code, out, _ = run(capsys, "verify", catalogs.data_path("trees", "4x4_tree1.txt"))
+    assert out == "tree k 4: capacity 8 type (3,3,1,1) depth 6 symbolic mds 1 .. ok\n"
+    for name in ("5x5_tree.txt", "6x6_tree.txt"):
+        assert run(capsys, "verify", catalogs.data_path("trees", name))[0] == 0
+
+
+def test_verify_tree_with_cancelling_minor_fails(tmp_path, capsys):
+    # y1 and y2 both combine x3 with u = T1, which spans x1 and x2: the 2x2
+    # minor of y1, y2 on x1, x2 is p4*p6*(p1*p2 + p2*p1) = 0 mod 2
+    path = tmp_path / "bad_tree.txt"
+    path.write_text("type (2,1,1)\nT1 = T-1 + T0\nT2 = T-2 + T1\nout y1 = T2\n"
+                    "T3 = T-2 + T1\nout y2 = T3\nT4 = T2 + T3\nout y3 = T4\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out.startswith("tree k 3: capacity 4 type (2,1,1) depth 3 symbolic mds 0 .. FAIL")
+
+
+@pytest.mark.parametrize("body", [
+    "type (3,3,1,1)\nT1 = Tx + T0\n",
+    "type (a,1)\nT1 = T-1 + T0\n",
+])
+def test_tree_file_bad_integer_is_parse_error(tmp_path, capsys, body):
+    path = tmp_path / "bad_tree.txt"
+    path.write_text(body)
+    code, _, err = run(capsys, "assign", "--tree", str(path), "--ring", "x^8+x^2+1",
+                       "--cost-bound", "67")
+    assert code == 65
+    assert "parse error: line " in err
+
+
+def test_assign_threads(capsys):
+    argv = ["assign", "--all-trees", "--ring", "x^8+x^2+1", "--cost-bound", "67"]
+    serial = run(capsys, *argv, "-j", "1")
+    assert serial[0] == 0 and "60 equivalence classes" in serial[1]
+    assert run(capsys, *argv, "-j", "2") == serial
+    code, _, err = run(capsys, *argv, "-j", "0")
     assert code == 64 and "usage error" in err

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -135,3 +136,18 @@ def test_custom_representation_and_chained_cost():
         assert r.scalar_xor_count(r.pow(2, e)) == 2 * abs(e)
     with pytest.raises(ValueError):
         QuotientRing(poly_parse("x^8+x^2+1"), rep=rep)  # wrong minimal polynomial
+
+
+def test_rings_pickle_as_their_shared_instance():
+    from mdsforge.blockmat import parse_ring_header
+    from mdsforge.catalogs import HIGHER_REP_ROWS, higher_order_ring
+
+    rep_text = ",".join(f"{v:02x}" for v in HIGHER_REP_ROWS)
+    parsed = parse_ring_header(["x^8+x^6+x^5+x^3+1", "rep", rep_text, "cost", "chained"])
+    for r in (ring("x^8+x^2+1"), higher_order_ring(), parsed):
+        assert pickle.loads(pickle.dumps(r)) is r
+    assert parsed is higher_order_ring()
+    # the companion matrix given explicitly is the default representation
+    r8 = ring("x^8+x^2+1")
+    assert ring(r8.modulus, r8.rep.rows) is r8 is ring(poly_parse("x^8+x^2+1"))
+    assert r8.key == (poly_parse("x^8+x^2+1"), None, "rowweight")

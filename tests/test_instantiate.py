@@ -78,6 +78,16 @@ def test_involutory_search_small_budget(trees8, r8):
     assert all(h.entry.involutory and h.entry.mds for h in hits)
 
 
+def test_involutory_search_threads(trees8, r8):
+    # t <= 5 is the least budget with hits (18, from trees 3 and 4)
+    trees = trees8[2:4]
+    serial = involutory_search(trees, r8, max_s=6, max_t=5)
+    pooled = involutory_search(trees, r8, max_s=6, max_t=5, threads=2)
+    assert len(serial) == 18 and pooled == serial
+    # rings come back from the workers as the shared instance
+    assert all(h.entry.matrix.ring is r8 and h.entry.slp.ring is r8 for h in pooled)
+
+
 def test_catalog_round_trip():
     entries = catalogs.load_catalog("depth3_4x4")
     text = catalog_to_text(entries)

@@ -5,7 +5,7 @@ import pytest
 
 from mdsforge import catalogs
 from mdsforge.gf2 import FormatError, ring
-from mdsforge.sympoly import MinorTracker, SymMatrix, mds_precheck
+from mdsforge.instantiate import _symbolic_subset_ok
 from mdsforge.slp import extract_matrix, is_normal
 from mdsforge.treesearch import (
     ImplTree,
@@ -181,21 +181,10 @@ def test_returned_trees_are_normal_without_dead_nodes():
 
 
 def test_returned_trees_pass_symbolic_precheck():
-    from mdsforge.sympoly import SP_ONE, SP_ZERO, sp_mul_param
-
     _, trees = search_simplest(3)
     for t in trees:
-        tracker = MinorTracker(t.k)
-        vecs = {-j: tuple(SP_ONE if c == j else SP_ZERO for c in range(t.k))
-                for j in range(t.k)}
-        ok = True
-        for p, (m, n) in enumerate(t.nodes, start=1):
-            row = tuple(sp_mul_param(a, 2 * p - 1) ^ sp_mul_param(b, 2 * p)
-                        for a, b in zip(vecs[m], vecs[n]))
-            vecs[p] = row
-            if p in t.outs:
-                ok = ok and tracker.add_row(row)
-        assert ok
+        # every position carries its own parameter, 2p-1 and 2p at node p
+        assert _symbolic_subset_ok(t, range(t.scalar_positions()))
 
 
 def test_canonical_tree_identifies_relabelings(trees8):
@@ -245,6 +234,18 @@ def test_tree_text_errors():
         tree_from_text("type (1,1)\nT1 = T-1 + T0\nout y1 = T1\nout y2 = T1\n")
     with pytest.raises(FormatError):
         tree_from_text("type (2,1)\nT1 = T-1 + T0\nT2 = T0 + T1\nout y1 = T1\nout y2 = T2\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("type (2,1,1)\nT1 = Tx + T0\n", 2),
+    ("type (2,1,1)\nT1 = T-1 + T0\nout y1 = Tq\n", 3),
+    ("type (2,1,1)\nT1 = T-1 + T0\nout y1\n", 3),
+    ("type (a,1)\nT1 = T-1 + T0\n", 1),
+    ("type 2,1\nT1 = T-1 + T0\n", 1),
+])
+def test_tree_text_bad_integers_name_the_line(text, line):
+    with pytest.raises(FormatError, match=f"^line {line}: "):
+        tree_from_text(text)
 
 
 def test_max_depth_filter():
