@@ -11,7 +11,9 @@ Library layout:
                   equivalence; ``MinorTracker`` is the one all-minors tracker
                   and ``packed_rows`` the one row encoding of every search
 - ``slp``         word-level linear straight-line programs, cost and depth
-- ``treesearch``  exhaustive search for simplest implementation trees
+- ``treesearch``  exhaustive search for simplest implementation trees; a
+                  minor that vanishes at the points is decided there by
+                  vertex-disjoint paths
 - ``instantiate`` parameter assignment, lowest-cost and involutory catalogs
 - ``catalogs``    bundled reference data
 - ``cli``         command-line frontend

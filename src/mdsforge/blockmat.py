@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .gf2 import FormatError, NonUnitError, QuotientRing, RingElement, poly_text, ring as _ring
+from .gf2 import (FormatError, NonUnitError, QuotientRing, RingElement, line_after,
+                  numbered_lines, poly_text, ring as _ring)
 
 
 class OracleTooLargeError(ValueError):
@@ -121,9 +122,10 @@ class MinorTracker:
     `exact`, if given, is consulted for each minor that is not a unit, order
     1 included: `exact(rowmask, colmask)` says whether that minor is truly
     zero.  The row is rejected only if it is; otherwise the value is kept
-    and the check goes on.  The symbolic searches track evaluations of
-    formal-parameter rows this way, with an exact determinant behind each
-    vanishing value (see sympoly).
+    and the check goes on.  The symbolic checks track evaluations of
+    formal-parameter rows this way, with an exact test behind each vanishing
+    value: a symbolic determinant (see sympoly) or, in the tree search,
+    vertex-disjoint paths (see treesearch).
     """
 
     __slots__ = ("ring", "k", "nrows", "_dets", "_mul", "_units", "_last_full", "_exact")
@@ -371,35 +373,35 @@ def matrix_to_text(m: BlockMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_lines(lines: list[str], start: int = 0) -> tuple[BlockMatrix, int]:
-    """Parse the matrix block; returns (matrix, next line index)."""
+def matrix_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[BlockMatrix, int]:
+    """Parse the matrix block from (file line number, line) pairs; returns
+    (matrix, next index)."""
     if start >= len(lines):
-        raise FormatError("expected matrix header", start + 1)
-    head = lines[start].split()
+        raise FormatError("expected matrix header", line_after(lines))
+    head_no, head = lines[start][0], lines[start][1].split()
     if not head or head[0] != "ring" or "k" not in head:
-        raise FormatError("matrix header must be 'ring <poly> [rep ..] [cost ..] k <k>'", start + 1)
+        raise FormatError("matrix header must be 'ring <poly> [rep ..] [cost ..] k <k>'", head_no)
     ki = head.index("k")
-    ring = parse_ring_header(head[1:ki], start + 1)
+    ring = parse_ring_header(head[1:ki], head_no)
     try:
         k = int(head[ki + 1])
     except (IndexError, ValueError):
-        raise FormatError("bad k in matrix header", start + 1) from None
+        raise FormatError("bad k in matrix header", head_no) from None
     rows = []
-    for off in range(k):
-        lineno = start + 1 + off
-        if lineno >= len(lines):
-            raise FormatError("matrix ended early", lineno + 1)
-        cells = [c.strip() for c in lines[lineno].split(",")]
+    for pos in range(start + 1, start + 1 + k):
+        if pos >= len(lines):
+            raise FormatError("matrix ended early", line_after(lines))
+        lineno, line = lines[pos]
+        cells = [c.strip() for c in line.split(",")]
         if len(cells) != k:
-            raise FormatError(f"expected {k} entries", lineno + 1)
+            raise FormatError(f"expected {k} entries", lineno)
         try:
             rows.append(tuple(ring.parse_element(c) for c in cells))
         except FormatError as e:
-            raise FormatError(str(e), lineno + 1) from None
+            raise FormatError(str(e), lineno) from None
     return BlockMatrix(ring, tuple(rows)), start + 1 + k
 
 
 def matrix_from_text(text: str) -> BlockMatrix:
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    m, _ = matrix_from_lines(lines, 0)
+    m, _ = matrix_from_lines(numbered_lines(text), 0)
     return m

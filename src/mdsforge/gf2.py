@@ -26,6 +26,19 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(file line number, line without trailing blanks) of every line that
+    is neither blank nor a '#' comment: the input of the block parsers, so
+    their errors name file lines."""
+    return [(no, ln.rstrip()) for no, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.lstrip().startswith("#")]
+
+
+def line_after(lines: list[tuple[int, str]]) -> int:
+    """File line number just past numbered lines: where input ended early."""
+    return lines[-1][0] + 1 if lines else 1
+
+
 # ---------------------------------------------------------------------------
 # polynomial arithmetic on int bit vectors
 

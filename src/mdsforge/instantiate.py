@@ -264,7 +264,7 @@ def _symbolic_subset_ok(tree: ImplTree, subset) -> bool:
     the positions in subset carry formal parameters and the others 1."""
     k = tree.k
     chosen = set(subset)
-    sym_vec, _ = term_vectors(k, tree.nodes, chosen)
+    sym_vec = term_vectors(k, tree.nodes, chosen)
     tracker = minor_tracker(k, lambda i: sym_vec(tree.outs[i]))
     scale, unpack = packed_rows(tracker.ring, k)
     vecs: dict[int, int] = {-j: 1 << (tracker.ring.n * j) for j in range(k)}
@@ -499,28 +499,24 @@ def catalog_to_text(entries, comments: list[str] | None = None) -> str:
 def catalog_records(text: str):
     """Raw (header fields, matrix, slp, first line number) records, blank-line
     separated; '#' lines are comments."""
-    lines = text.splitlines()
-    blocks: list[tuple[int, list[str]]] = []
-    cur: list[str] = []
-    start = None
-    for no, raw in enumerate(lines, start=1):
+    blocks: list[list[tuple[int, str]]] = []
+    cur: list[tuple[int, str]] = []
+    for no, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if not s:
             if cur:
-                blocks.append((start, cur))
-                cur, start = [], None
+                blocks.append(cur)
+                cur = []
             continue
         if s.startswith("#"):
             continue
-        if start is None:
-            start = no
-        cur.append(raw.rstrip())
+        cur.append((no, raw.rstrip()))
     if cur:
-        blocks.append((start, cur))
+        blocks.append(cur)
 
     records = []
-    for lineno, block in blocks:
-        head = block[0].split()
+    for block in blocks:
+        lineno, head = block[0][0], block[0][1].split()
         if head[0] != "cost" or len(head) % 2 != 0:
             raise FormatError("catalog entry must start with 'cost .. depth .. mds .. involutory ..'", lineno)
         try:

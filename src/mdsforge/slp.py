@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf2 import FormatError, QuotientRing
+from .gf2 import FormatError, QuotientRing, line_after, numbered_lines
 from .blockmat import BlockMatrix, ring_header_text, parse_ring_header
 
 
@@ -265,25 +265,26 @@ def slp_to_text(p: Slp) -> str:
     return "\n".join(lines) + "\n"
 
 
-def slp_from_lines(lines: list[str], start: int = 0) -> tuple[Slp, int]:
+def slp_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[Slp, int]:
+    """Parse the program block from (file line number, line) pairs; returns
+    (program, next index)."""
     if start >= len(lines):
-        raise FormatError("expected SLP header", start + 1)
-    head = lines[start].split()
+        raise FormatError("expected SLP header", line_after(lines))
+    head_no, head = lines[start][0], lines[start][1].split()
     if not head or head[0] != "ring" or "inputs" not in head:
-        raise FormatError("SLP header must be 'ring <poly> [rep ..] [cost ..] inputs <k>'", start + 1)
+        raise FormatError("SLP header must be 'ring <poly> [rep ..] [cost ..] inputs <k>'", head_no)
     ii = head.index("inputs")
-    ring = parse_ring_header(head[1:ii], start + 1)
+    ring = parse_ring_header(head[1:ii], head_no)
     try:
         k = int(head[ii + 1])
     except (IndexError, ValueError):
-        raise FormatError("bad input count", start + 1) from None
+        raise FormatError("bad input count", head_no) from None
 
     steps: list[Step] = []
     outputs: list[tuple[int, int]] = []
     pos = start + 1
     while pos < len(lines):
-        line = lines[pos]
-        lineno = pos + 1
+        lineno, line = lines[pos]
         if line.startswith("out "):
             body = line[4:]
             lhs, _, rhs = body.partition("=")
@@ -312,23 +313,28 @@ def slp_from_lines(lines: list[str], start: int = 0) -> tuple[Slp, int]:
                 term = part.strip()
                 if "*" in term:
                     stxt, _, term = term.partition("*")
-                    scalar = ring.parse_element(stxt.strip())
+                    try:
+                        scalar = ring.parse_element(stxt.strip())
+                    except FormatError as e:
+                        raise FormatError(str(e), lineno) from None
+                    if scalar == 0:
+                        raise FormatError(f"zero scalar in {part.strip()!r}", lineno)
                 ops.append((_parse_term(term.strip(), k, len(steps), lineno), scalar))
             (m, a), (n, b) = ops
             steps.append(Step(m, n, a, b))
             pos += 1
             continue
         break
+    last = lines[pos - 1][0]  # the block's last line
     if not outputs:
-        raise FormatError("SLP has no outputs", pos)
+        raise FormatError("SLP has no outputs", last)
     labels = [l for l, _ in outputs]
     if sorted(labels) != list(range(1, len(labels) + 1)):
-        raise FormatError("output labels must be y1..yq, each exactly once", pos)
+        raise FormatError("output labels must be y1..yq, each exactly once", last)
     terms = [t for _, t in sorted(outputs)]
     return Slp(ring, k, tuple(steps), tuple(terms)), pos
 
 
 def slp_from_text(text: str) -> Slp:
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    p, _ = slp_from_lines(lines, 0)
+    p, _ = slp_from_lines(numbered_lines(text), 0)
     return p

@@ -5,16 +5,20 @@ exponents (parameters range over a ring, so a*a is not reduced to a).  A
 polynomial is a frozenset of monomials: coefficients live in GF(2), so
 addition is symmetric difference and a repeated monomial cancels.
 
-These polynomials carry the symbolic MDS pre-check that prunes the
-implementation-tree search: if some minor of the parameterized matrix is
-identically zero mod 2, no parameter assignment over any ring can make the
-corresponding rows part of an MDS matrix.
+These polynomials carry the symbolic MDS pre-check: if some minor of a
+parameterized matrix is identically zero mod 2, no parameter assignment over
+any ring can make the corresponding rows part of an MDS matrix.
 
 The check runs on the one all-minors tracker, `blockmat.MinorTracker`, over
 GF(2^8) values: every parameter is evaluated at one fixed nonzero point,
 `point(pid)`.  Evaluation is a ring homomorphism, so a nonzero value proves
 a minor nonzero.  A minor that evaluates to zero is decided by its exact
-symbolic determinant, `_det`; `minor_tracker` wires the two together.
+symbolic determinant, `_det`; `minor_tracker` wires the two together.  The
+parameter-subset screen of `instantiate` and tree-file `verify` use it.  The
+tree search shares the points but decides vanishing minors by
+vertex-disjoint paths instead (`treesearch.no_disjoint_paths`), which is
+exact only where every edge has a parameter of its own; with some edges
+fixed to 1, path products can cancel, and only the determinant decides.
 """
 
 from __future__ import annotations
@@ -108,12 +112,11 @@ def point(pid: int) -> int:
 
 
 def term_vectors(k: int, nodes, chosen=None):
-    """(vec, cache): vec(q) is the coefficient vector of term q (input -j
-    or node p = nodes[p-1] = (m, n), p >= 1) of a tree on k inputs whose
-    node p multiplies its left operand by parameter 2p-1 and its right one
-    by 2p, or by 1 where the position (2p-2 left, 2p-1 right) is not in
-    chosen (None: all are).  Vectors are built on first use and kept in
-    cache, from which a search drops the nodes it backtracks over.
+    """vec(q): the coefficient vector of term q (input -j or node p =
+    nodes[p-1] = (m, n), p >= 1) of a tree on k inputs whose node p
+    multiplies its left operand by parameter 2p-1 and its right one by 2p,
+    or by 1 where the position (2p-2 left, 2p-1 right) is not in chosen
+    (None: all are).  Vectors are built on first use and kept.
     """
     cache = {-j: tuple(SP_ONE if c == j else SP_ZERO for c in range(k)) for j in range(k)}
 
@@ -129,7 +132,7 @@ def term_vectors(k: int, nodes, chosen=None):
             got = cache[q] = tuple(a ^ b for a, b in zip(vm, vn))
         return got
 
-    return vec, cache
+    return vec
 
 
 def minor_tracker(k: int, sym_row) -> MinorTracker:

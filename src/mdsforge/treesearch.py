@@ -10,10 +10,13 @@ re-serialization (any output order).  That quotient is what makes the
 reported feasible-type sets reproducible: a tree serialized with a fat first
 segment, e.g. type (5,1,1,1), canonicalizes back to its minimal type.
 
-The pre-check is `sympoly.minor_tracker`: `blockmat.MinorTracker` on the
-rows evaluated at one GF(2^8) point per parameter, packed 8 bits per entry
-and scaled with `blockmat.packed_rows`.  A minor that evaluates to zero is
-decided by its exact symbolic determinant, so pruning stays exact.
+The pre-check is `blockmat.MinorTracker` on the rows evaluated at one
+GF(2^8) point per parameter (`sympoly.point`), packed 8 bits per entry and
+scaled with `blockmat.packed_rows`.  A minor that evaluates to zero is
+decided exactly by `no_disjoint_paths`, so pruning stays exact: every edge
+of a search tree carries its own parameter, so by the
+Lindstrom-Gessel-Viennot lemma a minor is identically zero iff its input
+and output terms cannot be joined by vertex-disjoint paths.
 
 `canonical_tree` finds that minimum by a pruned search: the type vector
 first, from the output order alone, then serializations built token by token
@@ -27,10 +30,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf2 import FormatError, QuotientRing
-from .blockmat import packed_rows
+from .gf2 import FormatError, QuotientRing, numbered_lines, ring as _ring
+from .blockmat import MinorTracker, packed_rows
 from .slp import Slp, Step
-from .sympoly import minor_tracker, point, term_vectors
+from .sympoly import EVAL_MODULUS, point
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,12 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
 
     nodes: list[tuple[int, int]] = []
     fresh_flags: list[bool] = []
-    # tracker row i is the output at seg_end[i] of the current path; its
-    # symbolic vector is built only when a minor vanishes at the points
-    sym_vec, svecs = term_vectors(k, nodes)
-    root = minor_tracker(k, lambda i: sym_vec(seg_end[i]))
+    # tracker row i is the output at seg_end[i] of the current path
+    def exact(rowmask: int, colmask: int) -> bool:
+        sinks = [seg_end[i] for i in range(rowmask.bit_length()) if rowmask >> i & 1]
+        return no_disjoint_paths(nodes, sinks, colmask)
+
+    root = MinorTracker(_ring(EVAL_MODULUS), k, exact)
     scale, unpack = packed_rows(root.ring, k)
     # each term's vector evaluated at sympoly.point, packed into one int
     pvecs: dict[int, int] = {i: 1 << (root.ring.n * -i) for i in inputs}
@@ -204,7 +209,6 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                 new_tracker = tracker.clone()
                 if not new_tracker.add_row(unpack(prow)):
                     nodes.pop()
-                    svecs.pop(p, None)
                     continue
             fresh_flags.append(bool(fresh))
             pvecs[p] = prow
@@ -217,11 +221,79 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
             rec(p + 1, new_tracker, nu, 0 if is_out else (roots | (1 << p)))
             nodes.pop()
             fresh_flags.pop()
-            svecs.pop(p, None)
             del pvecs[p], cov[p], depths[p], anc[p]
 
     rec(1, root, 0, 0)
     return results
+
+
+def no_disjoint_paths(nodes, sinks, colmask: int) -> bool:
+    """Whether no len(sinks) vertex-disjoint paths join the inputs -c, c in
+    colmask, to the node positions in sinks, in the DAG where node p has
+    edges from its operands nodes[p-1] = (m, n).
+
+    With a parameter of its own on every edge, this is exactly when the
+    minor of the output rows sinks on columns colmask is identically zero:
+    by the Lindstrom-Gessel-Viennot lemma the minor is the sum, over the
+    families of vertex-disjoint paths, of each family's edge product, and
+    distinct families have distinct squarefree products, so mod 2 nothing
+    cancels.  With unit weights on some edges that fails (two families can
+    cancel), so it decides only fully parameterized trees.
+
+    Augmenting paths on the vertex-split DAG, one sink at a time, searched
+    backward from the sink.  A state is 2q for the entry side of term q and
+    2q+1 for its exit side; prv[q] is the term after q on its path toward
+    the sink, 0 at the sink itself.  A sink with no augmenting path never
+    gets one after later augmentations, so the first failure decides.
+    """
+    prv: dict[int, int] = {}
+    for t in sinks:
+        s = 2 * t
+        parent = {s: None}
+        stack = [s]
+        found = False
+        while stack:
+            s = stack.pop()
+            v = s >> 1
+            if not s & 1:
+                u = prv.get(v)
+                if u is None:  # a free node: through it
+                    parent[s + 1] = s
+                    stack.append(s + 1)
+                elif u and 2 * u + 1 not in parent:  # back along the path into v
+                    parent[2 * u + 1] = s
+                    stack.append(2 * u + 1)
+                continue
+            # exit side of node v: on to its operands, or back into v
+            for w in nodes[v - 1]:
+                if w <= 0 and w not in prv:  # a free input ends the path if a source
+                    if colmask >> -w & 1:
+                        parent[2 * w] = s
+                        s = 2 * w
+                        found = True
+                        break
+                elif 2 * w not in parent:
+                    parent[2 * w] = s
+                    stack.append(2 * w)
+            if found:
+                break
+            if v in prv and s - 1 not in parent:
+                parent[s - 1] = s
+                stack.append(s - 1)
+        if not found:
+            return True
+        while s is not None:
+            p = parent[s]
+            if not s & 1:
+                v = s >> 1
+                if p is None:
+                    prv[v] = 0
+                elif p == s + 1:
+                    del prv[v]
+                else:
+                    prv[v] = p >> 1
+            s = p
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +487,19 @@ def _term_index(text: str, lineno: int) -> int:
 
 
 def tree_from_text(text: str) -> ImplTree:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("type"):
-        raise FormatError("tree file must start with a 'type (...)' header", 1)
+    lines = [(no, ln.strip()) for no, ln in numbered_lines(text)]
+    head_no, head = lines[0] if lines else (1, "")
+    if not head.startswith("type"):
+        raise FormatError("tree file must start with a 'type (...)' header", head_no)
     try:
-        body = lines[0].split("(", 1)[1].rsplit(")", 1)[0]
+        body = head.split("(", 1)[1].rsplit(")", 1)[0]
         type_vec = tuple(int(x) for x in body.split(","))
     except (IndexError, ValueError):
-        raise FormatError(f"bad type header {lines[0]!r}", 1) from None
+        raise FormatError(f"bad type header {head!r}", head_no) from None
     k = len(type_vec)
     nodes: list[tuple[int, int]] = []
     outs: list[int] = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         lhs, _, rhs = ln.partition("=")
         if ln.startswith("out "):
             outs.append(_term_index(rhs.strip(), lineno))
@@ -445,5 +518,5 @@ def tree_from_text(text: str) -> ImplTree:
     if len(outs) != len(set(outs)):
         raise FormatError("duplicate output marks")
     if tree.type_vector != type_vec:
-        raise FormatError("type header does not match output marks", 1)
+        raise FormatError("type header does not match output marks", head_no)
     return tree

@@ -87,6 +87,36 @@ def test_missing_file_is_parse_error(capsys):
     assert code == 65
 
 
+def test_zero_scalar_is_parse_error(tmp_path, capsys):
+    text = open(catalogs.data_path("slp", "demo_cost49.slp")).read()
+    path = tmp_path / "zero.slp"
+    path.write_text(text.replace("t3 = t1 + a*x2", "t3 = t1 + 0*x2"))
+    for cmd in ("cost", "verify"):
+        code, _, err = run(capsys, cmd, str(path))
+        assert code == 65
+        assert "parse error: line 4: zero scalar" in err
+
+
+def test_parse_errors_name_the_file_line(tmp_path, capsys):
+    lines = open(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read().splitlines()
+    assert lines[49] == "a^7+a,a,1,a^7+a"
+    lines[49] = "zza,1,1,1"
+    path = tmp_path / "bad.catalog"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 65
+    assert "parse error: line 50: bad element monomial 'zza'" in err
+    # comments and blank lines count in matrix and program files too
+    path = tmp_path / "bad.matrix"
+    path.write_text("# comment\n\nring x^8+x^2+1 k 2\n1,1\n1,zz\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 65 and "parse error: line 5:" in err
+    path = tmp_path / "bad.slp"
+    path.write_text("# comment\nring x^8+x^2+1 inputs 2\n\nt1 = x1 + zz*x2\n")
+    code, _, err = run(capsys, "cost", str(path))
+    assert code == 65 and "parse error: line 4:" in err
+
+
 def test_catalog_lists_data(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

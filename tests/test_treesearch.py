@@ -2,17 +2,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mdsforge import catalogs
+from mdsforge import catalogs, treesearch
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.instantiate import _symbolic_subset_ok
 from mdsforge.slp import extract_matrix, is_normal
+from mdsforge.sympoly import _det, term_vectors
 from mdsforge.treesearch import (
     ImplTree,
     _generate_type,
     _tree_dag,
     canonical_tree,
     enumerate_types,
+    no_disjoint_paths,
     search_at_capacity,
     search_simplest,
     tree_from_encoding,
@@ -187,6 +190,72 @@ def test_returned_trees_pass_symbolic_precheck():
         assert _symbolic_subset_ok(t, range(t.scalar_positions()))
 
 
+# Reference for no_disjoint_paths: the exact symbolic determinant of the
+# minor, every edge with a parameter of its own.
+
+
+def _det_says_zero(k, nodes, sinks, colmask) -> bool:
+    vec = term_vectors(k, nodes)
+    ridx = tuple(range(len(sinks)))
+    cidx = tuple(c for c in range(k) if colmask >> c & 1)
+    return not _det({i: vec(t) for i, t in enumerate(sinks)}, ridx, cidx, {})
+
+
+@st.composite
+def _parameterized_trees(draw):
+    """(k, nodes, outs): nodes (m, n) with m < n < p over k inputs, and k
+    distinct output nodes, which need not reach every input."""
+    k = draw(st.integers(2, 5))
+    nodes = []
+    for p in range(1, draw(st.integers(k, min(2 * k + 1, 9))) + 1):
+        m = draw(st.integers(-(k - 1), p - 2))
+        nodes.append((m, draw(st.integers(m + 1, p - 1))))
+    outs = sorted(draw(st.sets(st.integers(1, len(nodes)), min_size=k, max_size=k)))
+    return k, nodes, outs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_parameterized_trees())
+# outputs 4, 7, 8 on columns 0-2: the third path exists only once an
+# augmenting path takes a node off an earlier path, which random trees rarely hit
+@example((4, [(-2, 0), (-1, 0), (-1, 1), (2, 3), (-3, 2), (-3, 0), (-3, -1), (-1, 6), (4, 7)],
+          [4, 7, 8, 9]))
+def test_path_verdict_matches_symbolic_determinant(tree):
+    k, nodes, outs = tree
+    vec = term_vectors(k, nodes)
+    rows = {i: vec(o) for i, o in enumerate(outs)}
+    memo: dict = {}
+    for r in range(1, k + 1):
+        for ridx in itertools.combinations(range(k), r):
+            for cidx in itertools.combinations(range(k), r):
+                colmask = sum(1 << c for c in cidx)
+                zero = not _det(rows, ridx, cidx, memo)
+                assert no_disjoint_paths(nodes, [outs[i] for i in ridx], colmask) == zero
+
+
+def test_search_exact_calls_match_symbolic_determinant(monkeypatch):
+    calls = []
+
+    def checked(nodes, sinks, colmask):
+        got = no_disjoint_paths(nodes, sinks, colmask)
+        calls.append(got == _det_says_zero(3, nodes, sinks, colmask))
+        return got
+
+    monkeypatch.setattr(treesearch, "no_disjoint_paths", checked)
+    assert len(search_at_capacity(3, 6)) == 2915
+    assert len(calls) > 10_000 and all(calls)
+
+
+def test_unit_weights_can_cancel_where_disjoint_paths_exist():
+    # both outputs read x1 + x2: with a parameter per edge the 2x2 minor is
+    # p1*p4 + p2*p3, one product per pair of disjoint paths; with unit
+    # weights it is 1 + 1 = 0, so _symbolic_subset_ok needs the determinant
+    t = ImplTree(2, ((-1, 0), (-1, 0)), (1, 2))
+    assert not no_disjoint_paths(t.nodes, t.outs, 0b11)
+    assert _symbolic_subset_ok(t, range(t.scalar_positions()))
+    assert not _symbolic_subset_ok(t, ())
+
+
 def test_canonical_tree_identifies_relabelings(trees8):
     t = trees8[0]
     key = canonical_tree(t)
@@ -242,6 +311,7 @@ def test_tree_text_errors():
     ("type (2,1,1)\nT1 = T-1 + T0\nout y1\n", 3),
     ("type (a,1)\nT1 = T-1 + T0\n", 1),
     ("type 2,1\nT1 = T-1 + T0\n", 1),
+    ("# comment\n\ntype (2,1,1)\nT1 = Tx + T0\n", 4),
 ])
 def test_tree_text_bad_integers_name_the_line(text, line):
     with pytest.raises(FormatError, match=f"^line {line}: "):
