@@ -2,14 +2,16 @@
 
 Library layout:
 
-- ``gf2``         polynomials, bit matrices, quotient rings F2[x]/(p); ``ring``
-                  is the one shared, interned ring constructor
+- ``gf2``         polynomials, bit matrices, quotient rings F2[x]/(p) with
+                  elements as plain int residues; ``ring`` is the one shared,
+                  interned ring constructor
 - ``sympoly``     multivariate GF(2) polynomials and the symbolic MDS pre-check:
                   rows evaluated at one GF(2^8) point per parameter, with an
                   exact determinant for every minor that vanishes there
 - ``blockmat``    k x k matrices over a ring: MDS test, branch number,
-                  equivalence; ``MinorTracker`` is the one all-minors tracker
-                  and ``packed_rows`` the one row encoding of every search
+                  equivalence, involution test; ``MinorTracker`` is the one
+                  all-minors tracker and ``packed_rows`` the one row
+                  encoding of every search and of matrix extraction
 - ``slp``         word-level linear straight-line programs, cost and depth
 - ``treesearch``  exhaustive search for simplest implementation trees; a
                   minor that vanishes at the points is decided there by
@@ -24,7 +26,6 @@ from .gf2 import (
     FormatError,
     NonUnitError,
     QuotientRing,
-    RingElement,
     companion,
     is_invertible,
     poly_parse,
@@ -39,7 +40,6 @@ __all__ = [
     "FormatError",
     "NonUnitError",
     "QuotientRing",
-    "RingElement",
     "companion",
     "is_invertible",
     "poly_parse",

@@ -4,16 +4,16 @@ Provides the MDS test via minors (cofactor determinants; the rings may have
 zero divisors, so no elimination) through `MinorTracker`, the one
 incremental all-minors tracker that every search shares, the packed-row
 helper the searches scale rows with, a brute-force branch-number oracle for
-small total bit widths, PMQ-equivalence canonical forms, the involution test
-and row permutation/scaling.
+small total bit widths, PMQ-equivalence canonical forms and the involution
+test on raw rows.  Entries are raw residues (ints), as in `gf2`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .gf2 import (FormatError, NonUnitError, QuotientRing, RingElement, line_after,
-                  numbered_lines, poly_text, ring as _ring)
+from .gf2 import (FormatError, QuotientRing, expect_end, line_after, numbered_lines, poly_text,
+                  ring as _ring)
 
 
 class OracleTooLargeError(ValueError):
@@ -26,10 +26,7 @@ class BlockMatrix:
     __slots__ = ("ring", "k", "rows")
 
     def __init__(self, ring: QuotientRing, rows):
-        rows = tuple(
-            tuple(e.val if isinstance(e, RingElement) else int(e) for e in row)
-            for row in rows
-        )
+        rows = tuple(tuple(map(int, row)) for row in rows)
         k = len(rows)
         if k < 1 or any(len(r) != k for r in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -43,9 +40,6 @@ class BlockMatrix:
     @classmethod
     def identity(cls, ring: QuotientRing, k: int) -> "BlockMatrix":
         return cls(ring, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
-
-    def entry(self, i: int, j: int) -> RingElement:
-        return RingElement(self.ring, self.rows[i][j])
 
     def __eq__(self, other):
         return (
@@ -62,22 +56,6 @@ class BlockMatrix:
             ", ".join(self.ring.element_text(e) for e in row) for row in self.rows
         )
         return f"BlockMatrix[{body}]"
-
-    def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
-        if self.ring != other.ring or self.k != other.k:
-            raise ValueError("matrix shape or ring mismatch")
-        ring = self.ring
-        k = self.k
-        out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = 0
-                for t in range(k):
-                    acc ^= ring.mul(self.rows[i][t], other.rows[t][j])
-                row.append(acc)
-            out.append(tuple(row))
-        return BlockMatrix(ring, tuple(out))
 
     def transpose(self) -> "BlockMatrix":
         return BlockMatrix(self.ring, tuple(zip(*self.rows)))
@@ -298,26 +276,26 @@ def canonical_form(m: BlockMatrix) -> BlockMatrix:
     return BlockMatrix(m.ring, rows)
 
 
+def squares_to_identity(rows, mul) -> bool:
+    """Whether the matrix of k entry tuples `rows` squares to the identity,
+    with mul = ring.mul_rows(); (M^2)[i][l] is checked one entry at a time,
+    stopping at the first wrong one."""
+    k = len(rows)
+    for i in range(k):
+        ri = rows[i]
+        for l in range(k):
+            acc = 0
+            for j in range(k):
+                e = ri[j]
+                if e:
+                    acc ^= mul[e][rows[j][l]]
+            if acc != (1 if i == l else 0):
+                return False
+    return True
+
+
 def is_involutory(m: BlockMatrix) -> bool:
-    return (m * m) == BlockMatrix.identity(m.ring, m.k)
-
-
-def permute_and_scale(m: BlockMatrix, row_perm, row_scalars) -> BlockMatrix:
-    """Row i of the result is scalar_i times row perm[i] of m (scalars must be units)."""
-    ring = m.ring
-    perm = list(row_perm)
-    scalars = [s.val if isinstance(s, RingElement) else int(s) for s in row_scalars]
-    if sorted(perm) != list(range(m.k)) or len(scalars) != m.k:
-        raise ValueError("row_perm must be a permutation and scalars match the size")
-    for s in scalars:
-        if not ring.is_unit(s):
-            raise NonUnitError(f"row scalar {ring.element_text(s)} is not a unit")
-    rows = []
-    for i in range(m.k):
-        src = m.rows[perm[i]]
-        s = scalars[i]
-        rows.append(tuple(ring.mul(s, e) for e in src) if s != 1 else src)
-    return BlockMatrix(ring, tuple(rows))
+    return squares_to_identity(m.rows, m.ring.mul_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -403,5 +381,7 @@ def matrix_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[Blo
 
 
 def matrix_from_text(text: str) -> BlockMatrix:
-    m, _ = matrix_from_lines(numbered_lines(text), 0)
+    lines = numbered_lines(text)
+    m, nxt = matrix_from_lines(lines, 0)
+    expect_end(lines, nxt)
     return m

@@ -59,11 +59,6 @@ def tree_5x5() -> ImplTree:
 
 
 @lru_cache(maxsize=None)
-def tree_6x6() -> ImplTree:
-    return tree_from_text(_read(data_path("trees", "6x6_tree.txt")))
-
-
-@lru_cache(maxsize=None)
 def load_catalog(name: str) -> tuple[CatalogEntry, ...]:
     """Bundled catalog by base name, e.g. "cost67_4x4"; parsing re-validates
     every stated header value against recomputation."""

@@ -64,7 +64,8 @@ def _parse_ring(text: str) -> QuotientRing:
 
 
 def _parse_values(ring: QuotientRing, spec: str) -> list[int]:
-    """Value-set spec: "a^-3..a^3" (powers, 1 included) or a comma list."""
+    """Value-set spec: "a^-3..a^3" (powers, 1 included) or a comma list of
+    units."""
     spec = spec.strip()
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
@@ -76,7 +77,10 @@ def _parse_values(ring: QuotientRing, spec: str) -> list[int]:
             if s == "a":
                 return 1
             if s.startswith("a^"):
-                return int(s[2:])
+                try:
+                    return int(s[2:])
+                except ValueError:
+                    pass
             raise UsageError(f"bad power {s!r} in value spec")
 
         lo, hi = power(lo_s), power(hi_s)
@@ -89,7 +93,14 @@ def _parse_values(ring: QuotientRing, spec: str) -> list[int]:
             if -e >= lo:
                 vals.append(ring.pow(2, -e))
         return vals
-    return [ring.parse_element(s.strip()) for s in spec.split(",")]
+    try:
+        vals = [ring.parse_element(s.strip()) for s in spec.split(",")]
+    except FormatError as e:
+        raise UsageError(f"bad value spec {spec!r}: {e}") from None
+    for v in vals:
+        if not ring.is_unit(v):
+            raise UsageError(f"value {ring.element_text(v)} in value spec is not a unit")
+    return vals
 
 
 def _sniff(text: str) -> str:
@@ -169,12 +180,7 @@ def cmd_assign(args) -> int:
             if args.depth_bound is None or tree.skeleton_depth() <= args.depth_bound]
     entries = [e for batch in treesearch.pool_map(instantiate.assign_parameters, jobs, threads)
                for e in batch]
-    classes: dict[tuple, CatalogEntry] = {}
-    for e in entries:
-        cur = classes.get(e.canonical)
-        if cur is None or e.sort_key() < cur.sort_key():
-            classes[e.canonical] = e
-    result = sorted(classes.values(), key=CatalogEntry.sort_key)
+    result = instantiate.pmq_classes(entries)
     if not result:
         print("no assignment found")
         return EX_NOTFOUND

@@ -4,7 +4,9 @@ Polynomials over GF(2) are stored as nonnegative integers, bit ``i`` holding
 the coefficient of ``x^i`` (lowest degree first).  The zero polynomial has
 degree -1 (sentinel).  Quotient rings ``F2[x]/(p)`` embed into GL(n, 2) by
 sending the class of x to a representation matrix, the companion matrix of
-``p`` by default.
+``p`` by default.  Ring elements are residues held as plain ints; a
+`QuotientRing` multiplies and tests units through lookup tables
+(`mul_rows`, `unit_flags`), and `ring` is its one, interning constructor.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ def numbered_lines(text: str) -> list[tuple[int, str]]:
 def line_after(lines: list[tuple[int, str]]) -> int:
     """File line number just past numbered lines: where input ended early."""
     return lines[-1][0] + 1 if lines else 1
+
+
+def expect_end(lines: list[tuple[int, str]], pos: int) -> None:
+    """Raise a FormatError naming lines[pos] unless a block parser that
+    stopped at index pos used up all of its numbered lines."""
+    if pos < len(lines):
+        no, line = lines[pos]
+        raise FormatError(f"unexpected line after the block: {line.strip()!r}", no)
 
 
 # ---------------------------------------------------------------------------
@@ -173,32 +183,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(tuple(1 << i for i in range(n)), n)
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls((0,) * nrows, ncols)
-
-    @classmethod
-    def from_rows(cls, bits) -> "BitMatrix":
-        """Build from an iterable of 0/1 row lists."""
-        rows = []
-        width = None
-        for row in bits:
-            row = list(row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError("ragged rows")
-            rows.append(sum(1 << j for j, v in enumerate(row) if v & 1))
-        return cls(tuple(rows), width)
-
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def __add__(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.nrows, self.cols) != (other.nrows, other.cols):
-            raise ValueError("shape mismatch")
-        return BitMatrix(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.cols)
-
     def __mul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.nrows:
             raise ValueError("shape mismatch")
@@ -213,59 +197,6 @@ class BitMatrix:
                 k += 1
             out.append(acc)
         return BitMatrix(tuple(out), other.cols)
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix times column bit vector (bit j of v = coordinate j)."""
-        acc = 0
-        for i, r in enumerate(self.rows):
-            if (r & v).bit_count() & 1:
-                acc |= 1 << i
-        return acc
-
-    def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.rows):
-            j = 0
-            while r:
-                if r & 1:
-                    out[j] |= 1 << i
-                r >>= 1
-                j += 1
-        return BitMatrix(tuple(out), self.nrows)
-
-    def matpow(self, e: int) -> "BitMatrix":
-        if self.nrows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if e < 0:
-            return self.inverse().matpow(-e)
-        acc = BitMatrix.identity(self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def inverse(self) -> "BitMatrix":
-        n = self.nrows
-        if n != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        # Gauss-Jordan on [A | I] packed into single ints.
-        work = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if (work[i] >> col) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                raise ValueError("matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            for i in range(n):
-                if i != col and (work[i] >> col) & 1:
-                    work[i] ^= work[col]
-        return BitMatrix(tuple(w >> n for w in work), n)
 
 
 def rank(m: BitMatrix) -> int:
@@ -312,9 +243,22 @@ def companion(p: int) -> BitMatrix:
 
 
 # ---------------------------------------------------------------------------
-# quotient rings F2[x]/(p) and their elements
+# quotient rings F2[x]/(p)
 
-_MUL_TABLE_MAX_N = 8
+_TABLE_MAX_N = 8  # widest ring whose multiplication and unit tables are built
+
+
+class _Computed:
+    """Stand-in for a table too large to build (rings with n > 8): item i is
+    fn(i), computed on every use."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, i):
+        return self.fn(i)
 
 
 class QuotientRing:
@@ -356,10 +300,9 @@ class QuotientRing:
         self._pow_mats = [BitMatrix.identity(n)]
         for _ in range(1, n):
             self._pow_mats.append(self._pow_mats[-1] * rep)
-        self._mul_table: list[list[int]] | None = None
+        self._mul_table: list[list[int]] | _Computed | None = None
         self._mul_bytes: list[bytes] | None = None
-        self._unit_flags: list[bool] | None = None
-        self._unit_cache: dict[int, bool] = {}
+        self._unit_flags: list[bool] | _Computed | None = None
         self._inv_cache: dict[int, int] = {}
         self._elem_mat_cache: dict[int, BitMatrix] = {}
         self._xor_cache: dict[int, int] = {}
@@ -392,66 +335,43 @@ class QuotientRing:
         extra = "" if self.key[1] is None else ", rep=..."
         return f"QuotientRing({poly_text(self.modulus)}{extra})"
 
-    @property
-    def alpha(self) -> "RingElement":
-        return RingElement(self, 2)
-
-    @property
-    def one(self) -> "RingElement":
-        return RingElement(self, 1)
-
-    @property
-    def zero(self) -> "RingElement":
-        return RingElement(self, 0)
-
-    def element(self, value) -> "RingElement":
-        if isinstance(value, RingElement):
-            if value.ring != self:
-                raise ValueError("element belongs to a different ring")
-            return value
-        if isinstance(value, str):
-            return RingElement(self, self.parse_element(value))
-        return RingElement(self, poly_mod(value, self.modulus))
-
-    def elements(self):
-        """All residues, 0 included, as raw ints."""
-        return range(1 << self.n)
-
     # -- raw int arithmetic (hot paths) --------------------------------------
 
     def mul(self, a: int, b: int) -> int:
         table = self._mul_table
-        if table is not None:
-            return table[a][b]
-        if self.n <= _MUL_TABLE_MAX_N:
-            self._build_table()
-            return self._mul_table[a][b]
-        return poly_mod(poly_mul(a, b), self.modulus)
+        if table is None:
+            table = self.mul_rows()
+        return table[a][b]
 
     def _build_table(self):
-        size = 1 << self.n
-        m = self.modulus
+        # a*b is linear in b: row a doubles once per bit i of b, the new half
+        # being the old one XORed with a*x^i mod p
+        n, m = self.n, self.modulus
+        top = 1 << n
         table = []
-        for a in range(size):
-            row = [0] * size
-            for b in range(size):
-                row[b] = poly_mod(poly_mul(a, b), m)
+        for a in range(top):
+            row = [0]
+            for _ in range(n):
+                row += [v ^ a for v in row]
+                a <<= 1
+                if a & top:
+                    a ^= m
             table.append(row)
         self._mul_table = table
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul_rows(self):
         """Indexable multiplication table: mul_rows()[a][b] == mul(a, b).
 
-        Materialized for n <= 8; lazy row objects beyond that.
+        Built once for n <= 8; beyond that each product is computed on use.
         """
-        if self.n <= _MUL_TABLE_MAX_N:
-            if self._mul_table is None:
+        if self._mul_table is None:
+            if self.n <= _TABLE_MAX_N:
                 self._build_table()
-            return self._mul_table
-        return _LazyMulRows(self)
+            else:
+                m = self.modulus
+                self._mul_table = _Computed(
+                    lambda a: _Computed(lambda b: poly_mod(poly_mul(a, b), m)))
+        return self._mul_table
 
     def mul_bytes(self) -> list[bytes]:
         """mul_rows() as one bytes object per element, for bytes.translate
@@ -461,24 +381,20 @@ class QuotientRing:
         return self._mul_bytes
 
     def unit_flags(self):
-        """Indexable truth table: unit_flags()[a] iff a is a unit."""
-        if self.n <= 16:
-            if self._unit_flags is None:
-                m = self.modulus
-                self._unit_flags = [
-                    a != 0 and poly_gcd(a, m) == 1 for a in range(1 << self.n)
-                ]
-            return self._unit_flags
-        return _LazyUnitFlags(self)
+        """Indexable truth table: unit_flags()[a] iff a is a unit (gcd with
+        the modulus 1); built once for n <= 8, computed on use beyond."""
+        if self._unit_flags is None:
+            m = self.modulus
+
+            def unit(a: int) -> bool:
+                return a != 0 and poly_gcd(a, m) == 1
+
+            self._unit_flags = (list(map(unit, range(1 << self.n)))
+                                if self.n <= _TABLE_MAX_N else _Computed(unit))
+        return self._unit_flags
 
     def is_unit(self, a: int) -> bool:
-        if self._unit_flags is not None:
-            return self._unit_flags[a]
-        cached = self._unit_cache.get(a)
-        if cached is None:
-            cached = a != 0 and poly_gcd(a, self.modulus) == 1
-            self._unit_cache[a] = cached
-        return cached
+        return self.unit_flags()[a]
 
     def inv(self, a: int) -> int:
         cached = self._inv_cache.get(a)
@@ -580,39 +496,6 @@ class QuotientRing:
         return acc
 
 
-class _LazyMulRows:
-    """mul_rows() stand-in for wide rings: computes products on demand."""
-
-    __slots__ = ("ring",)
-
-    def __init__(self, ring):
-        self.ring = ring
-
-    def __getitem__(self, a):
-        return _LazyMulRow(self.ring, a)
-
-
-class _LazyMulRow:
-    __slots__ = ("ring", "a")
-
-    def __init__(self, ring, a):
-        self.ring = ring
-        self.a = a
-
-    def __getitem__(self, b):
-        return self.ring.mul(self.a, b)
-
-
-class _LazyUnitFlags:
-    __slots__ = ("ring",)
-
-    def __init__(self, ring):
-        self.ring = ring
-
-    def __getitem__(self, a):
-        return self.ring.is_unit(a)
-
-
 def _min_poly(m: BitMatrix) -> int:
     """Minimal polynomial of a square GF(2) matrix (by linear dependence of powers)."""
     n = m.nrows
@@ -633,69 +516,6 @@ def _min_poly(m: BitMatrix) -> int:
         basis.append((v, comb))
         basis.sort(key=lambda t: -t[0])
     raise AssertionError("minimal polynomial search failed")
-
-
-class RingElement:
-    """A residue in a QuotientRing.  Immutable; arithmetic via operators."""
-
-    __slots__ = ("ring", "val")
-
-    def __init__(self, ring: QuotientRing, val: int):
-        self.ring = ring
-        self.val = poly_mod(val, ring.modulus)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise ValueError("elements from different rings")
-            return other.val
-        if isinstance(other, int):
-            return poly_mod(other, self.ring.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.val ^ v)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return RingElement(self.ring, self.ring.pow(self.val, e))
-
-    def inverse(self) -> "RingElement":
-        return RingElement(self.ring, self.ring.inv(self.val))
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.val)
-
-    def matrix(self) -> BitMatrix:
-        return self.ring.element_matrix_int(self.val)
-
-    def __eq__(self, other):
-        if isinstance(other, RingElement):
-            return self.ring == other.ring and self.val == other.val
-        if isinstance(other, int):
-            return self.val == poly_mod(other, self.ring.modulus)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring.modulus, self.val))
-
-    def __repr__(self):
-        return f"<{self.ring.element_text(self.val)} mod {poly_text(self.ring.modulus)}>"
-
-    def text(self) -> str:
-        return self.ring.element_text(self.val)
 
 
 _RINGS: dict[tuple, QuotientRing] = {}

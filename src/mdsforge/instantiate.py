@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .gf2 import FormatError, QuotientRing
+from .gf2 import FormatError, QuotientRing, expect_end
 from . import blockmat
 from .blockmat import (BlockMatrix, MinorTracker, canonical_key, is_involutory, is_mds,
-                       packed_rows)
+                       packed_rows, squares_to_identity)
 from . import slp as slpmod
 from .slp import Slp, Step
 from .sympoly import minor_tracker, point, term_vectors
@@ -221,13 +221,16 @@ def search_lowest_cost(k: int, ring: QuotientRing,
                                              threads=threads))
             cap += 1
 
-    # dedupe by PMQ class, keep the representative with least sort key
+    return pmq_classes(best)
+
+
+def pmq_classes(entries) -> list[CatalogEntry]:
+    """One entry per PMQ class (equivalence under row and column
+    permutation): the first of least sort key, the classes in sort key order."""
     classes: dict[tuple, CatalogEntry] = {}
-    for e in best:
-        cur = classes.get(e.canonical)
-        if cur is None or e.sort_key() < cur.sort_key():
-            classes[e.canonical] = e
-    return sorted(classes.values(), key=CatalogEntry.sort_key)
+    for e in sorted(entries, key=CatalogEntry.sort_key):
+        classes.setdefault(e.canonical, e)
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +392,6 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
             entry=CatalogEntry.from_slp(sl),
         )
 
-    def involution_ok(rows) -> bool:
-        # (M^2)[i] = e_i, row by row with early exit; rows are entry tuples
-        for i in range(k):
-            ri = rows[i]
-            for l in range(k):
-                acc = 0
-                for j in range(k):
-                    e = ri[j]
-                    if e:
-                        acc ^= mrows[e][rows[j][l]]
-                if acc != (1 if i == l else 0):
-                    return False
-        return True
-
     # elements with u^2 = 1: det(M)^2 = 1 is necessary for M^2 = I, and
     # det(P D R) = prod(d) * det(R) does not depend on the row order.
     # fixable[b] = dets that some remaining alpha-power budget b can repair.
@@ -427,7 +416,7 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                           for o, f in zip(tree.outs, fs)]
                 for order in permutations(range(k)):
                     mat = tuple(scaled[order[i2]] for i2 in range(k))
-                    if involution_ok(mat):
+                    if squares_to_identity(mat, mrows):
                         hits.append(record(order, fs, t2))
                 return
             for f in exponent_options(s2, t2):
@@ -524,7 +513,8 @@ def catalog_records(text: str):
         except ValueError:
             raise FormatError("bad catalog header", lineno) from None
         matrix, nxt = blockmat.matrix_from_lines(block, 1)
-        slp, _ = slpmod.slp_from_lines(block, nxt)
+        slp, nxt = slpmod.slp_from_lines(block, nxt)
+        expect_end(block, nxt)
         records.append((fields, matrix, slp, lineno))
     return records
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf2 import FormatError, QuotientRing, line_after, numbered_lines
-from .blockmat import BlockMatrix, ring_header_text, parse_ring_header
+from .gf2 import FormatError, QuotientRing, expect_end, line_after, numbered_lines
+from .blockmat import BlockMatrix, packed_rows, parse_ring_header, ring_header_text
 
 
 class NotSquareError(ValueError):
@@ -67,30 +67,6 @@ class Slp:
     def n_steps(self) -> int:
         return len(self.steps)
 
-    def step(self, p: int) -> Step:
-        return self.steps[p - 1]
-
-    def coeff_vectors(self) -> dict[int, tuple[int, ...]]:
-        """Coefficient row of every term over the inputs, by forward accumulation."""
-        ring = self.ring
-        k = self.k_in
-        vec: dict[int, tuple[int, ...]] = {}
-        for j in range(k):
-            idx = -j
-            vec[idx] = tuple(1 if c == j else 0 for c in range(k))
-        for p, st in enumerate(self.steps, start=1):
-            vm, vn = vec[st.m], vec[st.n]
-            if st.a == 1:
-                left = vm
-            else:
-                left = tuple(ring.mul(st.a, c) for c in vm)
-            if st.b == 1:
-                row = tuple(l ^ c for l, c in zip(left, vn))
-            else:
-                row = tuple(l ^ ring.mul(st.b, c) for l, c in zip(left, vn))
-            vec[p] = row
-        return vec
-
     def products(self) -> set[tuple[int, int]]:
         """Distinct non-trivial scalar products as (operand term, scalar) pairs."""
         out = set()
@@ -108,8 +84,14 @@ def extract_matrix(p: Slp) -> BlockMatrix:
         raise NotSquareError(
             f"{len(p.outputs)} outputs for {p.k_in} inputs; only square layers extract"
         )
-    vec = p.coeff_vectors()
-    return BlockMatrix(p.ring, tuple(vec[o] for o in p.outputs))
+    k = p.k_in
+    scale, unpack = packed_rows(p.ring, k)
+    # coefficient row of every term over the inputs, by forward accumulation
+    vec = {-j: 1 << (p.ring.n * j) for j in range(k)}
+    for t, st in enumerate(p.steps, start=1):
+        vm, vn = vec[st.m], vec[st.n]
+        vec[t] = (vm if st.a == 1 else scale(vm, st.a)) ^ (vn if st.b == 1 else scale(vn, st.b))
+    return BlockMatrix(p.ring, tuple(unpack(vec[o]) for o in p.outputs))
 
 
 def cost(p: Slp) -> int:
@@ -336,5 +318,7 @@ def slp_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[Slp, i
 
 
 def slp_from_text(text: str) -> Slp:
-    p, _ = slp_from_lines(numbered_lines(text), 0)
+    lines = numbered_lines(text)
+    p, nxt = slp_from_lines(lines, 0)
+    expect_end(lines, nxt)
     return p

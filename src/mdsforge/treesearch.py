@@ -70,11 +70,6 @@ class ImplTree:
     def scalar_positions(self) -> int:
         return 2 * self.capacity
 
-    def position_operand(self, pos: int) -> int:
-        """Operand term of scalar position pos (2*(p-1) left, 2*(p-1)+1 right)."""
-        m, n = self.nodes[pos // 2]
-        return n if pos & 1 else m
-
     def skeleton_depth(self) -> int:
         d = {i: 0 for i in range(-(self.k - 1), 1)}
         for p, (m, n) in enumerate(self.nodes, start=1):

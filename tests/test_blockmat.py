@@ -16,7 +16,7 @@ from mdsforge.blockmat import (
     matrix_from_text,
     matrix_to_text,
     packed_rows,
-    permute_and_scale,
+    squares_to_identity,
 )
 from mdsforge import catalogs
 
@@ -171,15 +171,51 @@ def test_involutory_reference_entries(r8):
 
 
 def test_permute_and_scale():
+    # row i of the result is scalar_i times row perm[i], scaled as packed rows
     r = ring("x^8+x^2+1")
     entry = catalogs.load_catalog("cost67_4x4")[0]
     m = entry.matrix
-    assert permute_and_scale(m, (0, 1, 2, 3), (1, 1, 1, 1)) == m
-    shuffled = permute_and_scale(m, (2, 3, 0, 1), (2, 1, 1, r.inv(2)))
+    scale, unpack = packed_rows(r, 4)
+
+    def permute_and_scale(perm, scalars):
+        packed = [sum(e << (8 * c) for c, e in enumerate(row)) for row in m.rows]
+        return BlockMatrix(r, tuple(unpack(scale(packed[p], s)) for p, s in zip(perm, scalars)))
+
+    assert permute_and_scale((0, 1, 2, 3), (1, 1, 1, 1)) == m
+    shuffled = permute_and_scale((2, 3, 0, 1), (2, 1, 1, r.inv(2)))
     assert shuffled.rows[0] == tuple(r.mul(2, e) for e in m.rows[2])
     assert is_mds(shuffled)
+    # a row scalar that is not a unit has no inverse and breaks MDS
+    zd = r.parse_element("a^4+a+1")
     with pytest.raises(NonUnitError):
-        permute_and_scale(m, (0, 1, 2, 3), (r.parse_element("a^4+a+1"), 1, 1, 1))
+        r.inv(zd)
+    assert not is_mds(permute_and_scale((0, 1, 2, 3), (zd, 1, 1, 1)))
+
+
+def test_squares_to_identity_matches_matrix_product():
+    rng = random.Random(5)
+    for modulus in ("x^2+x+1", "x^4+x+1"):
+        r = ring(modulus)
+        mul = r.mul_rows()
+        for k in (1, 2, 3):
+            for _ in range(300):
+                rows = tuple(tuple(rng.randrange(1 << r.n) for _ in range(k))
+                             for _ in range(k))
+                square = tuple(tuple(_dot(r, rows[i], [row[l] for row in rows])
+                                     for l in range(k)) for i in range(k))
+                identity = BlockMatrix.identity(r, k).rows
+                assert squares_to_identity(rows, mul) == (square == identity)
+                assert is_involutory(BlockMatrix(r, rows)) == (square == identity)
+    # swapping rows of the identity gives an involution
+    r = ring("x^4+x+1")
+    assert squares_to_identity(((0, 1, 0), (1, 0, 0), (0, 0, 1)), r.mul_rows())
+
+
+def _dot(r, u, v) -> int:
+    acc = 0
+    for a, b in zip(u, v):
+        acc ^= r.mul(a, b)
+    return acc
 
 
 def test_matrix_text_round_trip():

@@ -225,3 +225,35 @@ def test_assign_threads(capsys):
     assert run(capsys, *argv, "-j", "2") == serial
     code, _, err = run(capsys, *argv, "-j", "0")
     assert code == 64 and "usage error" in err
+
+
+def test_trailing_lines_are_parse_errors(tmp_path, capsys):
+    slp_text = open(catalogs.data_path("slp", "demo_cost49.slp")).read()
+    n_slp = len(slp_text.splitlines())
+    path = tmp_path / "trailing.slp"
+    path.write_text(slp_text + "bogus line here\n")
+    for cmd in ("cost", "verify"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert code == 65 and out == ""
+        assert f"parse error: line {n_slp + 1}: unexpected line after the block" in err
+    path = tmp_path / "trailing.matrix"
+    path.write_text("ring x^8+x^2+1 k 2\n1,1\n1,a\n\n# note\nbogus\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 65 and "parse error: line 6: unexpected line after the block: 'bogus'" in err
+    # a catalog entry is one blank-line separated block
+    lines = open(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read().splitlines()
+    end = lines.index("", lines.index("out y4 = t9"))
+    lines.insert(end, "bogus")
+    path = tmp_path / "trailing.catalog"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 65 and f"parse error: line {end + 1}: unexpected line" in err
+
+
+@pytest.mark.parametrize("spec", ["a^x..a^3", "a^-3..a^3x", "0,a", "a^4+a+1", "zz"])
+def test_bad_value_spec_is_usage_error(capsys, spec):
+    tree = catalogs.data_path("trees", "4x4_tree1.txt")
+    code, out, err = run(capsys, "assign", "--tree", tree, "--ring", "x^8+x^2+1",
+                         "--values", spec, "--cost-bound", "67")
+    assert code == 64 and out == ""
+    assert err.startswith("usage error: ") and "value spec" in err

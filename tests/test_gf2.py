@@ -1,14 +1,19 @@
 import pickle
 import random
+from itertools import combinations, permutations
 
 import pytest
 
+from mdsforge.blockmat import BlockMatrix, is_mds, packed_rows
 from mdsforge.gf2 import (
     BitMatrix,
     NonUnitError,
     QuotientRing,
     companion,
     is_invertible,
+    poly_gcd,
+    poly_mod,
+    poly_mul,
     poly_parse,
     poly_text,
     rank,
@@ -17,10 +22,24 @@ from mdsforge.gf2 import (
 )
 
 
+def _from_bits(bits) -> BitMatrix:
+    """BitMatrix from 0/1 row lists, entry (i, j) at bit j of row i."""
+    return BitMatrix(tuple(sum(v << j for j, v in enumerate(row)) for row in bits),
+                     len(bits[0]))
+
+
+def _xor(*ms: BitMatrix) -> BitMatrix:
+    """Entrywise sum over GF(2) of equally shaped matrices."""
+    rows = [0] * ms[0].nrows
+    for m in ms:
+        rows = [r ^ s for r, s in zip(rows, m.rows)]
+    return BitMatrix(tuple(rows), ms[0].cols)
+
+
 def test_companion_x8_x2_1_matches_reference():
     C = companion(poly_parse("x^8+x^2+1"))
     # subdiagonal of ones; last column set in rows 1 and 3 (1-based)
-    expected = BitMatrix.from_rows([
+    expected = _from_bits([
         [0, 0, 0, 0, 0, 0, 0, 1],
         [1, 0, 0, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0, 0, 1],
@@ -41,7 +60,7 @@ def test_companion_degree_one():
 def test_companion_satisfies_modulus():
     p = poly_parse("x^4+x+1")
     C = companion(p)
-    z = C.matpow(4) + C + BitMatrix.identity(4)
+    z = _xor(C * C * C * C, C, BitMatrix.identity(4))
     assert all(r == 0 for r in z.rows)
     assert is_invertible(C)
 
@@ -60,8 +79,8 @@ def test_xor_count_basics():
 
 
 def test_rank_and_invertibility():
-    assert rank(BitMatrix.zero(3, 3)) == 0
-    assert not is_invertible(BitMatrix.zero(3, 3))
+    assert rank(BitMatrix((0, 0, 0), 3)) == 0
+    assert not is_invertible(BitMatrix((0, 0, 0), 3))
     assert rank(BitMatrix.identity(8)) == 8
     assert is_invertible(companion(poly_parse("x^8+x^2+1")))
 
@@ -93,7 +112,7 @@ def test_element_matrix_is_homomorphism():
             b = rng.randrange(1 << r.n)
             ma, mb = r.element_matrix_int(a), r.element_matrix_int(b)
             assert r.element_matrix_int(r.mul(a, b)) == ma * mb
-            assert r.element_matrix_int(a ^ b) == ma + mb
+            assert r.element_matrix_int(a ^ b) == _xor(ma, mb)
 
 
 def test_unit_iff_gcd_one():
@@ -151,3 +170,63 @@ def test_rings_pickle_as_their_shared_instance():
     r8 = ring("x^8+x^2+1")
     assert ring(r8.modulus, r8.rep.rows) is r8 is ring(poly_parse("x^8+x^2+1"))
     assert r8.key == (poly_parse("x^8+x^2+1"), None, "rowweight")
+
+
+@pytest.mark.parametrize("modulus", ["x^8+x^2+1", "x^4+x+1", "x^8+x^6+x^5+x^3+1"])
+def test_mul_table_matches_polynomial_product(modulus):
+    p = poly_parse(modulus)
+    n = p.bit_length() - 1
+    want = [[poly_mod(poly_mul(a, b), p) for b in range(1 << n)] for a in range(1 << n)]
+    assert ring(modulus).mul_rows() == want
+
+
+def _minors_are_units(r, rows) -> bool:
+    """All-minors check by Leibniz determinants in polynomial arithmetic."""
+    k = len(rows)
+    for size in range(1, k + 1):
+        for ri in combinations(range(k), size):
+            for ci in combinations(range(k), size):
+                det = 0
+                for perm in permutations(ci):
+                    term = 1
+                    for i, c in zip(ri, perm):
+                        term = poly_mod(poly_mul(term, rows[i][c]), r.modulus)
+                    det ^= term
+                if det == 0 or poly_gcd(det, r.modulus) != 1:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("modulus", ["x^9+x^4+1", "x^9+1"])
+def test_wide_ring_computes_products_and_units_on_use(modulus):
+    # n = 9 is past the widest ring with built tables; x^9+x^4+1 is
+    # irreducible, x^9+1 has zero divisors
+    r = ring(modulus)
+    p = r.modulus
+    rng = random.Random(9)
+    rows = r.mul_rows()
+    for _ in range(200):
+        a, b = rng.randrange(512), rng.randrange(512)
+        assert rows[a][b] == r.mul(a, b) == poly_mod(poly_mul(a, b), p)
+    flags = r.unit_flags()
+    for a in range(512):
+        assert flags[a] == r.is_unit(a) == (a != 0 and poly_gcd(a, p) == 1)
+    scale, unpack = packed_rows(r, 3)
+    for _ in range(50):
+        row = tuple(rng.randrange(512) for _ in range(3))
+        packed = sum(e << (9 * c) for c, e in enumerate(row))
+        s = rng.randrange(512)
+        assert unpack(packed) == row
+        assert unpack(scale(packed, s)) == tuple(poly_mod(poly_mul(s, e), p) for e in row)
+
+
+def test_wide_ring_is_mds():
+    r = ring("x^9+x^4+1")
+    rng = random.Random(9)
+    verdicts = set()
+    for _ in range(20):
+        rows = [[rng.choice((1, 2, 3, rng.randrange(512))) for _ in range(3)] for _ in range(3)]
+        mds = is_mds(BlockMatrix(r, rows))
+        assert mds == _minors_are_units(r, rows)
+        verdicts.add(mds)
+    assert verdicts == {True, False}

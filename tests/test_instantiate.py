@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mdsforge import catalogs
@@ -14,6 +16,7 @@ from mdsforge.instantiate import (
     conjugate_slp,
     default_value_set,
     involutory_search,
+    pmq_classes,
     search_lowest_cost,
     simplify_tree,
 )
@@ -44,6 +47,17 @@ def test_conjugation_preserves_cost_changes_class():
         assert c.cost == e.cost == 67
         assert c.mds
         assert c.canonical != e.canonical
+
+
+def test_pmq_classes_keep_first_of_least_sort_key():
+    cat = list(catalogs.load_catalog("cost67_4x4")[:5])
+    dearer = [replace(e, cost=e.cost + 1) for e in cat]
+    # equal sort key, told apart by a field the key ignores
+    twins = [replace(e, involutory=not e.involutory) for e in cat]
+    got = pmq_classes(dearer + twins[::-1] + cat)
+    assert got == sorted(twins, key=CatalogEntry.sort_key)
+    assert len({e.canonical for e in got}) == len(got) == 5
+    assert pmq_classes([]) == []
 
 
 def test_search_lowest_cost_k2():
