@@ -100,10 +100,12 @@ class MinorTracker:
     `exact`, if given, is consulted for each minor that is not a unit, order
     1 included: `exact(rowmask, colmask)` says whether that minor is truly
     zero.  The row is rejected only if it is; otherwise the value is kept
-    and the check goes on.  The symbolic checks track evaluations of
-    formal-parameter rows this way, with an exact test behind each vanishing
-    value: a symbolic determinant (see sympoly) or, in the tree search,
-    vertex-disjoint paths (see treesearch).
+    and the check goes on.  The symbolic pre-check tracks evaluations of
+    formal-parameter rows this way, with a symbolic determinant behind each
+    vanishing value (see sympoly).  The tree search decides its rows by
+    zero-minor masks instead (see treesearch), with a hook that never
+    rejects: it adds only accepted rows, and reads their stored minors
+    through `minors` to build the masks.
     """
 
     __slots__ = ("ring", "k", "nrows", "_dets", "_mul", "_units", "_last_full", "_exact")
@@ -168,6 +170,11 @@ class MinorTracker:
                 else:
                     self._last_full = acc
         return True
+
+    def minors(self) -> dict[int, int]:
+        """The stored minors, keyed rowmask << k | colmask, of every row
+        added but a k-th; read only."""
+        return self._dets
 
     def full_det(self) -> int:
         """Determinant of all rows added so far (valid once nrows == k)."""
@@ -361,6 +368,8 @@ def matrix_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[Blo
         raise FormatError("matrix header must be 'ring <poly> [rep ..] [cost ..] k <k>'", head_no)
     ki = head.index("k")
     ring = parse_ring_header(head[1:ki], head_no)
+    if ring.n < 2:  # entries are written in alpha, which needs degree 2
+        raise FormatError("a matrix ring needs a modulus of degree >= 2", head_no)
     try:
         k = int(head[ki + 1])
     except (IndexError, ValueError):

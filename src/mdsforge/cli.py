@@ -56,11 +56,13 @@ def _threads(args) -> int:
 
 
 def _parse_ring(text: str) -> QuotientRing:
-    modulus = poly_parse(text)
     try:
-        return _ring(modulus)
+        r = _ring(poly_parse(text))
     except ValueError as e:
         raise UsageError(f"bad --ring {text!r}: {e}") from None
+    if r.n < 2:  # the scalars are powers of alpha, the residue x
+        raise UsageError(f"bad --ring {text!r}: modulus must have degree >= 2")
+    return r
 
 
 def _parse_values(ring: QuotientRing, spec: str) -> list[int]:

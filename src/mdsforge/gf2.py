@@ -473,7 +473,11 @@ class QuotientRing:
         return poly_text(a, var="a")
 
     def parse_element(self, text: str) -> int:
-        """Parse "a^2+a+1"; also accepts negative powers like "a^-3"."""
+        """Parse "a^2+a+1"; also accepts negative powers like "a^-3".
+
+        Alpha, the residue x, is the int 2: a ring of degree 1 (bit-level
+        programs over x+1) has none.
+        """
         acc = 0
         for raw in text.split("+"):
             term = raw.strip()
@@ -482,6 +486,8 @@ class QuotientRing:
             if term == "1":
                 acc ^= 1
                 continue
+            if self.n < 2 and (term == "a" or term.startswith("a^")):
+                raise FormatError(f"no alpha in a ring of degree 1: {term!r}")
             if term == "a":
                 acc ^= 2
                 continue

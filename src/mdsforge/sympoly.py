@@ -15,10 +15,12 @@ GF(2^8) values: every parameter is evaluated at one fixed nonzero point,
 a minor nonzero.  A minor that evaluates to zero is decided by its exact
 symbolic determinant, `_det`; `minor_tracker` wires the two together.  The
 parameter-subset screen of `instantiate` and tree-file `verify` use it.  The
-tree search shares the points but decides vanishing minors by
-vertex-disjoint paths instead (`treesearch.no_disjoint_paths`), which is
-exact only where every edge has a parameter of its own; with some edges
-fixed to 1, path products can cancel, and only the determinant decides.
+tree search shares the points but needs no determinant: every edge there
+has a parameter of its own, so it rejects a candidate row by zero-minor
+masks, one AND per row, and decides the minors of the terms below an
+accepted row by vertex-disjoint paths (`treesearch.no_disjoint_paths`).
+Both rest on the parameter per edge; with some edges fixed to 1, path
+products can cancel, and only the determinant decides.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ SP_ZERO: Poly = frozenset()
 SP_ONE: Poly = frozenset({()})
 
 EVAL_MODULUS = "x^8+x^4+x^3+x+1"  # GF(2^8): every nonzero value is a unit
-
-
-def sp_param(pid: int) -> Poly:
-    return frozenset({(pid,)})
 
 
 def sp_mul(p: Poly, q: Poly) -> Poly:
@@ -63,17 +61,6 @@ def sp_mul_param(p: Poly, pid: int) -> Poly:
     for m in p:
         out.add(tuple(sorted(m + (pid,))))
     return frozenset(out)
-
-
-def sp_eval(p: Poly, ring, values: dict[int, int]) -> int:
-    """Evaluate at concrete ring values (raw ints); missing ids default to 1."""
-    acc = 0
-    for m in p:
-        term = 1
-        for pid in m:
-            term = ring.mul(term, values.get(pid, 1))
-        acc ^= term
-    return acc
 
 
 def _det(rows, ridx: tuple, cidx: tuple, memo: dict) -> Poly:

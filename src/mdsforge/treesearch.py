@@ -3,20 +3,28 @@
 An implementation tree is the parameter-free skeleton of a normal
 straight-line program: nodes (m, n, p) with m < n < p, output marks, and a
 type vector of per-segment node counts.  The search enumerates all normal
-trees of a given capacity type by type, pruning with the symbolic MDS
-pre-check after each completed segment, and dedupes the survivors by a
-canonical encoding minimized over input relabelings and over every normal
+trees of a given capacity type by type, pruning every candidate output row
+with the symbolic MDS pre-check, and dedupes the survivors by a canonical
+encoding minimized over input relabelings and over every normal
 re-serialization (any output order).  That quotient is what makes the
 reported feasible-type sets reproducible: a tree serialized with a fat first
 segment, e.g. type (5,1,1,1), canonicalizes back to its minimal type.
 
-The pre-check is `blockmat.MinorTracker` on the rows evaluated at one
-GF(2^8) point per parameter (`sympoly.point`), packed 8 bits per entry and
-scaled with `blockmat.packed_rows`.  A minor that evaluates to zero is
-decided exactly by `no_disjoint_paths`, so pruning stays exact: every edge
-of a search tree carries its own parameter, so by the
-Lindstrom-Gessel-Viennot lemma a minor is identically zero iff its input
-and output terms cannot be joined by vertex-disjoint paths.
+The pre-check is exact and runs on zero-minor masks.  Each term t keeps one
+bitmask Z(t): a bit per minor (R, C) of completed output rows R on |R| + 1
+columns C, set iff that minor, with t added as a row, vanishes identically.
+Every edge of a search tree carries its own parameter and a determinant is
+linear in each row, so for a node q = (m, n) that no row of R reads,
+L(q) = a*L(m) + b*L(n) vanishes iff L(m) and L(n) do.  A new node gets
+Z(m) & Z(n), and a candidate output is accepted iff it reaches every input
+and Z(m) & Z(n) == 0: one AND, with no determinant and no path search.
+Accepting an output adds the bits of its minors to every term
+(`_accept_masks`).  A term that feeds a row is expanded over GF(2^8), at one
+point per parameter (`sympoly.point`), against the accepted rows' minors,
+which a `blockmat.MinorTracker` keeps; a zero value is decided by
+`no_disjoint_paths`: by the Lindstrom-Gessel-Viennot lemma a minor is
+identically zero iff its input and output terms cannot be joined by
+vertex-disjoint paths.
 
 `canonical_tree` finds that minimum by a pruned search: the type vector
 first, from the output order alone, then serializations built token by token
@@ -125,12 +133,9 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
 
     nodes: list[tuple[int, int]] = []
     fresh_flags: list[bool] = []
-    # tracker row i is the output at seg_end[i] of the current path
-    def exact(rowmask: int, colmask: int) -> bool:
-        sinks = [seg_end[i] for i in range(rowmask.bit_length()) if rowmask >> i & 1]
-        return no_disjoint_paths(nodes, sinks, colmask)
-
-    root = MinorTracker(_ring(EVAL_MODULUS), k, exact)
+    # tracker row i is the output at seg_end[i]; the masks prove each of its
+    # minors nonzero, so it only keeps their values for _accept_masks
+    root = MinorTracker(_ring(EVAL_MODULUS), k, lambda rowmask, colmask: False)
     scale, unpack = packed_rows(root.ring, k)
     # each term's vector evaluated at sympoly.point, packed into one int
     pvecs: dict[int, int] = {i: 1 << (root.ring.n * -i) for i in inputs}
@@ -148,7 +153,7 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
             start = e + 1
         raise AssertionError
 
-    def rec(p: int, tracker, used_inputs: int, cur_roots: int):
+    def rec(p: int, tracker, zs: dict, used_inputs: int, cur_roots: int):
         if p > capacity:
             results.append((tuple(nodes), tuple(seg_end)))
             return
@@ -170,7 +175,12 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
         )
         prev_pair = nodes[-1] if orderable else None
         pa, pb = point(2 * p - 1), point(2 * p)
+        row = seg_end.index(p) if is_out else None
         for m, n in cand:
+            new_cov = cov[m] | cov[n]
+            z = zs[m] & zs[n]
+            if is_out and (new_cov != full_cov or z):
+                continue  # an input or some minor of the new output row is zero
             fresh = [-t for t in (m, n) if t <= 0 and not (used_inputs >> -t) & 1]
             if fresh:
                 nxt = used_inputs.bit_count()
@@ -194,32 +204,129 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                     continue  # some interior node would not precede this output
             elif roots.bit_count() + 1 > slots_left + 1:
                 continue  # cannot reconnect all dangling interiors in time
-            new_cov = cov[m] | cov[n]
-            if is_out and new_cov != full_cov:
-                continue  # an output row must reach every input
-            prow = scale(pvecs[m], pa) ^ scale(pvecs[n], pb)
             nodes.append((m, n))
-            new_tracker = tracker
-            if is_out:
-                new_tracker = tracker.clone()
-                if not new_tracker.add_row(unpack(prow)):
-                    nodes.pop()
-                    continue
             fresh_flags.append(bool(fresh))
-            pvecs[p] = prow
+            pvecs[p] = scale(pvecs[m], pa) ^ scale(pvecs[n], pb)
             cov[p] = new_cov
             depths[p] = new_depth
             anc[p] = a_mask
             nu = used_inputs
             for j in fresh:
                 nu |= 1 << j
-            rec(p + 1, new_tracker, nu, 0 if is_out else (roots | (1 << p)))
+            if is_out and p < capacity:
+                new_tracker = tracker.clone()
+                new_tracker.add_row(unpack(pvecs[p]))
+                zs[p] = 0
+                rec(p + 1, new_tracker,
+                    _accept_masks(k, nodes, seg_end[:row + 1], zs,
+                                  lambda t: unpack(pvecs[t]), new_tracker.minors()),
+                    nu, 0)
+            else:
+                zs[p] = z
+                rec(p + 1, tracker, zs, nu, 0 if is_out else (roots | (1 << p)))
             nodes.pop()
             fresh_flags.pop()
-            del pvecs[p], cov[p], depths[p], anc[p]
+            del pvecs[p], cov[p], depths[p], anc[p], zs[p]
 
-    rec(1, root, 0, 0)
+    rec(1, root, {i: 0 for i in inputs}, 0, 0)
     return results
+
+
+_MASK_PLANS: dict[tuple[int, int], tuple] = {}
+
+
+def _mask_plan(k: int, j: int) -> tuple:
+    """Bit layout of the zero masks for the minors that accepting row j adds.
+
+    A mask bit stands for a minor (R, C): R a set of accepted rows and C a
+    set of |R| + 1 columns.  Accepting row j adds the minors with max(R) = j.
+    Returns (minors, zero_bits, row_bits, free_bits): minors lists (bit,
+    rowmask, colmask, [(c, key of the minor R on C - c), ...]) with keys as
+    in `MinorTracker.minors`; zero_bits[x] are the bits with C disjoint from
+    the column mask x, row_bits[i] those with i in R and free_bits[d] those
+    with R disjoint from the row mask d.
+    """
+    plan = _MASK_PLANS.get((k, j))
+    if plan is None:
+        bit = 1 << sum(len(_mask_plan(k, i)[0]) for i in range(j))
+        minors = []
+        for r in range(1, min(j + 1, k - 1) + 1):
+            for rest in itertools.combinations(range(j), r - 1):
+                rm = (1 << j) | sum(1 << i for i in rest)
+                for cols in itertools.combinations(range(k), r + 1):
+                    cm = sum(1 << c for c in cols)
+                    minors.append((bit, rm, cm, [(c, rm << k | cm ^ 1 << c) for c in cols]))
+                    bit <<= 1
+        zero_bits = [sum(b for b, _, cm, _ in minors if not cm & x) for x in range(1 << k)]
+        row_bits = [sum(b for b, rm, _, _ in minors if rm >> i & 1) for i in range(j + 1)]
+        free_bits = [sum(b for b, rm, _, _ in minors if not rm & d) for d in range(1 << j + 1)]
+        plan = _MASK_PLANS[(k, j)] = (minors, zero_bits, row_bits, free_bits)
+    return plan
+
+
+def _accept_masks(k: int, nodes, rows, zs: dict, val, minors: dict) -> dict:
+    """The zero masks zs of every term, with the bits of the minors that the
+    new row adds.
+
+    rows are the positions of the accepted outputs, the new one last;
+    val(t) gives term t's entries at `sympoly.point` and minors those of the
+    accepted rows (`MinorTracker.minors`).  A bit of term t is set by the
+    first rule that applies:
+    - t reaches no column of C: its row is zero there (for an input -c,
+      that is c not in C; with c in C its minor is one of R's, nonzero);
+    - t reads no row of R: the node t = (m, n) is linear in its own two
+      parameters, so L(t) = a*L(m) + b*L(n) vanishes iff both do;
+    - every path from C to some row of R runs through t (t may be that
+      row): t and the other rows of R cut C from the minor's rows;
+    - else t's row is expanded against the minors of R, and a zero value
+      is decided by `no_disjoint_paths`.
+    """
+    j = len(rows) - 1
+    plan, zero_bits, row_bits, free_bits = _mask_plan(k, j)
+    mul = _ring(EVAL_MODULUS).mul_rows()
+    end = rows[-1]
+    cov = {-c: 1 << c for c in range(k)}
+    for q in range(1, end + 1):
+        m, n = nodes[q - 1]
+        cov[q] = cov[m] | cov[n]
+    reads = dict.fromkeys(cov, 0)  # the rows each term reaches
+    for i, o in enumerate(rows):
+        reads[o] |= 1 << i
+    for q in range(end, 0, -1):
+        m, n = nodes[q - 1]
+        reads[m] |= reads[q]
+        reads[n] |= reads[q]
+    out = {}
+    for t in range(-(k - 1), end + 1):
+        if t <= 0:
+            out[t] = zs[t] | zero_bits[cov[t]]
+            continue
+        d = reads[t]
+        m, n = nodes[t - 1]
+        bits = out[m] & out[n] & free_bits[d]
+        if d:
+            bits |= zero_bits[cov[t]]
+            cut = dict(cov)  # coverage with t taken out
+            cut[t] = 0
+            for q in range(t + 1, end + 1):
+                a, b = nodes[q - 1]
+                cut[q] = cut[a] | cut[b]
+            for i, o in enumerate(rows):
+                if d >> i & 1:
+                    bits |= row_bits[i] & zero_bits[cut[o]]
+            v = val(t)
+            for bit, rm, cm, items in plan:
+                if rm & d and not bits & bit:
+                    acc = 0
+                    for c, key in items:
+                        e = v[c]
+                        if e:
+                            acc ^= mul[e][minors[key]]
+                    if not acc and no_disjoint_paths(
+                            nodes, [rows[i] for i in range(j + 1) if rm >> i & 1] + [t], cm):
+                        bits |= bit
+        out[t] = zs[t] | bits
+    return out
 
 
 def no_disjoint_paths(nodes, sinks, colmask: int) -> bool:

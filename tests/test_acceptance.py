@@ -21,7 +21,7 @@ from mdsforge.blockmat import (
     is_mds,
 )
 from mdsforge.slp import Slp, Step, cost, depth, extract_matrix, normalize
-from mdsforge.sympoly import SP_ONE, SP_ZERO, minor_tracker, point, sp_eval, sp_mul_param
+from mdsforge.sympoly import SP_ONE, SP_ZERO, minor_tracker, point, sp_mul_param
 from mdsforge.treesearch import canonical_tree, search_simplest
 from mdsforge.instantiate import (
     CatalogEntry,
@@ -30,6 +30,17 @@ from mdsforge.instantiate import (
     search_lowest_cost,
     simplify_tree,
 )
+
+
+def sp_eval(p, ring, values: dict[int, int]) -> int:
+    """Evaluate at concrete ring values (raw ints); missing ids default to 1."""
+    acc = 0
+    for m in p:
+        term = 1
+        for pid in m:
+            term = ring.mul(term, values.get(pid, 1))
+        acc ^= term
+    return acc
 
 
 def report(num, text, started=None):

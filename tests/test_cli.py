@@ -173,6 +173,35 @@ def test_bad_ring_modulus_is_usage_error(capsys):
     assert "usage error" in err and "x^8" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("assign", "--all-trees", "--ring", "x^y", "--cost-bound", "10"),
+    ("assign", "--all-trees", "--ring", "x+1", "--cost-bound", "10"),
+    ("involutory", "--ring", "x+1", "--max-t", "1"),
+])
+def test_bad_ring_polynomial_is_usage_error(capsys, argv):
+    # a malformed polynomial, and a degree-1 modulus, where alpha = x is no
+    # residue
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "usage error: bad --ring " + repr(argv[argv.index("--ring") + 1]) in err
+
+
+def test_degree_one_ring_is_parse_error_where_alpha_is_needed(tmp_path, capsys):
+    path = tmp_path / "x1.matrix"
+    path.write_text("ring x+1 k 2\n1,1\n1,0\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 65 and out == ""
+    assert "parse error: line 1: a matrix ring needs a modulus of degree >= 2" in err
+    # bit-level programs over x+1 stay, as long as they use no alpha
+    path = tmp_path / "x1.slp"
+    path.write_text("ring x+1 inputs 2\nt1 = x1 + x2\nout y1 = t1\nout y2 = x2\n")
+    assert run(capsys, "cost", str(path))[:2] == (0, "1\n")
+    path.write_text("ring x+1 inputs 2\nt1 = a*x1 + x2\nout y1 = t1\nout y2 = x2\n")
+    code, out, err = run(capsys, "cost", str(path))
+    assert code == 65 and out == ""
+    assert "parse error: line 2: no alpha in a ring of degree 1: 'a'" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_threads_below_one_is_usage_error(capsys, monkeypatch, value):
     code, _, err = run(capsys, "search-trees", "--k", "2", "-j", value)

@@ -7,6 +7,7 @@ import pytest
 from mdsforge.blockmat import BlockMatrix, is_mds, packed_rows
 from mdsforge.gf2 import (
     BitMatrix,
+    FormatError,
     NonUnitError,
     QuotientRing,
     companion,
@@ -55,6 +56,17 @@ def test_companion_x8_x2_1_matches_reference():
 
 def test_companion_degree_one():
     assert companion(poly_parse("x+1")) == BitMatrix((1,), 1)
+
+
+def test_degree_one_ring_has_no_alpha():
+    # F2 = F2[x]/(x+1) carries bit-level programs; alpha, the residue x,
+    # would be the int 2, which is no residue there
+    assert poly_parse("x+1") == 3 and poly_text(3) == "x+1"
+    r = ring("x+1")
+    assert r.n == 1 and r.parse_element("1+0") == 1
+    for text in ("a", "a^2", "1+a^-1"):
+        with pytest.raises(FormatError, match="no alpha in a ring of degree 1"):
+            r.parse_element(text)
 
 
 def test_companion_satisfies_modulus():

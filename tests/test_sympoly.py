@@ -12,11 +12,27 @@ from mdsforge.sympoly import (
     _det,
     minor_tracker,
     point,
-    sp_eval,
     sp_mul,
     sp_mul_param,
-    sp_param,
 )
+
+
+# parameter polynomials built and evaluated on the test side
+
+
+def sp_param(pid: int):
+    return frozenset({(pid,)})
+
+
+def sp_eval(p, ring, values: dict[int, int]) -> int:
+    """Evaluate at concrete ring values (raw ints); missing ids default to 1."""
+    acc = 0
+    for m in p:
+        term = 1
+        for pid in m:
+            term = ring.mul(term, values.get(pid, 1))
+        acc ^= term
+    return acc
 
 
 # Reference for the symbolic pre-check: the all-polynomial tracker that

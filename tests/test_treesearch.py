@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,12 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdsforge import catalogs, treesearch
+from mdsforge.blockmat import MinorTracker, packed_rows
 from mdsforge.gf2 import FormatError, ring
+from mdsforge.gf2 import ring as _ring
 from mdsforge.instantiate import _symbolic_subset_ok
 from mdsforge.slp import extract_matrix, is_normal
-from mdsforge.sympoly import _det, term_vectors
+from mdsforge.sympoly import EVAL_MODULUS, _det, minor_tracker, point, term_vectors
 from mdsforge.treesearch import (
     ImplTree,
+    _accept_masks,
     _generate_type,
     _tree_dag,
     canonical_tree,
@@ -234,16 +238,246 @@ def test_path_verdict_matches_symbolic_determinant(tree):
 
 
 def test_search_exact_calls_match_symbolic_determinant(monkeypatch):
-    calls = []
+    # the path proofs run on accepted rows only, for the few bits that the
+    # zero masks' cheaper rules leave open
+    for k, capacity, classes, floor in ((3, 6, 2915, 600), (4, 8, 8, 10_000)):
+        calls = []
 
-    def checked(nodes, sinks, colmask):
-        got = no_disjoint_paths(nodes, sinks, colmask)
-        calls.append(got == _det_says_zero(3, nodes, sinks, colmask))
-        return got
+        def checked(nodes, sinks, colmask, k=k):
+            got = no_disjoint_paths(nodes, sinks, colmask)
+            calls.append((got, got == _det_says_zero(k, nodes, sinks, colmask)))
+            return got
 
-    monkeypatch.setattr(treesearch, "no_disjoint_paths", checked)
-    assert len(search_at_capacity(3, 6)) == 2915
-    assert len(calls) > 10_000 and all(calls)
+        monkeypatch.setattr(treesearch, "no_disjoint_paths", checked)
+        assert len(search_at_capacity(k, capacity)) == classes
+        assert len(calls) > floor and all(agrees for _, agrees in calls)
+        assert {got for got, _ in calls} == {True, False}
+
+
+# Reference for _generate_type: the generator that checked every candidate
+# output row on a MinorTracker, with a path proof behind each vanishing
+# value.  Verbatim apart from its name.
+
+
+def reference_generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
+    """DFS over normal trees of one type; yields (nodes, outs) survivors.
+
+    Symmetry breaking keeps one representative per orbit of input relabeling
+    and Property-2 swaps: node 1 is (x2, x1), inputs first appear in order,
+    and adjacent incomparable non-output nodes (neither touching fresh
+    inputs) carry sorted operand pairs.  Completeness is restored by the
+    canonical dedup downstream.
+    """
+    capacity = sum(type_vec)
+    out_positions = set(itertools.accumulate(type_vec))
+    seg_end = sorted(out_positions)
+    lo = -(k - 1)
+    inputs = list(range(0, lo - 1, -1))
+
+    nodes: list[tuple[int, int]] = []
+    fresh_flags: list[bool] = []
+    # tracker row i is the output at seg_end[i] of the current path
+    def exact(rowmask: int, colmask: int) -> bool:
+        sinks = [seg_end[i] for i in range(rowmask.bit_length()) if rowmask >> i & 1]
+        return no_disjoint_paths(nodes, sinks, colmask)
+
+    root = MinorTracker(_ring(EVAL_MODULUS), k, exact)
+    scale, unpack = packed_rows(root.ring, k)
+    # each term's vector evaluated at sympoly.point, packed into one int
+    pvecs: dict[int, int] = {i: 1 << (root.ring.n * -i) for i in inputs}
+    full_cov = (1 << k) - 1
+    cov: dict[int, int] = {i: 1 << -i for i in inputs}
+    depths: dict[int, int] = {i: 0 for i in inputs}
+    anc: dict[int, int] = {}
+    results: list[tuple[tuple, tuple]] = []
+
+    def seg_bounds(p: int) -> tuple[int, int]:
+        start = 1
+        for e in seg_end:
+            if p <= e:
+                return start, e
+            start = e + 1
+        raise AssertionError
+
+    def rec(p: int, tracker, used_inputs: int, cur_roots: int):
+        if p > capacity:
+            results.append((tuple(nodes), tuple(seg_end)))
+            return
+        is_out = p in out_positions
+        start, end = seg_bounds(p)
+        slots_left = end - p  # nodes after this one inside the segment
+        if p == 1:
+            cand = [(-1, 0)]
+        else:
+            cand = [(m, n) for m in range(lo, p - 1) for n in range(m + 1, p)]
+        # operand-pair ordering between adjacent incomparable non-output
+        # nodes of one segment, unless either node touches fresh inputs
+        orderable = (
+            p > 1
+            and p - 1 >= start
+            and (p - 1) not in out_positions
+            and not is_out
+            and not fresh_flags[-1]
+        )
+        prev_pair = nodes[-1] if orderable else None
+        pa, pb = point(2 * p - 1), point(2 * p)
+        for m, n in cand:
+            fresh = [-t for t in (m, n) if t <= 0 and not (used_inputs >> -t) & 1]
+            if fresh:
+                nxt = used_inputs.bit_count()
+                if sorted(fresh) != list(range(nxt, nxt + len(fresh))):
+                    continue
+            a_mask = 0
+            if m >= 1:
+                a_mask |= anc[m] | (1 << m)
+            if n >= 1:
+                a_mask |= anc[n] | (1 << n)
+            if (not fresh and prev_pair is not None and (m, n) < prev_pair
+                    and not (a_mask >> (p - 1)) & 1):
+                continue
+            new_depth = 1 + max(depths[m], depths[n])
+            if max_depth is not None:
+                if new_depth > max_depth or (not is_out and new_depth >= max_depth):
+                    continue
+            roots = cur_roots & ~a_mask
+            if is_out:
+                if roots:
+                    continue  # some interior node would not precede this output
+            elif roots.bit_count() + 1 > slots_left + 1:
+                continue  # cannot reconnect all dangling interiors in time
+            new_cov = cov[m] | cov[n]
+            if is_out and new_cov != full_cov:
+                continue  # an output row must reach every input
+            prow = scale(pvecs[m], pa) ^ scale(pvecs[n], pb)
+            nodes.append((m, n))
+            new_tracker = tracker
+            if is_out:
+                new_tracker = tracker.clone()
+                if not new_tracker.add_row(unpack(prow)):
+                    nodes.pop()
+                    continue
+            fresh_flags.append(bool(fresh))
+            pvecs[p] = prow
+            cov[p] = new_cov
+            depths[p] = new_depth
+            anc[p] = a_mask
+            nu = used_inputs
+            for j in fresh:
+                nu |= 1 << j
+            rec(p + 1, new_tracker, nu, 0 if is_out else (roots | (1 << p)))
+            nodes.pop()
+            fresh_flags.pop()
+            del pvecs[p], cov[p], depths[p], anc[p]
+
+    rec(1, root, 0, 0)
+    return results
+
+
+@pytest.mark.parametrize("k, capacity, max_depth, types", [
+    (3, 5, None, None),
+    (3, 6, None, None),
+    (4, 7, None, None),
+    (4, 8, None, None),
+    (4, 8, 4, None),
+    (5, 10, None, [(5, 2, 1, 1, 1)]),
+])
+def test_generate_type_matches_tracker_reference(k, capacity, max_depth, types):
+    for tv in types or enumerate_types(k, capacity):
+        assert _generate_type(k, tv, max_depth) == reference_generate_type(k, tv, max_depth)
+
+
+def _at_points(poly) -> int:
+    """A parameter polynomial evaluated at sympoly.point."""
+    r = _ring(EVAL_MODULUS)
+    acc = 0
+    for mono in poly:
+        term = 1
+        for pid in mono:
+            term = r.mul(term, point(pid))
+        acc ^= term
+    return acc
+
+
+def _mask_verdicts(k, nodes, marks):
+    """Replays the tree search's zero masks over a tree: every node after
+    the last accepted row is a candidate output row, and a node of marks
+    that passes is accepted as the next row, up to k - 1 of them.  Yields
+    (mask verdict, verdict of MinorTracker.add_row with the sympoly._det
+    hook) for every node."""
+    vec = term_vectors(k, nodes)
+
+    def val(t):
+        return tuple(_at_points(e) for e in vec(t))
+
+    rows: list[int] = []
+    ref = minor_tracker(k, lambda i: vec(rows[i]))
+    tracker = MinorTracker(_ring(EVAL_MODULUS), k, lambda rowmask, colmask: False)
+    zs = {-c: 0 for c in range(k)}
+    for p, (m, n) in enumerate(nodes, start=1):
+        zs[p] = zs[m] & zs[n]
+        rows.append(p)
+        expected = ref.clone().add_row(val(p))
+        rows.pop()
+        got = all(vec(p)) and not zs[p]
+        yield got, expected
+        if got and p in marks and len(rows) < k - 1:
+            rows.append(p)
+            ref.add_row(val(p))
+            tracker.add_row(val(p))
+            zs = _accept_masks(k, nodes, rows, zs, val, tracker.minors())
+
+
+@st.composite
+def _partial_trees(draw):
+    """(k, nodes, marks): nodes (m, n) with m < n < p over k inputs, n
+    mostly the node just before p so that most nodes reach every input, and
+    marks the nodes to accept as rows."""
+    k = draw(st.integers(2, 5))
+    nodes = []
+    for p in range(1, draw(st.integers(2 * k, 3 * k)) + 1):
+        m = draw(st.integers(-(k - 1), p - 2))
+        chain = draw(st.integers(0, 3))
+        nodes.append((m, p - 1 if chain else draw(st.integers(m + 1, p - 1))))
+    return k, nodes, {p for p in range(1, len(nodes) + 1) if draw(st.booleans())}
+
+
+@functools.cache
+def _scaffolds() -> tuple:
+    """Trees whose output rows all pass, one list per k: the raw survivors
+    of the k = 3 capacity-5 search, and the paper's 4x4 and 5x5 trees."""
+    return ([ImplTree(3, nodes, outs) for tv in enumerate_types(3, 5)
+             for nodes, outs in _generate_type(3, tv, None)],
+            list(catalogs.simplest_trees_4x4()),
+            [catalogs.tree_5x5()])
+
+
+@st.composite
+def _mutated_trees(draw):
+    """(k, nodes, marks): a scaffold with up to two nodes given new
+    operands, its outputs as marks."""
+    t = draw(st.sampled_from(draw(st.sampled_from(_scaffolds()))))
+    k, nodes = t.k, list(t.nodes)
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.integers(1, len(nodes)))
+        m = draw(st.integers(-(k - 1), p - 2))
+        nodes[p - 1] = (m, draw(st.integers(m + 1, p - 1)))
+    return k, nodes, set(t.outs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_partial_trees(), _mutated_trees()))
+def test_mask_verdict_matches_tracker_with_symbolic_determinant(tree):
+    for got, expected in _mask_verdicts(*tree):
+        assert got == expected
+
+
+def test_mask_verdicts_accept_every_row_of_the_paper_trees(trees8):
+    # every output row of these trees extends an all-minors-nonzero prefix,
+    # so each one passes, after the accepted rows' masks were built
+    for t in trees8 + [catalogs.tree_5x5()]:
+        verdicts = list(_mask_verdicts(t.k, t.nodes, t.outs))
+        assert [verdicts[o - 1] for o in t.outs] == [(True, True)] * t.k
+        assert (False, False) in verdicts
 
 
 def test_unit_weights_can_cancel_where_disjoint_paths_exist():
