@@ -144,6 +144,9 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     depths: dict[int, int] = {i: 0 for i in inputs}
     anc: dict[int, int] = {}
     results: list[tuple[tuple, tuple]] = []
+    # the operand pairs (m, n) of node p, in the order they are tried
+    pairs = [None, [(-1, 0)]] + [[(m, n) for m in range(lo, p - 1) for n in range(m + 1, p)]
+                                 for p in range(2, capacity + 1)]
 
     def seg_bounds(p: int) -> tuple[int, int]:
         start = 1
@@ -160,10 +163,9 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
         is_out = p in out_positions
         start, end = seg_bounds(p)
         slots_left = end - p  # nodes after this one inside the segment
-        if p == 1:
-            cand = [(-1, 0)]
-        else:
-            cand = [(m, n) for m in range(lo, p - 1) for n in range(m + 1, p)]
+        cand = pairs[p]
+        if is_out:  # one AND per pair: the row must reach every input, and no minor vanish
+            cand = [(m, n) for m, n in cand if cov[m] | cov[n] == full_cov and not zs[m] & zs[n]]
         # operand-pair ordering between adjacent incomparable non-output
         # nodes of one segment, unless either node touches fresh inputs
         orderable = (
@@ -177,10 +179,6 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
         pa, pb = point(2 * p - 1), point(2 * p)
         row = seg_end.index(p) if is_out else None
         for m, n in cand:
-            new_cov = cov[m] | cov[n]
-            z = zs[m] & zs[n]
-            if is_out and (new_cov != full_cov or z):
-                continue  # an input or some minor of the new output row is zero
             fresh = [-t for t in (m, n) if t <= 0 and not (used_inputs >> -t) & 1]
             if fresh:
                 nxt = used_inputs.bit_count()
@@ -207,7 +205,7 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
             nodes.append((m, n))
             fresh_flags.append(bool(fresh))
             pvecs[p] = scale(pvecs[m], pa) ^ scale(pvecs[n], pb)
-            cov[p] = new_cov
+            cov[p] = cov[m] | cov[n]
             depths[p] = new_depth
             anc[p] = a_mask
             nu = used_inputs
@@ -222,7 +220,7 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                                   lambda t: unpack(pvecs[t]), new_tracker.minors()),
                     nu, 0)
             else:
-                zs[p] = z
+                zs[p] = zs[m] & zs[n]
                 rec(p + 1, tracker, zs, nu, 0 if is_out else (roots | (1 << p)))
             nodes.pop()
             fresh_flags.pop()
