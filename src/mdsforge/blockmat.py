@@ -351,6 +351,27 @@ def parse_ring_header(tokens: list[str], line=None) -> QuotientRing:
         raise FormatError(str(e), line) from None
 
 
+def block_header(lines: list[tuple[int, str]], start: int, what: str,
+                 word: str) -> tuple[QuotientRing, int]:
+    """(ring, count) of the `what` block header at lines[start], which reads
+    'ring <poly> [rep ..] [cost ..] <word> <count>' with a count of at least 1."""
+    if start >= len(lines):
+        raise FormatError(f"expected {what} header", line_after(lines))
+    head_no, head = lines[start][0], lines[start][1].split()
+    if not head or head[0] != "ring" or word not in head:
+        raise FormatError(f"{what} header must be 'ring <poly> [rep ..] [cost ..] {word} <k>'",
+                          head_no)
+    wi = head.index(word)
+    ring = parse_ring_header(head[1:wi], head_no)
+    try:
+        count, = map(int, head[wi + 1:])
+    except ValueError:
+        raise FormatError(f"bad {word} value in {what} header", head_no) from None
+    if count < 1:
+        raise FormatError(f"{word} must be at least 1, got {count}", head_no)
+    return ring, count
+
+
 def matrix_to_text(m: BlockMatrix) -> str:
     lines = [f"{ring_header_text(m.ring)} k {m.k}"]
     for row in m.rows:
@@ -361,19 +382,9 @@ def matrix_to_text(m: BlockMatrix) -> str:
 def matrix_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[BlockMatrix, int]:
     """Parse the matrix block from (file line number, line) pairs; returns
     (matrix, next index)."""
-    if start >= len(lines):
-        raise FormatError("expected matrix header", line_after(lines))
-    head_no, head = lines[start][0], lines[start][1].split()
-    if not head or head[0] != "ring" or "k" not in head:
-        raise FormatError("matrix header must be 'ring <poly> [rep ..] [cost ..] k <k>'", head_no)
-    ki = head.index("k")
-    ring = parse_ring_header(head[1:ki], head_no)
+    ring, k = block_header(lines, start, "matrix", "k")
     if ring.n < 2:  # entries are written in alpha, which needs degree 2
-        raise FormatError("a matrix ring needs a modulus of degree >= 2", head_no)
-    try:
-        k = int(head[ki + 1])
-    except (IndexError, ValueError):
-        raise FormatError("bad k in matrix header", head_no) from None
+        raise FormatError("a matrix ring needs a modulus of degree >= 2", lines[start][0])
     rows = []
     for pos in range(start + 1, start + 1 + k):
         if pos >= len(lines):

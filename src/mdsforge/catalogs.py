@@ -12,17 +12,10 @@ from .treesearch import ImplTree, tree_from_text
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
-RING_4X4_N8 = "x^8+x^2+1"
-RING_4X4_N4 = "x^4+x+1"
 RING_HIGHER = "x^8+x^6+x^5+x^3+1"
 
 # 2-XOR representation of alpha used by the 5x5/6x6 constructions
 HIGHER_REP_ROWS = (0x82, 0x01, 0x12, 0x04, 0x08, 0x10, 0x20, 0x40)
-
-# involutory reference facts: source tree -> (row order of outputs, assignments
-# with reuse-aware cost 68 among the 18 heuristic-t=5 entries)
-INVOLUTORY_ROW_ORDER = {3: (2, 3, 0, 1), 4: (1, 3, 0, 2)}
-INVOLUTORY_COST68 = {(3, 4), (3, 6), (4, 8), (4, 9), (4, 10), (4, 12)}
 
 
 def data_path(*parts: str) -> str:

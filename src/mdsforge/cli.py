@@ -13,12 +13,12 @@ import os
 import sys
 
 from . import catalogs
-from .gf2 import FormatError, QuotientRing, poly_parse, ring as _ring
+from .gf2 import FormatError, QuotientRing, numbered_lines, poly_parse, ring as _ring
 from . import blockmat
 from .blockmat import canonical_form, is_involutory, is_mds, matrix_to_text
 from . import slp as slpmod
 from . import instantiate
-from .instantiate import CatalogEntry, catalog_records, catalog_to_text
+from .instantiate import CatalogEntry, catalog_records, catalog_to_text, record_problems
 from . import treesearch
 from .treesearch import tree_from_text, tree_to_text
 
@@ -88,13 +88,7 @@ def _parse_values(ring: QuotientRing, spec: str) -> list[int]:
         lo, hi = power(lo_s), power(hi_s)
         if lo > hi:
             raise UsageError("empty value range")
-        vals = [1]
-        for e in range(1, max(abs(lo), abs(hi)) + 1):
-            if e <= hi:
-                vals.append(ring.pow(2, e))
-            if -e >= lo:
-                vals.append(ring.pow(2, -e))
-        return vals
+        return instantiate.alpha_powers(ring, lo, hi)
     try:
         vals = [ring.parse_element(s.strip()) for s in spec.split(",")]
     except FormatError as e:
@@ -106,19 +100,16 @@ def _parse_values(ring: QuotientRing, spec: str) -> list[int]:
 
 
 def _sniff(text: str) -> str:
-    for line in text.splitlines():
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        if s.startswith("cost "):
-            return "catalog"
-        if s.startswith("type"):
-            return "tree"
-        head = s.split()
-        if head and head[0] == "ring":
-            return "slp" if "inputs" in head else "matrix"
-        return "unknown"
-    return "empty"
+    """File kind, from the first line that is neither blank nor a comment."""
+    lines = numbered_lines(text)
+    head = lines[0][1].strip() if lines else ""
+    if head.startswith("cost "):
+        return "catalog"
+    if head.startswith("type"):
+        return "tree"
+    if head.split()[:1] == ["ring"]:
+        return "slp" if "inputs" in head.split() else "matrix"
+    return "unknown"
 
 
 def _read_file(path: str) -> str:
@@ -143,6 +134,8 @@ def cmd_search_trees(args) -> int:
                                               max_depth=args.max_depth,
                                               threads=threads)
         cap = args.capacity if trees else -1
+    elif args.max_depth is not None:
+        raise UsageError("--max-depth needs --capacity")
     else:
         cap, trees = treesearch.search_simplest(k, max_capacity=args.max_capacity,
                                                 threads=threads)
@@ -207,14 +200,7 @@ def cmd_verify(args) -> int:
     if kind == "catalog":
         for idx, (fields, matrix, slp, lineno) in enumerate(catalog_records(text), 1):
             entry = CatalogEntry.from_slp(slp)
-            probs = []
-            if entry.matrix != matrix:
-                probs.append("matrix/implementation mismatch")
-            for key, actual in (("cost", entry.cost), ("depth", entry.depth),
-                                ("mds", int(entry.mds)),
-                                ("involutory", int(entry.involutory))):
-                if key in fields and fields[key] != actual:
-                    probs.append(f"{key} stated {fields[key]} recomputed {actual}")
+            probs = record_problems(fields, matrix, entry)
             status = "ok" if not probs else "FAIL " + "; ".join(probs)
             print(f"entry {idx} (line {lineno}): cost {entry.cost} depth {entry.depth} "
                   f"mds {int(entry.mds)} involutory {int(entry.involutory)} .. {status}")
@@ -245,17 +231,10 @@ def cmd_verify(args) -> int:
     return EX_OK
 
 
-def cmd_cost(args) -> int:
-    text = _read_file(args.file)
-    p = slpmod.slp_from_text(text)
-    print(slpmod.cost(p))
-    return EX_OK
-
-
-def cmd_depth(args) -> int:
-    text = _read_file(args.file)
-    p = slpmod.slp_from_text(text)
-    print(slpmod.depth(p))
+def cmd_measure(args) -> int:
+    """cost or depth, the subcommand's name, of an SLP file."""
+    p = slpmod.slp_from_text(_read_file(args.file))
+    print(getattr(slpmod, args.command)(p))
     return EX_OK
 
 
@@ -263,7 +242,9 @@ def cmd_canon(args) -> int:
     text = _read_file(args.file)
     kind = _sniff(text)
     if kind == "slp":
-        m = slpmod.extract_matrix(slpmod.slp_from_text(text))
+        p = slpmod.slp_from_text(text)
+        slpmod.check_square(p, numbered_lines(text)[0][0])
+        m = slpmod.extract_matrix(p)
     elif kind == "matrix":
         m = blockmat.matrix_from_text(text)
     else:
@@ -281,16 +262,14 @@ def cmd_involutory(args) -> int:
     if not hits:
         print("no involutory MDS matrix found")
         return EX_NOTFOUND
-    seen = {}
+    seen = {}  # the first hit of each class; hits come sorted
     for h in hits:
         seen.setdefault(h.entry.canonical, h)
-    ordered = sorted(seen.values(), key=lambda h: (h.entry.cost, h.tree_index,
-                                                   h.assignment, h.row_order))
     comments = [
         f"involutory MDS search: s <= {args.max_s}, exponent heuristic t <= {args.max_t}",
         "trees hit: " + ",".join(map(str, sorted(set(h.tree_index for h in hits)))),
     ]
-    sys.stdout.write(catalog_to_text([h.entry for h in ordered], comments=comments))
+    sys.stdout.write(catalog_to_text([h.entry for h in seen.values()], comments=comments))
     return EX_OK
 
 
@@ -337,13 +316,10 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("cost", help="cost of an SLP file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_cost)
-
-    p = sub.add_parser("depth", help="depth of an SLP file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_depth)
+    for measure in ("cost", "depth"):
+        p = sub.add_parser(measure, help=f"{measure} of an SLP file")
+        p.add_argument("file")
+        p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("canon", help="canonical form of a matrix or SLP file")
     p.add_argument("file")

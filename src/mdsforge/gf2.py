@@ -129,7 +129,7 @@ def poly_text(a: int, var: str = "x") -> str:
     return "+".join(parts)
 
 
-def poly_parse(text: str, var: str = "x") -> int:
+def poly_parse(text: str) -> int:
     """Parse the monomial sum form, e.g. "x^8+x^2+1".
 
     Repeated monomials cancel (coefficients live in GF(2)).  Negative
@@ -142,11 +142,11 @@ def poly_parse(text: str, var: str = "x") -> int:
             continue
         if term == "1":
             a ^= 1
-        elif term == var:
+        elif term == "x":
             a ^= 2
-        elif term.startswith(var + "^"):
+        elif term.startswith("x^"):
             try:
-                e = int(term[len(var) + 1:])
+                e = int(term[2:])
             except ValueError:
                 raise FormatError(f"bad monomial {term!r}") from None
             if e < 0:
@@ -442,29 +442,16 @@ class QuotientRing:
             self._xor_cache[a] = c
         return c
 
-    def power_of_alpha(self, value: int, max_abs: int = 16) -> int | None:
-        """Smallest-|e| exponent with alpha^e == value, or None.
+    def power_of_alpha(self, value: int) -> int | None:
+        """Smallest-|e| exponent, |e| <= 16, with alpha^e == value, or None.
 
         Ties between e and -e resolve to the positive exponent.
         """
-        if value == 1:
-            return 0
-        acc = 2
-        inv = None
-        for e in range(1, max_abs + 1):
-            if acc == value:
+        for e in range(17):
+            if self.pow(2, e) == value:
                 return e
-            if inv is None:
-                try:
-                    inv = self.inv(2)
-                    acc_neg = inv
-                except NonUnitError:
-                    continue
-            else:
-                acc_neg = self.pow(inv, e)
-            if acc_neg == value:
+            if self.pow(2, -e) == value:
                 return -e
-            acc = self.mul(acc, 2)
         return None
 
     # -- element text form ----------------------------------------------------

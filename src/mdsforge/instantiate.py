@@ -53,13 +53,21 @@ class CatalogEntry:
         return (self.cost, self.depth, self.canonical)
 
 
-def default_value_set(ring: QuotientRing, max_exp: int = 3) -> list[int]:
-    """1, a, a^-1, a^2, a^-2, ... in the documented scan order."""
+def alpha_powers(ring: QuotientRing, lo: int, hi: int) -> list[int]:
+    """1 and a^e for lo <= e <= hi, in the documented scan order 1, a, a^-1,
+    a^2, a^-2, ..."""
     vals = [1]
-    for e in range(1, max_exp + 1):
-        vals.append(ring.pow(2, e))
-        vals.append(ring.pow(2, -e))
+    for e in range(1, max(abs(lo), abs(hi)) + 1):
+        if e <= hi:
+            vals.append(ring.pow(2, e))
+        if -e >= lo:
+            vals.append(ring.pow(2, -e))
     return vals
+
+
+def default_value_set(ring: QuotientRing) -> list[int]:
+    """The scan's values when none are given: 1, a^±1, a^±2, a^±3."""
+    return alpha_powers(ring, -3, 3)
 
 
 def conjugate_slp(p: Slp) -> Slp:
@@ -170,8 +178,7 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
 def search_lowest_cost(k: int, ring: QuotientRing,
                        value_set: list[int] | None = None,
                        depth_bound: int | None = None,
-                       trees: list[ImplTree] | None = None,
-                       threads: int = 1) -> list[CatalogEntry]:
+                       trees: list[ImplTree] | None = None) -> list[CatalogEntry]:
     """Catalog of lowest-cost MDS classes over the simplest trees.
 
     Capacities are scanned upward; since any MDS assignment needs at least
@@ -217,8 +224,7 @@ def search_lowest_cost(k: int, ring: QuotientRing,
     else:
         cap = 2 if k == 2 else 2 * k - 1
         while best_cost is None or ring.n * cap + 1 <= best_cost:
-            scan_capacity(search_at_capacity(k, cap, max_depth=depth_bound,
-                                             threads=threads))
+            scan_capacity(search_at_capacity(k, cap, max_depth=depth_bound))
             cap += 1
 
     return pmq_classes(best)
@@ -473,6 +479,9 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
 # catalog text format
 
 
+HEADER_KEYS = ("cost", "depth", "mds", "involutory")
+
+
 def catalog_to_text(entries, comments: list[str] | None = None) -> str:
     blocks = []
     if comments:
@@ -488,35 +497,44 @@ def catalog_to_text(entries, comments: list[str] | None = None) -> str:
 def catalog_records(text: str):
     """Raw (header fields, matrix, slp, first line number) records, blank-line
     separated; '#' lines are comments."""
-    blocks: list[list[tuple[int, str]]] = []
-    cur: list[tuple[int, str]] = []
+    blocks: list[list[tuple[int, str]]] = [[]]
     for no, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if not s:
-            if cur:
-                blocks.append(cur)
-                cur = []
-            continue
-        if s.startswith("#"):
-            continue
-        cur.append((no, raw.rstrip()))
-    if cur:
-        blocks.append(cur)
+            if blocks[-1]:
+                blocks.append([])
+        elif not s.startswith("#"):
+            blocks[-1].append((no, raw.rstrip()))
 
     records = []
-    for block in blocks:
+    for block in filter(None, blocks):
         lineno, head = block[0][0], block[0][1].split()
-        if head[0] != "cost" or len(head) % 2 != 0:
-            raise FormatError("catalog entry must start with 'cost .. depth .. mds .. involutory ..'", lineno)
+        if len(head) != 8 or tuple(head[0::2]) != HEADER_KEYS:
+            raise FormatError("catalog entry header must read "
+                              "'cost <c> depth <d> mds <0|1> involutory <0|1>'", lineno)
         try:
             fields = {head[j]: int(head[j + 1]) for j in range(0, len(head), 2)}
         except ValueError:
             raise FormatError("bad catalog header", lineno) from None
         matrix, nxt = blockmat.matrix_from_lines(block, 1)
-        slp, nxt = slpmod.slp_from_lines(block, nxt)
-        expect_end(block, nxt)
+        slp, end = slpmod.slp_from_lines(block, nxt)
+        expect_end(block, end)
+        slpmod.check_square(slp, block[nxt][0])
         records.append((fields, matrix, slp, lineno))
     return records
+
+
+def record_problems(fields: dict, matrix: BlockMatrix, entry: CatalogEntry) -> list[str]:
+    """How a catalog record's header fields and printed matrix differ from
+    `entry`, recomputed from its program; empty when they agree."""
+    probs = []
+    if entry.matrix != matrix:
+        probs.append("matrix/implementation mismatch")
+    for key, actual in zip(HEADER_KEYS, (entry.cost, entry.depth,
+                                         int(entry.mds), int(entry.involutory))):
+        if fields[key] != actual:
+            probs.append(f"{key} stated {fields[key]} recomputed {actual}")
+    return probs
 
 
 def catalog_from_text(text: str) -> list[CatalogEntry]:
@@ -525,13 +543,8 @@ def catalog_from_text(text: str) -> list[CatalogEntry]:
     entries = []
     for fields, matrix, slp, lineno in catalog_records(text):
         entry = CatalogEntry.from_slp(slp)
-        if entry.matrix != matrix:
-            raise FormatError("catalog matrix does not match its implementation", lineno)
-        stated = (fields.get("cost"), fields.get("depth"),
-                  fields.get("mds", 0), fields.get("involutory", 0))
-        actual = (entry.cost, entry.depth, int(entry.mds), int(entry.involutory))
-        if stated != actual:
-            raise FormatError(
-                f"catalog header states {stated}, recomputed {actual}", lineno)
+        probs = record_problems(fields, matrix, entry)
+        if probs:
+            raise FormatError(probs[0], lineno)
         entries.append(entry)
     return entries

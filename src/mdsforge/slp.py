@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf2 import FormatError, QuotientRing, expect_end, line_after, numbered_lines
-from .blockmat import BlockMatrix, packed_rows, parse_ring_header, ring_header_text
+from .gf2 import FormatError, QuotientRing, expect_end, numbered_lines
+from .blockmat import BlockMatrix, block_header, packed_rows, ring_header_text
 
 
-class NotSquareError(ValueError):
+class NotSquareError(FormatError):
     """Matrix extraction requires as many outputs as inputs."""
 
 
@@ -78,12 +78,17 @@ class Slp:
         return out
 
 
-def extract_matrix(p: Slp) -> BlockMatrix:
-    """The matrix whose row i is the expansion of y_i over the inputs."""
+def check_square(p: Slp, line=None) -> None:
+    """Raise NotSquareError, naming file line `line` (the program's header),
+    unless p has as many outputs as inputs."""
     if len(p.outputs) != p.k_in:
         raise NotSquareError(
-            f"{len(p.outputs)} outputs for {p.k_in} inputs; only square layers extract"
-        )
+            f"{len(p.outputs)} outputs for {p.k_in} inputs; only square layers extract", line)
+
+
+def extract_matrix(p: Slp) -> BlockMatrix:
+    """The matrix whose row i is the expansion of y_i over the inputs."""
+    check_square(p)
     k = p.k_in
     scale, unpack = packed_rows(p.ring, k)
     # coefficient row of every term over the inputs, by forward accumulation
@@ -101,12 +106,12 @@ def cost(p: Slp) -> int:
 
 def depth(p: Slp) -> int:
     """Max XOR levels to any output; non-identity scalars add one level each."""
-    d: dict[int, int] = {-j: 0 for j in range(p.k_in)}
+    d: dict[int, int] = {}  # inputs, absent, are at level 0
     for idx, st in enumerate(p.steps, start=1):
-        dm = d[st.m] + (1 if st.a != 1 else 0)
-        dn = d[st.n] + (1 if st.b != 1 else 0)
+        dm = d.get(st.m, 0) + (1 if st.a != 1 else 0)
+        dn = d.get(st.n, 0) + (1 if st.b != 1 else 0)
         d[idx] = 1 + max(dm, dn)
-    return max((d[o] for o in p.outputs), default=0)
+    return max((d.get(o, 0) for o in p.outputs), default=0)
 
 
 def _ancestor_sets(p: Slp) -> list[set[int]]:
@@ -212,7 +217,7 @@ def _term_text(idx: int) -> str:
     return f"x{1 - idx}" if idx <= 0 else f"t{idx}"
 
 
-def _parse_term(tok: str, k: int, s_limit: int, line=None) -> int:
+def _parse_term(tok: str, k: int, s_limit: int, line: int) -> int:
     if tok.startswith("x"):
         try:
             j = int(tok[1:])
@@ -250,17 +255,7 @@ def slp_to_text(p: Slp) -> str:
 def slp_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[Slp, int]:
     """Parse the program block from (file line number, line) pairs; returns
     (program, next index)."""
-    if start >= len(lines):
-        raise FormatError("expected SLP header", line_after(lines))
-    head_no, head = lines[start][0], lines[start][1].split()
-    if not head or head[0] != "ring" or "inputs" not in head:
-        raise FormatError("SLP header must be 'ring <poly> [rep ..] [cost ..] inputs <k>'", head_no)
-    ii = head.index("inputs")
-    ring = parse_ring_header(head[1:ii], head_no)
-    try:
-        k = int(head[ii + 1])
-    except (IndexError, ValueError):
-        raise FormatError("bad input count", head_no) from None
+    ring, k = block_header(lines, start, "SLP", "inputs")
 
     steps: list[Step] = []
     outputs: list[tuple[int, int]] = []
@@ -268,15 +263,7 @@ def slp_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[Slp, i
     while pos < len(lines):
         lineno, line = lines[pos]
         if line.startswith("out "):
-            body = line[4:]
-            lhs, _, rhs = body.partition("=")
-            lhs, rhs = lhs.strip(), rhs.strip()
-            if not lhs.startswith("y"):
-                raise FormatError("output line must read 'out y<i> = <term>'", lineno)
-            try:
-                label = int(lhs[1:])
-            except ValueError:
-                raise FormatError(f"bad output label {lhs!r}", lineno) from None
+            label, rhs = output_line(line, lineno)
             outputs.append((label, _parse_term(rhs, k, len(steps), lineno)))
             pos += 1
             continue
@@ -310,11 +297,27 @@ def slp_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[Slp, i
     last = lines[pos - 1][0]  # the block's last line
     if not outputs:
         raise FormatError("SLP has no outputs", last)
-    labels = [l for l, _ in outputs]
-    if sorted(labels) != list(range(1, len(labels) + 1)):
-        raise FormatError("output labels must be y1..yq, each exactly once", last)
-    terms = [t for _, t in sorted(outputs)]
-    return Slp(ring, k, tuple(steps), tuple(terms)), pos
+    return Slp(ring, k, tuple(steps), labelled_terms(outputs, last)), pos
+
+
+def output_line(line: str, lineno: int) -> tuple[int, str]:
+    """(i, term text) of the output line 'out y<i> = <term>' at file line lineno."""
+    lhs, _, rhs = line[4:].partition("=")
+    lhs = lhs.strip()
+    if not lhs.startswith("y"):
+        raise FormatError("output line must read 'out y<i> = <term>'", lineno)
+    try:
+        return int(lhs[1:]), rhs.strip()
+    except ValueError:
+        raise FormatError(f"bad output label {lhs!r}", lineno) from None
+
+
+def labelled_terms(outputs: list[tuple[int, int]], line: int) -> tuple[int, ...]:
+    """The terms of (label i, term) pairs in label order.  The labels must be
+    y1..yq, each exactly once; otherwise a FormatError names `line`."""
+    if sorted(i for i, _ in outputs) != list(range(1, len(outputs) + 1)):
+        raise FormatError("output labels must be y1..yq, each exactly once", line)
+    return tuple(t for _, t in sorted(outputs))
 
 
 def slp_from_text(text: str) -> Slp:

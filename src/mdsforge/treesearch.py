@@ -40,8 +40,14 @@ from dataclasses import dataclass
 
 from .gf2 import FormatError, QuotientRing, numbered_lines, ring as _ring
 from .blockmat import MinorTracker, packed_rows
-from .slp import Slp, Step
+from .slp import Slp, Step, labelled_terms, output_line
 from .sympoly import EVAL_MODULUS, point
+
+
+def check_node(k: int, p: int, m: int, n: int) -> None:
+    """Node p of a k-input tree must XOR terms m < n < p (inputs 0..-(k-1))."""
+    if not -(k - 1) <= m < n < p:
+        raise ValueError(f"node {p} has bad operands ({m},{n})")
 
 
 @dataclass(frozen=True)
@@ -53,10 +59,8 @@ class ImplTree:
     outs: tuple[int, ...]  # node positions carrying y_1..y_k, strictly increasing
 
     def __post_init__(self):
-        lo = -(self.k - 1)
         for p, (m, n) in enumerate(self.nodes, start=1):
-            if not (lo <= m < n < p):
-                raise ValueError(f"node {p} has bad operands ({m},{n})")
+            check_node(self.k, p, m, n)
         if list(self.outs) != sorted(set(self.outs)) or len(self.outs) != self.k:
             raise ValueError("need k strictly increasing output marks")
         if self.outs and self.outs[-1] > len(self.nodes):
@@ -598,11 +602,15 @@ def tree_from_text(text: str) -> ImplTree:
         raise FormatError(f"bad type header {head!r}", head_no) from None
     k = len(type_vec)
     nodes: list[tuple[int, int]] = []
-    outs: list[int] = []
+    outputs: list[tuple[int, int]] = []  # (label, mark)
     for lineno, ln in lines[1:]:
         lhs, _, rhs = ln.partition("=")
         if ln.startswith("out "):
-            outs.append(_term_index(rhs.strip(), lineno))
+            label, term = output_line(ln, lineno)
+            mark = _term_index(term, lineno)
+            if not 1 <= mark <= len(nodes):
+                raise FormatError(f"output mark {term} is not a node defined above", lineno)
+            outputs.append((label, mark))
             continue
         expected = f"T{len(nodes) + 1}"
         if lhs.strip() != expected:
@@ -610,13 +618,17 @@ def tree_from_text(text: str) -> ImplTree:
         parts = [s.strip() for s in rhs.split("+")]
         if len(parts) != 2:
             raise FormatError("node line must read 'T<p> = T<m> + T<n>'", lineno)
-        nodes.append((_term_index(parts[0], lineno), _term_index(parts[1], lineno)))
-    try:
-        tree = ImplTree(k, tuple(nodes), tuple(sorted(set(outs))))
+        m, n = (_term_index(part, lineno) for part in parts)
+        try:
+            check_node(k, len(nodes) + 1, m, n)
+        except ValueError as e:
+            raise FormatError(str(e), lineno) from None
+        nodes.append((m, n))
+    marks = labelled_terms(outputs, lines[-1][0])
+    try:  # one mark per output of the type header, increasing with the labels
+        tree = ImplTree(k, tuple(nodes), marks)
     except ValueError as e:
-        raise FormatError(str(e)) from None
-    if len(outs) != len(set(outs)):
-        raise FormatError("duplicate output marks")
+        raise FormatError(str(e), head_no) from None
     if tree.type_vector != type_vec:
         raise FormatError("type header does not match output marks", head_no)
     return tree

@@ -286,3 +286,72 @@ def test_bad_value_spec_is_usage_error(capsys, spec):
                          "--values", spec, "--cost-bound", "67")
     assert code == 64 and out == ""
     assert err.startswith("usage error: ") and "value spec" in err
+
+
+def test_program_missing_an_output_is_parse_error_for_canon(tmp_path, capsys):
+    lines = open(catalogs.data_path("slp", "bitlevel_balanced.slp")).read().splitlines()
+    assert lines[-1] == "out y4 = t4"
+    path = tmp_path / "three_outputs.slp"
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    code, out, err = run(capsys, "canon", str(path))
+    assert (code, out) == (65, "")
+    assert err == "parse error: line 1: 3 outputs for 4 inputs; only square layers extract\n"
+
+
+def test_catalog_entry_missing_an_output_is_parse_error(tmp_path, capsys):
+    lines = open(catalogs.data_path("catalogs", "cost35_4x4.catalog")).read().splitlines()
+    assert lines[9].endswith(" inputs 4") and lines[21] == "out y4 = t8"
+    del lines[21]
+    path = tmp_path / "three_outputs.catalog"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (65, "")
+    assert err == "parse error: line 10: 3 outputs for 4 inputs; only square layers extract\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ring x^8+x^2+1 k 0\n", "k must be at least 1, got 0"),
+    ("ring x^8+x^2+1 k -2\n", "k must be at least 1, got -2"),
+    ("ring x^8+x^2+1 k 1 1\n1\n", "bad k value in matrix header"),
+    ("ring x^8+x^2+1 inputs 0\nout y1 = x1\n", "inputs must be at least 1, got 0"),
+])
+def test_block_count_below_one_is_parse_error(tmp_path, capsys, text, message):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (65, "")
+    assert err == f"parse error: line 1: {message}\n"
+
+
+@pytest.mark.parametrize("head", [
+    "cost 35 mds 1 involutory 0",
+    "cost 35 depth 8 mds 1 involutory 0 foo 3",
+    "cost 35 depth 8 mds 1 mds 1",
+    "depth 8 cost 35 mds 1 involutory 0",
+])
+def test_catalog_header_states_exactly_its_four_keys(tmp_path, capsys, head):
+    # the second entry: a file must start with 'cost ' to be read as a catalog
+    lines = open(catalogs.data_path("catalogs", "cost35_4x4.catalog")).read().splitlines()
+    assert lines[24] == "cost 35 depth 8 mds 1 involutory 0"
+    lines[24] = head
+    path = tmp_path / "header.catalog"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (65, "")
+    assert err.startswith("parse error: line 25: catalog entry header must read 'cost <c> depth")
+
+
+def test_tree_output_labels_are_read(tmp_path, capsys):
+    path = tmp_path / "labels.txt"
+    path.write_text("type (1,1)\nT1 = T-1 + T0\nout zz = T1\nT2 = T0 + T1\nout bogus = T2\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (65, "")
+    assert err == "parse error: line 3: output line must read 'out y<i> = <term>'\n"
+
+
+def test_max_depth_needs_capacity(capsys):
+    code, out, err = run(capsys, "search-trees", "--k", "3", "--max-depth", "2")
+    assert (code, out) == (64, "")
+    assert err == "usage error: --max-depth needs --capacity\n"
+    code, out, _ = run(capsys, "search-trees", "--k", "3", "--capacity", "5", "--max-depth", "2")
+    assert code == 0 and "2 tree classes" in out

@@ -37,8 +37,8 @@ def test_matrix_with_rep_and_cost_model_round_trip():
 
 
 def test_tree_round_trip():
-    for i in range(1, 9):
-        text = open(catalogs.data_path("trees", f"4x4_tree{i}.txt")).read()
+    for name in [f"4x4_tree{i}.txt" for i in range(1, 9)] + ["5x5_tree.txt", "6x6_tree.txt"]:
+        text = open(catalogs.data_path("trees", name)).read()
         t = tree_from_text(text)
         assert tree_to_text(t) == text
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -553,6 +554,22 @@ def test_tree_text_errors():
 def test_tree_text_bad_integers_name_the_line(text, line):
     with pytest.raises(FormatError, match=f"^line {line}: "):
         tree_from_text(text)
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("T1 = T-1 + T0\nout y1 = T1\nT2 = T3 + T1\nout y2 = T2\n", 4, "node 2 has bad operands"),
+    ("T1 = T-1 + T0\nout y1 = T1\nT2 = T0 + T1\nout y2 = T3\n", 5, "not a node defined above"),
+    ("T1 = T-1 + T0\nout y1 = T1\nT2 = T0 + T1\nout y2 = T1\n", 1, "strictly increasing output marks"),
+    ("T1 = T-1 + T0\nout y1 = T1\nT2 = T0 + T1\n", 1, "strictly increasing output marks"),
+    ("T1 = T-1 + T0\nout zz = T1\nT2 = T0 + T1\nout bogus = T2\n", 3, "out y<i> = <term>"),
+    ("T1 = T-1 + T0\nout y1 = T1\nT2 = T0 + T1\nout y1 = T2\n", 5, "y1..yq, each exactly once"),
+    ("T1 = T-1 + T0\nout y2 = T1\nT2 = T0 + T1\nout y1 = T2\n", 1, "strictly increasing output marks"),
+])
+def test_tree_text_structure_errors_name_the_line(body, line, message):
+    # node operands and output lines are checked where they are written, and
+    # output labels are read: y1..yk, each once, in the order of their marks
+    with pytest.raises(FormatError, match=f"^line {line}: .*{re.escape(message)}"):
+        tree_from_text("type (1,1)\n" + body)
 
 
 def test_max_depth_filter():
