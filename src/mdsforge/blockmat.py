@@ -61,31 +61,34 @@ class BlockMatrix:
         return BlockMatrix(self.ring, tuple(zip(*self.rows)))
 
 
-_MINOR_PLANS: dict[tuple[int, int], list] = {}
+_MINOR_PLANS: dict[tuple[int, int], tuple] = {}
 
 
 def _minor_plan(k: int, j: int):
-    """Static expansion plan for the minors introduced by row j (0-based).
+    """Static expansion plan for the minors introduced by row j (0-based):
+    (entry keys, minors).
 
-    Entries are (prev_rowmask, [(colmask, [(c, sub_colmask), ...]), ...]);
-    row/column subsets are packed as bitmask ints.
+    Keys are the store keys rowmask << k | colmask of `MinorTracker.minors`.
+    The entry keys are those of row j's k entries, its minors of order 1.
+    minors lists one (rowmask, colmask, key, [(c, cofactor key), ...]) per
+    minor of order >= 2, row subsets by size and then in lexicographic
+    order.  A minor is expanded along row j, so its cofactors are the minors
+    on the other rows and colmask less column c, stored before row j comes.
     """
     plan = _MINOR_PLANS.get((k, j))
     if plan is None:
-        plan = []
+        jbit = 1 << j
+        entry_keys = [jbit << k | 1 << c for c in range(k)]
+        minors = []
         for r in range(2, j + 2):
             for rsub in combinations(range(j), r - 1):
-                prm = 0
-                for i in rsub:
-                    prm |= 1 << i
-                cols = []
+                prm = sum(1 << i for i in rsub)
+                rm = prm | jbit
                 for csub in combinations(range(k), r):
-                    cm = 0
-                    for c in csub:
-                        cm |= 1 << c
-                    cols.append((cm, [(c, cm ^ (1 << c)) for c in csub]))
-                plan.append((prm, cols))
-        _MINOR_PLANS[(k, j)] = plan
+                    cm = sum(1 << c for c in csub)
+                    minors.append((rm, cm, rm << k | cm,
+                                   [(c, prm << k | cm ^ 1 << c) for c in csub]))
+        plan = _MINOR_PLANS[(k, j)] = (entry_keys, minors)
     return plan
 
 
@@ -140,35 +143,30 @@ class MinorTracker:
         units = self._units
         mul = self._mul
         exact = self._exact
-        jbit = 1 << j
-        base = jbit << k
         store = j + 1 < k  # the last row's minors are never expanded against
         for e in row:
             if not units[e]:
-                if exact is None or any(exact(jbit, 1 << c)
+                if exact is None or any(exact(1 << j, 1 << c)
                                         for c in range(k) if not units[row[c]]):
                     return False
                 break
+        entry_keys, minors = _minor_plan(k, j)
         if store:
-            for c in range(k):
-                dets[base | (1 << c)] = row[c]
+            dets.update(zip(entry_keys, row))
         self._last_full = 0
-        for prm, cols in _minor_plan(k, j):
-            prev_base = prm << k
-            new_base = (prm | jbit) << k
-            for cm, items in cols:
-                acc = 0
-                for c, sub in items:
-                    e = row[c]
-                    if e:
-                        acc ^= mul[e][dets[prev_base | sub]]
-                if not units[acc]:
-                    if exact is None or exact(prm | jbit, cm):
-                        return False
-                if store:
-                    dets[new_base | cm] = acc
-                else:
-                    self._last_full = acc
+        for rm, cm, key, items in minors:
+            acc = 0
+            for c, sub in items:
+                e = row[c]
+                if e:
+                    acc ^= mul[e][dets[sub]]
+            if not units[acc]:
+                if exact is None or exact(rm, cm):
+                    return False
+            if store:
+                dets[key] = acc
+            else:
+                self._last_full = acc
         return True
 
     def minors(self) -> dict[int, int]:

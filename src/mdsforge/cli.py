@@ -39,20 +39,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError(f"--threads must be at least 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get("MDSFORGE_THREADS")
-    if env:
+    n, name, shown = args.threads, "--threads", args.threads
+    if n is None:
+        env = os.environ.get("MDSFORGE_THREADS")
+        if not env:
+            return 1
         try:
             n = int(env)
         except ValueError:
             raise UsageError(f"bad MDSFORGE_THREADS value {env!r}")
-        if n < 1:
-            raise UsageError(f"MDSFORGE_THREADS must be at least 1, got {env!r}")
-        return n
-    return 1
+        name, shown = "MDSFORGE_THREADS", repr(env)
+    if n < 1:
+        raise UsageError(f"{name} must be at least 1, got {shown}")
+    return n
 
 
 def _parse_ring(text: str) -> QuotientRing:
@@ -91,11 +90,9 @@ def _parse_values(ring: QuotientRing, spec: str) -> list[int]:
         return instantiate.alpha_powers(ring, lo, hi)
     try:
         vals = [ring.parse_element(s.strip()) for s in spec.split(",")]
-    except FormatError as e:
+        instantiate.check_units(ring, vals)
+    except ValueError as e:  # FormatError included
         raise UsageError(f"bad value spec {spec!r}: {e}") from None
-    for v in vals:
-        if not ring.is_unit(v):
-            raise UsageError(f"value {ring.element_text(v)} in value spec is not a unit")
     return vals
 
 
@@ -130,21 +127,24 @@ def cmd_search_trees(args) -> int:
         raise UsageError("--k must be between 2 and 6")
     threads = _threads(args)
     if args.capacity is not None:
-        trees = treesearch.search_at_capacity(k, args.capacity,
-                                              max_depth=args.max_depth,
+        if args.max_capacity is not None:
+            raise UsageError("--max-capacity and --capacity exclude each other")
+        cap = args.capacity
+        trees = treesearch.search_at_capacity(k, cap, max_depth=args.max_depth,
                                               threads=threads)
-        cap = args.capacity if trees else -1
+        label = "capacity"
     elif args.max_depth is not None:
         raise UsageError("--max-depth needs --capacity")
     else:
         cap, trees = treesearch.search_simplest(k, max_capacity=args.max_capacity,
                                                 threads=threads)
+        label = "min capacity"
     if not trees:
         print(f"k {k}: no tree found")
         return EX_NOTFOUND
     types = sorted(set(t.type_vector for t in trees))
     types_s = ",".join("(" + ",".join(map(str, tv)) + ")" for tv in types)
-    print(f"k {k}: min capacity {cap}; {len(trees)} tree classes; types {types_s}")
+    print(f"k {k}: {label} {cap}; {len(trees)} tree classes; types {types_s}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for i, t in enumerate(trees, start=1):
@@ -171,8 +171,7 @@ def cmd_assign(args) -> int:
     values = (_parse_values(ring, args.values) if args.values
               else instantiate.default_value_set(ring))
     jobs = [(tree, ring, args.cost_bound, values, args.depth_bound)
-            for tree in _trees_for_assign(args)
-            if args.depth_bound is None or tree.skeleton_depth() <= args.depth_bound]
+            for tree in _trees_for_assign(args)]
     entries = [e for batch in treesearch.pool_map(instantiate.assign_parameters, jobs, threads)
                for e in batch]
     result = instantiate.pmq_classes(entries)

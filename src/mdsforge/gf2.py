@@ -129,11 +129,15 @@ def poly_text(a: int, var: str = "x") -> str:
     return "+".join(parts)
 
 
+MAX_DEGREE = 64  # a ring of degree n takes about n^3 bit operations to build
+
+
 def poly_parse(text: str) -> int:
     """Parse the monomial sum form, e.g. "x^8+x^2+1".
 
     Repeated monomials cancel (coefficients live in GF(2)).  Negative
-    exponents are rejected here; ring element parsing handles them.
+    exponents are rejected here; ring element parsing handles them.  So are
+    exponents above MAX_DEGREE, before any int of that many bits is made.
     """
     a = 0
     for raw in text.split("+"):
@@ -151,6 +155,8 @@ def poly_parse(text: str) -> int:
                 raise FormatError(f"bad monomial {term!r}") from None
             if e < 0:
                 raise FormatError(f"negative exponent in {term!r}")
+            if e > MAX_DEGREE:
+                raise FormatError(f"exponent in {term!r} exceeds the degree limit {MAX_DEGREE}")
             a ^= 1 << e
         else:
             raise FormatError(f"bad monomial {term!r}")

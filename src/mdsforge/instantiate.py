@@ -19,7 +19,7 @@ from .blockmat import (BlockMatrix, MinorTracker, canonical_key, is_involutory, 
 from . import slp as slpmod
 from .slp import Slp, Step
 from .sympoly import minor_tracker, point, term_vectors
-from .treesearch import ImplTree, pool_map, search_at_capacity
+from .treesearch import ImplTree, min_capacity, pool_map, search_at_capacity
 
 
 class InfeasibleError(ValueError):
@@ -88,26 +88,34 @@ def conjugate_slp(p: Slp) -> Slp:
 # assignment scan (Algorithm 3 with the reuse-aware cost bound)
 
 
+def check_units(ring: QuotientRing, values) -> None:
+    """Raise ValueError naming the first of values that is not a unit: a
+    scalar that is not one cannot be part of an MDS matrix's program."""
+    for v in values:
+        if not ring.is_unit(v):
+            raise ValueError(f"value {ring.element_text(v)} is not a unit")
+
+
 def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                       value_set: list[int] | None = None,
                       depth_bound: int | None = None) -> list[CatalogEntry]:
-    """Exhaustive scan of scalar assignments with true cost <= cost_bound.
+    """Exhaustive scan of scalar assignments with true cost <= cost_bound
+    and, with depth_bound set, depth <= depth_bound.
 
     Values are drawn per position from value_set (default 1, a^±1, a^±2,
     a^±3); the running cost n*s + t prunes branches, t charging each distinct
     (scalar, operand term) product once; completed output rows prune through
-    the all-minors-are-units tracker.  Deterministic order.
+    the all-minors-are-units tracker.  A tree whose skeleton is deeper than
+    depth_bound has no assignment.  Deterministic order.
     """
     if value_set is None:
         value_set = default_value_set(ring)
+    check_units(ring, value_set)
     budget = cost_bound - ring.n * tree.capacity
-    if budget < 0:
+    if budget < 0 or depth_bound is not None and tree.skeleton_depth() > depth_bound:
         return []
     k = tree.k
     out_set = set(tree.outs)
-    nonunit = [v for v in value_set if v != 1 and not ring.is_unit(v)]
-    if nonunit:
-        raise ValueError("value set must consist of units (and 1)")
     val_cost = {v: ring.scalar_xor_count(v) for v in value_set}
 
     scale, unpack = packed_rows(ring, k)
@@ -176,19 +184,18 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
 
 
 def search_lowest_cost(k: int, ring: QuotientRing,
-                       value_set: list[int] | None = None,
                        depth_bound: int | None = None,
                        trees: list[ImplTree] | None = None) -> list[CatalogEntry]:
-    """Catalog of lowest-cost MDS classes over the simplest trees.
+    """Catalog of lowest-cost MDS classes over the simplest trees, with the
+    default value set.
 
     Capacities are scanned upward; since any MDS assignment needs at least
     one non-trivial product, capacity c cannot beat a known cost below
-    n*c + 1, which bounds the scan.  With depth_bound set, trees are filtered
-    by skeleton depth and assignments by exact depth.  Returns PMQ-class
-    representatives sorted by (cost, depth, canonical encoding).
+    n*c + 1, which bounds the scan.  With depth_bound set, assignments are
+    bounded by exact depth.  Returns PMQ-class representatives sorted by
+    (cost, depth, canonical encoding).
     """
-    if value_set is None:
-        value_set = default_value_set(ring)
+    value_set = default_value_set(ring)
     max_val_cost = max(ring.scalar_xor_count(v) for v in value_set)
     best: list[CatalogEntry] = []
     best_cost: int | None = None
@@ -198,8 +205,6 @@ def search_lowest_cost(k: int, ring: QuotientRing,
         nonlocal best, best_cost
         group: dict[int, list[ImplTree]] = {}
         for t in cap_trees:
-            if depth_bound is not None and t.skeleton_depth() > depth_bound:
-                continue
             group.setdefault(t.capacity, []).append(t)
         for cap in sorted(group):
             base = ring.n * cap
@@ -222,7 +227,7 @@ def search_lowest_cost(k: int, ring: QuotientRing,
     if trees is not None:
         scan_capacity(list(trees))
     else:
-        cap = 2 if k == 2 else 2 * k - 1
+        cap = min_capacity(k)
         while best_cost is None or ring.n * cap + 1 <= best_cost:
             scan_capacity(search_at_capacity(k, cap, max_depth=depth_bound))
             cap += 1
@@ -259,7 +264,9 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
         for subset in combinations(range(tree.scalar_positions()), s):
             if not _symbolic_subset_ok(tree, subset):
                 continue
-            if _concrete_subset_hit(tree, ring, subset, values):
+            if _subset_hit(tree, MinorTracker(ring, tree.k),
+                           [values if pos in subset else (1,)
+                            for pos in range(tree.scalar_positions())]):
                 witnesses.append(subset)
                 if first_only:
                     return s, witnesses
@@ -270,43 +277,34 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
 
 def _symbolic_subset_ok(tree: ImplTree, subset) -> bool:
     """Whether every minor of the output rows is a nonzero polynomial when
-    the positions in subset carry formal parameters and the others 1."""
-    k = tree.k
-    chosen = set(subset)
-    sym_vec = term_vectors(k, tree.nodes, chosen)
-    tracker = minor_tracker(k, lambda i: sym_vec(tree.outs[i]))
-    scale, unpack = packed_rows(tracker.ring, k)
-    vecs: dict[int, int] = {-j: 1 << (tracker.ring.n * j) for j in range(k)}
-    for p, (m, n) in enumerate(tree.nodes, start=1):
-        vm, vn = vecs[m], vecs[n]
-        if 2 * (p - 1) in chosen:
-            vm = scale(vm, point(2 * p - 1))
-        if 2 * (p - 1) + 1 in chosen:
-            vn = scale(vn, point(2 * p))
-        vecs[p] = vm ^ vn
-        if p in tree.outs and not tracker.add_row(unpack(vecs[p])):
-            return False
-    return True
+    the positions in subset carry formal parameters and the others 1: the
+    one assignment of each parameter to its `sympoly.point`, checked with
+    the exact determinant behind every value that vanishes."""
+    sym_vec = term_vectors(tree.k, tree.nodes, set(subset))
+    return _subset_hit(tree, minor_tracker(tree.k, lambda i: sym_vec(tree.outs[i])),
+                       [(point(pos + 1),) if pos in subset else (1,)
+                        for pos in range(tree.scalar_positions())])
 
 
-def _concrete_subset_hit(tree: ImplTree, ring: QuotientRing, subset, values) -> bool:
+def _subset_hit(tree: ImplTree, root: MinorTracker, choices) -> bool:
+    """Whether some assignment of values to tree's positions passes the
+    all-minors tracker root on every output row; position pos takes the
+    values choices[pos] of root's ring, in order (1: the identity).  Depth
+    first, stopping at the first complete assignment."""
     k = tree.k
     out_set = set(tree.outs)
-    free = set(subset)
-    scale, unpack = packed_rows(ring, k)
-    vecs: dict[int, int] = {-j: 1 << (ring.n * j) for j in range(k)}
+    scale, unpack = packed_rows(root.ring, k)
+    vecs: dict[int, int] = {-j: 1 << (root.ring.n * j) for j in range(k)}
 
     def rec(p: int, tracker: MinorTracker) -> bool:
         if p > tree.capacity:
             return True
         m, n = tree.nodes[p - 1]
-        left_vals = values if 2 * (p - 1) in free else (1,)
-        right_vals = values if 2 * (p - 1) + 1 in free else (1,)
         vm, vn = vecs[m], vecs[n]
         is_out = p in out_set
-        for a in left_vals:
+        for a in choices[2 * p - 2]:
             va = vm if a == 1 else scale(vm, a)
-            for b in right_vals:
+            for b in choices[2 * p - 1]:
                 row = va ^ (vn if b == 1 else scale(vn, b))
                 tr = tracker
                 if is_out:
@@ -318,7 +316,7 @@ def _concrete_subset_hit(tree: ImplTree, ring: QuotientRing, subset, values) -> 
                     return True
         return False
 
-    return rec(1, MinorTracker(ring, k))
+    return rec(1, root)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +338,18 @@ def involutory_search(trees: list[ImplTree], ring: QuotientRing,
                       threads: int = 1) -> list[InvolutoryHit]:
     """MDS involutions from parameterized trees, exponent heuristic bounded.
 
-    Scans every assignment of at most max_s of the 2*capacity + k positions
-    (edge scalars plus one scalar per output row) to powers of alpha with
-    total |exponent| at most max_t, then every row order; the true cost is
-    the reuse rule cost of the scaled program.  MDS status is independent of
-    row order and scaling, so it prunes before the permutation scan.
-    Results are deterministic for any thread count.
+    Scans every assignment of at most max_s positions to powers of alpha
+    with total |exponent| at most max_t, then every row order.  The
+    positions are the 2*capacity edge scalars and one scalar per output row
+    that no later node reads: a row scalar is folded into the two operand
+    scalars of its output node, so on an output that another node reads it
+    would change that node's row too.  The true cost is the reuse rule cost
+    of the scaled program.  MDS status is independent of row order and
+    scaling, so it prunes before the permutation scan.  Results are
+    deterministic for any thread count.
     """
+    if max_t < 0:  # no exponent total is negative
+        return []
     jobs = [(tree, i, ring, max_s, max_t) for i, tree in enumerate(trees, start=1)]
     hits = [h for batch in pool_map(_involutory_one_tree, jobs, threads) for h in batch]
     hits.sort(key=lambda h: (h.entry.cost, h.tree_index, h.assignment, h.row_order))
@@ -367,18 +370,12 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     exps: dict[int, int] = {}  # position -> chosen exponent (nonzero)
     hits: list[InvolutoryHit] = []
 
-    _opt_cache: dict[tuple[bool, int], list[int]] = {}
-
-    def exponent_options(s_used: int, t_used: int) -> list[int]:
-        key = (s_used < max_s, max_t - t_used)
-        got = _opt_cache.get(key)
-        if got is None:
-            got = [0]
-            if key[0]:
-                for mag in range(1, key[1] + 1):
-                    got += (mag, -mag)
-            _opt_cache[key] = got
-        return got
+    # opts[b]: the exponents a position may take with b of the budget t
+    # left, in scan order 0, 1, -1, 2, -2, ...; opts[0] = [0] once s is spent
+    opts = [[0] + [e for mag in range(1, b + 1) for e in (mag, -mag)] for b in range(max_t + 1)]
+    # a row scalar is folded into the operand scalars of its output node, so
+    # it scales only its own row if no later node reads that output
+    scalable = [not any(o in node for node in tree.nodes) for o in tree.outs]
 
     def record(order, fs, t2):
         folded = {pos: alpha_pow[e] for pos, e in exps.items()}
@@ -425,7 +422,7 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                     if squares_to_identity(mat, mrows):
                         hits.append(record(order, fs, t2))
                 return
-            for f in exponent_options(s2, t2):
+            for f in opts[max_t - t2 if s2 < max_s and scalable[i] else 0]:
                 dp = dprod if f == 0 else mul(dprod, alpha_pow[f])
                 t3 = t2 + abs(f)
                 if mul(det_r, dp) in fixable[max_t - t3]:
@@ -445,11 +442,10 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
         vm, vn = vecs[m], vecs[n_op]
         is_out = p in out_set
         pos_l, pos_r = 2 * (p - 1), 2 * (p - 1) + 1
-        opts_a = exponent_options(s_used, t_used)
-        for ea in opts_a:
+        for ea in opts[max_t - t_used if s_used < max_s else 0]:
             sa, ta = s_used + (ea != 0), t_used + abs(ea)
             va = vm if ea == 0 else scale(vm, alpha_pow[ea])
-            for eb in exponent_options(sa, ta):
+            for eb in opts[max_t - ta if sa < max_s else 0]:
                 sb, tb = sa + (eb != 0), ta + abs(eb)
                 row = va ^ (vn if eb == 0 else scale(vn, alpha_pow[eb]))
                 tr = tracker

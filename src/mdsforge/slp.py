@@ -10,6 +10,11 @@ Cost is n*s + t: one word XOR (n gates) per step plus the XOR count of each
 distinct scalar product, where a product is the pair (scalar, operand term)
 and repeated products are computed once.  Depth counts XOR levels from any
 input to any output; a non-identity scalar on an operand adds one level.
+
+A program is normal when every step between two consecutive outputs is
+read, directly or not, by the later one.  `ancestor_masks` gives that
+relation as one bitmask per step; `is_normal`, `normalize` and the
+canonical tree encoding (`treesearch.canonical_tree`) all read it.
 """
 
 from __future__ import annotations
@@ -27,10 +32,6 @@ class NotSquareError(FormatError):
 
 class DeadTermError(ValueError):
     """A non-output term precedes no output (removing it changes nothing)."""
-
-
-class NotNormalError(ValueError):
-    """Operation defined only on normal-form programs."""
 
 
 class Step(NamedTuple):
@@ -114,29 +115,20 @@ def depth(p: Slp) -> int:
     return max((d.get(o, 0) for o in p.outputs), default=0)
 
 
-def _ancestor_sets(p: Slp) -> list[set[int]]:
-    """anc[p-1] = all term indices strictly preceding step p."""
-    anc: list[set[int]] = []
-    for st in p.steps:
-        s = {st.m, st.n}
-        if st.m >= 1:
-            s |= anc[st.m - 1]
-        if st.n >= 1:
-            s |= anc[st.n - 1]
-        anc.append(s)
+def ancestor_masks(steps) -> list[int]:
+    """anc[p]: the steps that step p reads, directly or not, as a bitmask
+    with bit q for step q >= 1 (inputs left out); anc[0] = 0.  steps[p-1]
+    starts with the operands (m, n) of step p: a Step or a tree node."""
+    anc = [0]
+    for st in steps:
+        m, n = st[0], st[1]
+        anc.append((anc[m] | 1 << m if m > 0 else 0) | (anc[n] | 1 << n if n > 0 else 0))
     return anc
-
-
-def precedes(p: Slp, q_idx: int, p_idx: int) -> bool:
-    """Strict partial order: t_q is needed to compute t_p."""
-    if p_idx < 1:
-        return False
-    return q_idx in _ancestor_sets(p)[p_idx - 1]
 
 
 def is_normal(p: Slp) -> bool:
     """Every non-output step between consecutive outputs precedes the next output."""
-    anc = _ancestor_sets(p)
+    anc = ancestor_masks(p.steps)
     out_steps = [o for o in p.outputs if o >= 1]
     if out_steps != sorted(out_steps) or len(set(out_steps)) != len(out_steps):
         return False
@@ -146,9 +138,7 @@ def is_normal(p: Slp) -> bool:
         if o < 1:
             continue
         for t in range(prev + 1, o):
-            if t == o or t in out_pos:
-                return False
-            if t not in anc[o - 1]:
+            if t in out_pos or not anc[o] >> t & 1:
                 return False
         prev = o
     return prev == p.n_steps
@@ -159,7 +149,7 @@ def normalize(p: Slp) -> Slp:
     is an ancestor of that output.  Extracted matrix, cost and depth are
     preserved (only the order of steps changes).
     """
-    anc = _ancestor_sets(p)
+    anc = ancestor_masks(p.steps)
     out_set = {o for o in p.outputs if o >= 1}
     order: list[int] = []
     placed: set[int] = set()
@@ -169,9 +159,7 @@ def normalize(p: Slp) -> Slp:
         if o in placed:
             raise ValueError("duplicate output term")
         for t in range(1, o):
-            if t in placed or t == o:
-                continue
-            if t in anc[o - 1]:
+            if t not in placed and anc[o] >> t & 1:
                 if t in out_set:
                     raise ValueError(
                         f"output term {t} precedes an earlier-labelled output; "
@@ -192,21 +180,6 @@ def normalize(p: Slp) -> Slp:
     )
     outputs = tuple(remap[o] if o >= 1 else o for o in p.outputs)
     return Slp(p.ring, p.k_in, steps, outputs)
-
-
-def characteristic(p: Slp) -> tuple[int, ...]:
-    """Per-segment step counts (i1, i2-i1, ...); requires normal form."""
-    if not is_normal(p):
-        raise NotNormalError("characteristic is defined on normal programs")
-    prev = 0
-    out = []
-    for o in p.outputs:
-        if o < 1:
-            out.append(0)
-        else:
-            out.append(o - prev)
-            prev = o
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ import itertools
 from dataclasses import dataclass
 
 from .gf2 import FormatError, QuotientRing, numbered_lines, ring as _ring
-from .blockmat import MinorTracker, packed_rows
-from .slp import Slp, Step, labelled_terms, output_line
+from .blockmat import MinorTracker, _minor_plan, packed_rows
+from .slp import Slp, Step, ancestor_masks, labelled_terms, output_line
 from .sympoly import EVAL_MODULUS, point
 
 
@@ -130,18 +130,28 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     canonical dedup downstream.
     """
     capacity = sum(type_vec)
-    out_positions = set(itertools.accumulate(type_vec))
-    seg_end = sorted(out_positions)
+    seg_end = list(itertools.accumulate(type_vec))
+    # per position: output row index (None inside a segment), and the nodes
+    # after it inside its segment
+    out_row = [None] * (capacity + 1)
+    slots = [0] * (capacity + 1)
+    start = 1
+    for i, e in enumerate(seg_end):
+        out_row[e] = i
+        for p in range(start, e + 1):
+            slots[p] = e - p
+        start = e + 1
     lo = -(k - 1)
     inputs = list(range(0, lo - 1, -1))
 
     nodes: list[tuple[int, int]] = []
-    fresh_flags: list[bool] = []
     # tracker row i is the output at seg_end[i]; the masks prove each of its
     # minors nonzero, so it only keeps their values for _accept_masks
     root = MinorTracker(_ring(EVAL_MODULUS), k, lambda rowmask, colmask: False)
     scale, unpack = packed_rows(root.ring, k)
-    # each term's vector evaluated at sympoly.point, packed into one int
+    # per-term state, keyed by term: the entries of nodes past the current
+    # one are stale, and each is written again before it is next read.
+    # pvecs: each term's vector evaluated at sympoly.point, packed into one int
     pvecs: dict[int, int] = {i: 1 << (root.ring.n * -i) for i in inputs}
     full_cov = (1 << k) - 1
     cov: dict[int, int] = {i: 1 << -i for i in inputs}
@@ -152,36 +162,21 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     pairs = [None, [(-1, 0)]] + [[(m, n) for m in range(lo, p - 1) for n in range(m + 1, p)]
                                  for p in range(2, capacity + 1)]
 
-    def seg_bounds(p: int) -> tuple[int, int]:
-        start = 1
-        for e in seg_end:
-            if p <= e:
-                return start, e
-            start = e + 1
-        raise AssertionError
-
-    def rec(p: int, tracker, zs: dict, used_inputs: int, cur_roots: int):
+    def rec(p: int, tracker, zs: dict, used_inputs: int, cur_roots: int, prev_fresh: bool):
         if p > capacity:
             results.append((tuple(nodes), tuple(seg_end)))
             return
-        is_out = p in out_positions
-        start, end = seg_bounds(p)
-        slots_left = end - p  # nodes after this one inside the segment
+        row = out_row[p]
+        is_out = row is not None
+        slots_left = slots[p]
         cand = pairs[p]
         if is_out:  # one AND per pair: the row must reach every input, and no minor vanish
             cand = [(m, n) for m, n in cand if cov[m] | cov[n] == full_cov and not zs[m] & zs[n]]
         # operand-pair ordering between adjacent incomparable non-output
         # nodes of one segment, unless either node touches fresh inputs
-        orderable = (
-            p > 1
-            and p - 1 >= start
-            and (p - 1) not in out_positions
-            and not is_out
-            and not fresh_flags[-1]
-        )
+        orderable = p > 1 and out_row[p - 1] is None and not is_out and not prev_fresh
         prev_pair = nodes[-1] if orderable else None
         pa, pb = point(2 * p - 1), point(2 * p)
-        row = seg_end.index(p) if is_out else None
         for m, n in cand:
             fresh = [-t for t in (m, n) if t <= 0 and not (used_inputs >> -t) & 1]
             if fresh:
@@ -207,7 +202,6 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
             elif roots.bit_count() + 1 > slots_left + 1:
                 continue  # cannot reconnect all dangling interiors in time
             nodes.append((m, n))
-            fresh_flags.append(bool(fresh))
             pvecs[p] = scale(pvecs[m], pa) ^ scale(pvecs[n], pb)
             cov[p] = cov[m] | cov[n]
             depths[p] = new_depth
@@ -220,17 +214,15 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                 new_tracker.add_row(unpack(pvecs[p]))
                 zs[p] = 0
                 rec(p + 1, new_tracker,
-                    _accept_masks(k, nodes, seg_end[:row + 1], zs,
+                    _accept_masks(k, nodes, seg_end[:row + 1], zs, cov,
                                   lambda t: unpack(pvecs[t]), new_tracker.minors()),
-                    nu, 0)
+                    nu, 0, bool(fresh))
             else:
                 zs[p] = zs[m] & zs[n]
-                rec(p + 1, tracker, zs, nu, 0 if is_out else (roots | (1 << p)))
+                rec(p + 1, tracker, zs, nu, 0 if is_out else (roots | (1 << p)), bool(fresh))
             nodes.pop()
-            fresh_flags.pop()
-            del pvecs[p], cov[p], depths[p], anc[p], zs[p]
 
-    rec(1, root, {i: 0 for i in inputs}, 0, 0)
+    rec(1, root, {i: 0 for i in inputs}, 0, 0, False)
     return results
 
 
@@ -242,23 +234,23 @@ def _mask_plan(k: int, j: int) -> tuple:
 
     A mask bit stands for a minor (R, C): R a set of accepted rows and C a
     set of |R| + 1 columns.  Accepting row j adds the minors with max(R) = j.
-    Returns (minors, zero_bits, row_bits, free_bits): minors lists (bit,
-    rowmask, colmask, [(c, key of the minor R on C - c), ...]) with keys as
-    in `MinorTracker.minors`; zero_bits[x] are the bits with C disjoint from
-    the column mask x, row_bits[i] those with i in R and free_bits[d] those
-    with R disjoint from the row mask d.
+    A term's row added as row j + 1 expands such a minor along itself, so
+    they are the minors of `blockmat._minor_plan(k, j + 1)` whose other rows
+    include j, with its cofactor keys.  Returns (minors, zero_bits,
+    row_bits, free_bits): minors lists (bit, rowmask of R, colmask of C,
+    [(c, key of the minor R on C - c), ...]); zero_bits[x] are the bits
+    with C disjoint from the column mask x, row_bits[i] those with i in R
+    and free_bits[d] those with R disjoint from the row mask d.
     """
     plan = _MASK_PLANS.get((k, j))
     if plan is None:
         bit = 1 << sum(len(_mask_plan(k, i)[0]) for i in range(j))
         minors = []
-        for r in range(1, min(j + 1, k - 1) + 1):
-            for rest in itertools.combinations(range(j), r - 1):
-                rm = (1 << j) | sum(1 << i for i in rest)
-                for cols in itertools.combinations(range(k), r + 1):
-                    cm = sum(1 << c for c in cols)
-                    minors.append((bit, rm, cm, [(c, rm << k | cm ^ 1 << c) for c in cols]))
-                    bit <<= 1
+        for rm, cm, _, items in _minor_plan(k, j + 1)[1]:
+            rm ^= 1 << j + 1
+            if rm >> j & 1:
+                minors.append((bit, rm, cm, items))
+                bit <<= 1
         zero_bits = [sum(b for b, _, cm, _ in minors if not cm & x) for x in range(1 << k)]
         row_bits = [sum(b for b, rm, _, _ in minors if rm >> i & 1) for i in range(j + 1)]
         free_bits = [sum(b for b, rm, _, _ in minors if not rm & d) for d in range(1 << j + 1)]
@@ -266,12 +258,13 @@ def _mask_plan(k: int, j: int) -> tuple:
     return plan
 
 
-def _accept_masks(k: int, nodes, rows, zs: dict, val, minors: dict) -> dict:
+def _accept_masks(k: int, nodes, rows, zs: dict, cov: dict, val, minors: dict) -> dict:
     """The zero masks zs of every term, with the bits of the minors that the
     new row adds.
 
     rows are the positions of the accepted outputs, the new one last;
-    val(t) gives term t's entries at `sympoly.point` and minors those of the
+    cov[t] is the input coverage of term t (bit c for input -c), val(t)
+    gives term t's entries at `sympoly.point` and minors those of the
     accepted rows (`MinorTracker.minors`).  A bit of term t is set by the
     first rule that applies:
     - t reaches no column of C: its row is zero there (for an input -c,
@@ -287,11 +280,7 @@ def _accept_masks(k: int, nodes, rows, zs: dict, val, minors: dict) -> dict:
     plan, zero_bits, row_bits, free_bits = _mask_plan(k, j)
     mul = _ring(EVAL_MODULUS).mul_rows()
     end = rows[-1]
-    cov = {-c: 1 << c for c in range(k)}
-    for q in range(1, end + 1):
-        m, n = nodes[q - 1]
-        cov[q] = cov[m] | cov[n]
-    reads = dict.fromkeys(cov, 0)  # the rows each term reaches
+    reads = dict.fromkeys(range(-(k - 1), end + 1), 0)  # the rows each term reaches
     for i, o in enumerate(rows):
         reads[o] |= 1 << i
     for q in range(end, 0, -1):
@@ -404,18 +393,6 @@ def no_disjoint_paths(nodes, sinks, colmask: int) -> bool:
 # canonical encoding and dedup
 
 
-def _tree_dag(t: ImplTree):
-    anc = {}
-    for p, (m, n) in enumerate(t.nodes, start=1):
-        a = 0
-        if m >= 1:
-            a |= anc[m] | (1 << m)
-        if n >= 1:
-            a |= anc[n] | (1 << n)
-        anc[p] = a
-    return anc
-
-
 def canonical_tree(t: ImplTree) -> tuple:
     """Canonical encoding: lexicographically least (type, tokens) over all
     input relabelings and all normal serializations of the marked DAG.
@@ -430,7 +407,7 @@ def canonical_tree(t: ImplTree) -> tuple:
     """
     k = t.k
     nodes = t.nodes
-    anc = _tree_dag(t)
+    anc = ancestor_masks(nodes)
     out_mask = 0
     for o in t.outs:
         out_mask |= 1 << o
@@ -550,14 +527,20 @@ def search_at_capacity(k: int, capacity: int, max_depth: int | None = None,
     return [tree_from_encoding(k, enc) for enc in sorted(keys)]
 
 
+def min_capacity(k: int) -> int:
+    """The proven lower bound on the capacity of a k x k MDS tree: 2k-1
+    for k >= 3, 2 for k = 2."""
+    return 2 if k == 2 else 2 * k - 1
+
+
 def search_simplest(k: int, max_capacity: int | None = None,
                     threads: int = 1) -> tuple[int, list[ImplTree]]:
     """Smallest capacity admitting symbolically-MDS trees, with its classes.
 
-    Starts from the proven lower bound (2k-1 for k >= 3; 2 for k = 2) and
-    increments until the search returns survivors.
+    Starts from `min_capacity` and increments until the search returns
+    survivors.
     """
-    cap = 2 if k == 2 else 2 * k - 1
+    cap = min_capacity(k)
     while max_capacity is None or cap <= max_capacity:
         trees = search_at_capacity(k, cap, threads=threads)
         if trees:

@@ -148,6 +148,8 @@ def test_criterion_4_involutory(involutory_hits):
     assert hits, "involutory search found nothing"
     assert {h.tree_index for h in hits} == {3, 4}
     assert all(h.heuristic_t >= 5 for h in hits)
+    # a row scalar scales only its own row: every hit is an MDS involution
+    assert all(h.entry.involutory and h.entry.mds for h in hits)
     assert all(len(h.assignment) + sum(1 for f in h.row_scalars if f) >= 4
                for h in hits)
     t5 = [h for h in hits if h.heuristic_t == 5]

@@ -177,13 +177,27 @@ def test_bad_ring_modulus_is_usage_error(capsys):
     ("assign", "--all-trees", "--ring", "x^y", "--cost-bound", "10"),
     ("assign", "--all-trees", "--ring", "x+1", "--cost-bound", "10"),
     ("involutory", "--ring", "x+1", "--max-t", "1"),
+    ("involutory", "--ring", "x^65+x^2+1", "--max-t", "1"),
+    ("involutory", "--ring", "x^10000000000+1", "--max-t", "1"),
 ])
 def test_bad_ring_polynomial_is_usage_error(capsys, argv):
-    # a malformed polynomial, and a degree-1 modulus, where alpha = x is no
-    # residue
+    # a malformed polynomial, a degree-1 modulus, where alpha = x is no
+    # residue, and degrees above the limit
     code, out, err = run(capsys, *argv)
     assert code == 64 and out == ""
     assert "usage error: bad --ring " + repr(argv[argv.index("--ring") + 1]) in err
+
+
+def test_ring_degree_above_limit_is_parse_error_with_its_line(tmp_path, capsys):
+    # a ring of degree n takes about n^3 bit operations to build, so x^400
+    # took seconds, and a longer exponent would never finish
+    path = tmp_path / "big.matrix"
+    path.write_text("# a wide ring\nring x^400+x^2+1 k 1\n1\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (65, "")
+    assert err == "parse error: line 2: exponent in 'x^400' exceeds the degree limit 64\n"
+    path.write_text("ring x^64+x^4+x^3+x+1 k 1\n1\n")
+    assert run(capsys, "verify", str(path))[:2] == (0, "matrix k 1: mds 1 involutory 1\n")
 
 
 def test_degree_one_ring_is_parse_error_where_alpha_is_needed(tmp_path, capsys):
@@ -347,6 +361,16 @@ def test_tree_output_labels_are_read(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out) == (65, "")
     assert err == "parse error: line 3: output line must read 'out y<i> = <term>'\n"
+
+
+def test_capacity_is_reported_as_given(capsys):
+    # capacity 3 is not the least at k = 2, so the line must not call it so
+    code, out, _ = run(capsys, "search-trees", "--k", "2", "--capacity", "3")
+    assert code == 0 and out.startswith("k 2: capacity 3; 10 tree classes;")
+    code, out, err = run(capsys, "search-trees", "--k", "2", "--capacity", "3",
+                         "--max-capacity", "2")
+    assert (code, out) == (64, "")
+    assert err == "usage error: --max-capacity and --capacity exclude each other\n"
 
 
 def test_max_depth_needs_capacity(capsys):

@@ -1,4 +1,6 @@
+import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -6,10 +8,12 @@ from mdsforge import catalogs
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.blockmat import is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
+from mdsforge.sympoly import _det, term_vectors
 from mdsforge.treesearch import ImplTree
 from mdsforge.instantiate import (
     CatalogEntry,
     InfeasibleError,
+    _symbolic_subset_ok,
     assign_parameters,
     catalog_from_text,
     catalog_to_text,
@@ -81,6 +85,32 @@ def test_simplify_tree_infeasible():
     tree = ImplTree(2, ((-1, 0), (0, 1)), (1, 2))
     with pytest.raises(InfeasibleError):
         simplify_tree(tree, r, [1, 1], max_s=2)  # no non-identity values offered
+
+
+def _every_minor_nonzero(tree, subset) -> bool:
+    """Reference for _symbolic_subset_ok: every minor of the output rows,
+    parameters at the positions in subset and 1 elsewhere, is a nonzero
+    polynomial."""
+    vec = term_vectors(tree.k, tree.nodes, set(subset))
+    rows = {i: vec(o) for i, o in enumerate(tree.outs)}
+    memo: dict = {}
+    return all(_det(rows, ridx, cidx, memo)
+               for r in range(1, tree.k + 1)
+               for ridx in combinations(range(tree.k), r)
+               for cidx in combinations(range(tree.k), r))
+
+
+def test_symbolic_subset_screen_matches_determinants(trees8):
+    rng = random.Random(2024)
+    verdicts = []
+    for t in trees8 + [catalogs.tree_5x5()]:
+        positions = range(t.scalar_positions())
+        for _ in range(12):
+            subset = tuple(sorted(rng.sample(positions, rng.randint(0, len(positions)))))
+            got = _symbolic_subset_ok(t, subset)
+            assert got == _every_minor_nonzero(t, subset), (t, subset)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def test_involutory_search_small_budget(trees8, r8):

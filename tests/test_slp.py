@@ -7,17 +7,15 @@ from mdsforge.gf2 import ring
 from mdsforge.blockmat import matrix_from_text
 from mdsforge.slp import (
     DeadTermError,
-    NotNormalError,
     NotSquareError,
     Slp,
     Step,
-    characteristic,
+    ancestor_masks,
     cost,
     depth,
     extract_matrix,
     is_normal,
     normalize,
-    precedes,
     slp_from_text,
     slp_to_text,
 )
@@ -79,13 +77,15 @@ def test_catalog_entry_cost_both_rings():
     assert cost(e4.slp) == 35
 
 
-def test_precedes():
+def test_ancestor_masks():
     p = slp_from_text(EXAMPLE1)
-    assert precedes(p, 1, 3)          # x5 < x7 in source numbering
-    assert precedes(p, 1, 4)
-    assert not precedes(p, 2, 3)      # x6 incomparable with x7 = y1
-    assert not precedes(p, 3, 3)      # never reflexive
-    assert precedes(p, -1, 3)         # the input x2 feeds y1
+    anc = ancestor_masks(p.steps)
+    assert len(anc) == p.n_steps + 1 and anc[0] == 0
+    assert anc[3] >> 1 & 1            # x5 < x7 in source numbering
+    assert anc[4] >> 1 & 1
+    assert not anc[3] >> 2 & 1        # x6 incomparable with x7 = y1
+    assert not anc[3] >> 3 & 1        # never reflexive
+    assert anc[3] == 1 << 1           # inputs carry no bit
 
 
 def test_normalize_matches_worked_example():
@@ -114,20 +114,6 @@ def test_normalize_rejects_dead_terms():
     p = Slp(r, 2, (Step(-1, 0, 1, 1), Step(-1, 0, 2, 1), Step(-1, 1, 1, 1)), (1, 3))
     with pytest.raises(DeadTermError):
         normalize(p)
-
-
-def test_characteristic():
-    e = catalogs.load_catalog("cost67_4x4")[0]
-    assert characteristic(e.slp) == (3, 3, 1, 1)
-    e27 = catalogs.load_catalog("cost67_4x4")[26]
-    assert characteristic(e27.slp) == (4, 2, 1, 1)
-    p = slp_from_text(EXAMPLE1)
-    with pytest.raises(NotNormalError):
-        characteristic(p)
-    assert characteristic(normalize(p)) == (2, 1, 2, 1)
-    r = ring("x^4+x+1")
-    k2 = Slp(r, 2, (Step(-1, 0, 1, 1), Step(0, 1, 1, 2)), (1, 2))
-    assert characteristic(k2) == (1, 1)
 
 
 def test_extract_requires_square():

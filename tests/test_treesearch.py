@@ -11,13 +11,12 @@ from mdsforge.blockmat import MinorTracker, packed_rows
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.gf2 import ring as _ring
 from mdsforge.instantiate import _symbolic_subset_ok
-from mdsforge.slp import extract_matrix, is_normal
+from mdsforge.slp import ancestor_masks, extract_matrix, is_normal
 from mdsforge.sympoly import EVAL_MODULUS, _det, minor_tracker, point, term_vectors
 from mdsforge.treesearch import (
     ImplTree,
     _accept_masks,
     _generate_type,
-    _tree_dag,
     canonical_tree,
     enumerate_types,
     no_disjoint_paths,
@@ -38,7 +37,7 @@ def brute_force_canonical_tree(t: ImplTree) -> tuple:
     input relabelings and all normal serializations of the marked DAG."""
     k = t.k
     c = t.capacity
-    anc = _tree_dag(t)
+    anc = ancestor_masks(t.nodes)
     out_nodes = list(t.outs)
     out_set = set(out_nodes)
     best = None
@@ -102,7 +101,7 @@ def _relabel_inputs(t: ImplTree, sigma) -> ImplTree:
 
 def _reserializations(t: ImplTree) -> list[ImplTree]:
     """t re-serialized in every valid output order, inputs kept."""
-    anc = _tree_dag(t)
+    anc = ancestor_masks(t.nodes)
     imap = {-j: -j for j in range(t.k)}
     encs = (_serialize(t, anc, set(t.outs), order, imap)
             for order in itertools.permutations(t.outs))
@@ -414,8 +413,10 @@ def _mask_verdicts(k, nodes, marks):
     ref = minor_tracker(k, lambda i: vec(rows[i]))
     tracker = MinorTracker(_ring(EVAL_MODULUS), k, lambda rowmask, colmask: False)
     zs = {-c: 0 for c in range(k)}
+    cov = {-c: 1 << c for c in range(k)}
     for p, (m, n) in enumerate(nodes, start=1):
         zs[p] = zs[m] & zs[n]
+        cov[p] = cov[m] | cov[n]
         rows.append(p)
         expected = ref.clone().add_row(val(p))
         rows.pop()
@@ -425,7 +426,7 @@ def _mask_verdicts(k, nodes, marks):
             rows.append(p)
             ref.add_row(val(p))
             tracker.add_row(val(p))
-            zs = _accept_masks(k, nodes, rows, zs, val, tracker.minors())
+            zs = _accept_masks(k, nodes, rows, zs, cov, val, tracker.minors())
 
 
 @st.composite
