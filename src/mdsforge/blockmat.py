@@ -93,12 +93,15 @@ def _minor_plan(k: int, j: int):
 
 
 class MinorTracker:
-    """Incremental all-minors-are-units check over ring rows.
+    """Incremental all-minors-are-units check over ring rows, written in place.
 
-    Adding row j validates exactly the minors whose row set contains j, so
-    prefix rows of a candidate matrix can prune a search as soon as any
-    minor fails to be a unit.  Determinant cache keys pack (row subset,
-    column subset) bitmasks into one int.
+    `add_row(row, j)` writes row j and checks exactly the minors whose
+    largest row is j, so prefix rows of a candidate matrix prune a search as
+    soon as a minor is not a unit.  Such a minor expands along row j and
+    reads only minors of rows below j, so a depth-first search keeps one
+    tracker and writes output row j at its depth: the minors of rows above j
+    go stale, and each is written again before it is read.  Keys pack (row
+    subset, column subset) bitmasks into one int.
 
     `exact`, if given, is consulted for each minor that is not a unit, order
     1 included: `exact(rowmask, colmask)` says whether that minor is truly
@@ -111,7 +114,7 @@ class MinorTracker:
     through `minors` to build the masks.
     """
 
-    __slots__ = ("ring", "k", "nrows", "_dets", "_mul", "_units", "_last_full", "_exact")
+    __slots__ = ("ring", "k", "nrows", "_dets", "_mul", "_units", "_exact")
 
     def __init__(self, ring: QuotientRing, k: int, exact=None):
         self.ring = ring
@@ -120,10 +123,10 @@ class MinorTracker:
         self._dets: dict[int, int] = {}
         self._mul = ring.mul_rows()
         self._units = ring.unit_flags()
-        self._last_full = 0
         self._exact = exact
 
     def clone(self) -> "MinorTracker":
+        """A copy with minors of its own; no search needs one."""
         c = MinorTracker.__new__(MinorTracker)
         c.ring = self.ring
         c.k = self.k
@@ -131,19 +134,19 @@ class MinorTracker:
         c._dets = dict(self._dets)
         c._mul = self._mul
         c._units = self._units
-        c._last_full = self._last_full
         c._exact = self._exact
         return c
 
-    def add_row(self, row) -> bool:
+    def add_row(self, row, j: int) -> bool:
+        """Write row j (0 <= j <= nrows) over the rows below it; whether
+        every minor it completes is a unit (or, with exact, not truly
+        zero).  Rows j + 1 and above are dropped."""
         k = self.k
-        j = self.nrows
         self.nrows = j + 1
         dets = self._dets
         units = self._units
         mul = self._mul
         exact = self._exact
-        store = j + 1 < k  # the last row's minors are never expanded against
         for e in row:
             if not units[e]:
                 if exact is None or any(exact(1 << j, 1 << c)
@@ -151,9 +154,7 @@ class MinorTracker:
                     return False
                 break
         entry_keys, minors = _minor_plan(k, j)
-        if store:
-            dets.update(zip(entry_keys, row))
-        self._last_full = 0
+        dets.update(zip(entry_keys, row))
         for rm, cm, key, items in minors:
             acc = 0
             for c, sub in items:
@@ -163,22 +164,22 @@ class MinorTracker:
             if not units[acc]:
                 if exact is None or exact(rm, cm):
                     return False
-            if store:
-                dets[key] = acc
-            else:
-                self._last_full = acc
+            dets[key] = acc
         return True
 
     def minors(self) -> dict[int, int]:
-        """The stored minors, keyed rowmask << k | colmask, of every row
-        added but a k-th; read only."""
+        """The stored minors, keyed rowmask << k | colmask; after
+        add_row(row, j) accepts, those of rows 0..j are current and any of
+        rows above j are stale.  Read only."""
         return self._dets
 
     def full_det(self) -> int:
-        """Determinant of all rows added so far (valid once nrows == k)."""
+        """Determinant of rows 0..k-1, once add_row(row, k - 1) accepts:
+        the stored minor on every row and column."""
         if self.nrows != self.k:
             raise ValueError("full determinant needs k rows")
-        return self._last_full
+        full = (1 << self.k) - 1
+        return self._dets[full << self.k | full]
 
 
 def packed_rows(ring: QuotientRing, k: int):
@@ -217,7 +218,7 @@ def packed_rows(ring: QuotientRing, k: int):
 def is_mds(m: BlockMatrix) -> bool:
     """True iff every minor of every order 1..k is a unit."""
     tracker = MinorTracker(m.ring, m.k)
-    return all(tracker.add_row(row) for row in m.rows)
+    return all(tracker.add_row(row, j) for j, row in enumerate(m.rows))
 
 
 def branch_number(m: BlockMatrix, kind: str = "differential") -> int:

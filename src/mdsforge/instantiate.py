@@ -55,11 +55,15 @@ class CatalogEntry:
 
 def alpha_powers(ring: QuotientRing, lo: int, hi: int) -> list[int]:
     """1 and a^e for lo <= e <= hi, in the documented scan order 1, a, a^-1,
-    a^2, a^-2, ..."""
+    a^2, a^-2, ..., up to the first e with a^e = 1: the powers from there
+    on repeat."""
     vals = [1]
     for e in range(1, max(abs(lo), abs(hi)) + 1):
+        v = ring.pow(2, e)
+        if v == 1:
+            break
         if e <= hi:
-            vals.append(ring.pow(2, e))
+            vals.append(v)
         if -e >= lo:
             vals.append(ring.pow(2, -e))
     return vals
@@ -103,34 +107,39 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     and, with depth_bound set, depth <= depth_bound.
 
     Values are drawn per position from value_set (default 1, a^±1, a^±2,
-    a^±3); the running cost n*s + t prunes branches, t charging each distinct
-    (scalar, operand term) product once; completed output rows prune through
-    the all-minors-are-units tracker.  A tree whose skeleton is deeper than
+    a^±3; a repeated value only at its first place); the running cost n*s + t
+    prunes branches, t charging each distinct (scalar, operand term) product
+    once; completed output rows prune through the all-minors-are-units
+    tracker.  A tree whose skeleton is deeper than
     depth_bound has no assignment.  Deterministic order.
     """
     if value_set is None:
         value_set = default_value_set(ring)
+    value_set = list(dict.fromkeys(value_set))
     check_units(ring, value_set)
     budget = cost_bound - ring.n * tree.capacity
     if budget < 0 or depth_bound is not None and tree.skeleton_depth() > depth_bound:
         return []
     k = tree.k
-    out_set = set(tree.outs)
+    out_row = {o: j for j, o in enumerate(tree.outs)}
     val_cost = {v: ring.scalar_xor_count(v) for v in value_set}
 
+    tracker = MinorTracker(ring, k)
     scale, unpack = packed_rows(ring, k)
+    # per-position state, written at its depth: entries past the current
+    # position are stale, and each is written again before it is read
     vecs: dict[int, int] = {-j: 1 << (ring.n * j) for j in range(k)}
     depths: dict[int, int] = {-j: 0 for j in range(k)}
     scalars: dict[int, int] = {}
     entries: list[CatalogEntry] = []
 
-    def rec(p: int, tracker: MinorTracker, t_used: int, products: dict):
+    def rec(p: int, t_used: int, products: dict):
         if p > tree.capacity:
-            entries.append(CatalogEntry.from_slp(tree.to_slp(ring, dict(scalars))))
+            entries.append(CatalogEntry.from_slp(tree.to_slp(ring, scalars)))
             return
         m, n = tree.nodes[p - 1]
         vm, vn = vecs[m], vecs[n]
-        is_out = p in out_set
+        j = out_row.get(p)
         for a in value_set:
             ca = 0
             ka = (m, a)
@@ -149,37 +158,32 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                     continue
                 if depth_bound is not None:
                     d = 1 + max(depths[m] + (a != 1), depths[n] + (b != 1))
-                    if d > depth_bound or (not is_out and d >= depth_bound):
+                    if d > depth_bound or (j is None and d >= depth_bound):
                         continue
                 else:
                     d = 0
                 row = va ^ (vn if b == 1 else scale(vn, b))
-                tr = tracker
-                if is_out:
-                    tr = tracker.clone()
-                    if not tr.add_row(unpack(row)):
-                        continue
+                if j is not None and not tracker.add_row(unpack(row), j):
+                    continue
                 vecs[p] = row
                 depths[p] = d
+                scalars[2 * p - 2] = a
+                scalars[2 * p - 1] = b
                 if a != 1:
-                    scalars[2 * (p - 1)] = a
                     products[ka] = products.get(ka, 0) + 1
                 if b != 1:
-                    scalars[2 * (p - 1) + 1] = b
                     products[kb] = products.get(kb, 0) + 1
-                rec(p + 1, tr, t2, products)
+                rec(p + 1, t2, products)
                 if a != 1:
                     products[ka] -= 1
                     if not products[ka]:
                         del products[ka]
-                    del scalars[2 * (p - 1)]
                 if b != 1:
                     products[kb] -= 1
                     if not products[kb]:
                         del products[kb]
-                    del scalars[2 * (p - 1) + 1]
 
-    rec(1, MinorTracker(ring, k), 0, {})
+    rec(1, 0, {})
     return entries
 
 
@@ -259,12 +263,13 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
     """
     values = [v for v in value_set if v != 1]
     limit = max_s if max_s is not None else tree.scalar_positions()
+    tracker = MinorTracker(ring, tree.k)
     for s in range(1, limit + 1):
         witnesses = []
         for subset in combinations(range(tree.scalar_positions()), s):
             if not _symbolic_subset_ok(tree, subset):
                 continue
-            if _subset_hit(tree, MinorTracker(ring, tree.k),
+            if _subset_hit(tree, tracker,
                            [values if pos in subset else (1,)
                             for pos in range(tree.scalar_positions())]):
                 witnesses.append(subset)
@@ -286,37 +291,35 @@ def _symbolic_subset_ok(tree: ImplTree, subset) -> bool:
                         for pos in range(tree.scalar_positions())])
 
 
-def _subset_hit(tree: ImplTree, root: MinorTracker, choices) -> bool:
+def _subset_hit(tree: ImplTree, tracker: MinorTracker, choices) -> bool:
     """Whether some assignment of values to tree's positions passes the
-    all-minors tracker root on every output row; position pos takes the
-    values choices[pos] of root's ring, in order (1: the identity).  Depth
-    first, stopping at the first complete assignment."""
+    all-minors tracker on every output row; position pos takes the values
+    choices[pos] of the tracker's ring, in order (1: the identity).  Depth
+    first, writing output j as the tracker's row j in place, stopping at the
+    first complete assignment."""
     k = tree.k
-    out_set = set(tree.outs)
-    scale, unpack = packed_rows(root.ring, k)
-    vecs: dict[int, int] = {-j: 1 << (root.ring.n * j) for j in range(k)}
+    out_row = {o: j for j, o in enumerate(tree.outs)}
+    scale, unpack = packed_rows(tracker.ring, k)
+    vecs: dict[int, int] = {-j: 1 << (tracker.ring.n * j) for j in range(k)}
 
-    def rec(p: int, tracker: MinorTracker) -> bool:
+    def rec(p: int) -> bool:
         if p > tree.capacity:
             return True
         m, n = tree.nodes[p - 1]
         vm, vn = vecs[m], vecs[n]
-        is_out = p in out_set
+        j = out_row.get(p)
         for a in choices[2 * p - 2]:
             va = vm if a == 1 else scale(vm, a)
             for b in choices[2 * p - 1]:
                 row = va ^ (vn if b == 1 else scale(vn, b))
-                tr = tracker
-                if is_out:
-                    tr = tracker.clone()
-                    if not tr.add_row(unpack(row)):
-                        continue
+                if j is not None and not tracker.add_row(unpack(row), j):
+                    continue
                 vecs[p] = row
-                if rec(p + 1, tr):
+                if rec(p + 1):
                     return True
         return False
 
-    return rec(1, root)
+    return rec(1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +359,30 @@ def involutory_search(trees: list[ImplTree], ring: QuotientRing,
     return hits
 
 
+def _fixable_squares(ring: QuotientRing, max_t: int) -> list[frozenset]:
+    """fixable[b] = {a^(2g) : |g| <= b} for b = 0..max_t.  Squaring is a
+    ring homomorphism in characteristic 2, so x * a^-g squares to 1 for some
+    |g| <= b iff x^2 is in fixable[b]: no residue of the ring is listed."""
+    return [frozenset(ring.pow(2, 2 * g) for g in range(-b, b + 1)) for b in range(max_t + 1)]
+
+
 def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                          max_s: int, max_t: int) -> list[InvolutoryHit]:
     k = tree.k
     n = ring.n
-    out_set = set(tree.outs)
+    out_row = {o: j for j, o in enumerate(tree.outs)}
     mul = ring.mul
     mrows = ring.mul_rows()
     alpha_pow = {e: ring.pow(2, e) for e in range(-max_t, max_t + 1)}
     scale, unpack = packed_rows(ring, k)
-    # coefficient vectors packed into one int, n bits per input coordinate
+    tracker = MinorTracker(ring, k)
+    # per-position state, written at its depth (entries past the current
+    # one are stale): coefficient vectors packed into one int, n bits per
+    # input coordinate, and the exponents (0: the identity) of each edge
+    # position and each row scalar
     vecs: dict[int, int] = {-j: 1 << (n * j) for j in range(k)}
-    exps: dict[int, int] = {}  # position -> chosen exponent (nonzero)
+    exps = [0] * tree.scalar_positions()
+    fs = [0] * k
     hits: list[InvolutoryHit] = []
 
     # opts[b]: the exponents a position may take with b of the budget t
@@ -377,8 +392,9 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     # it scales only its own row if no later node reads that output
     scalable = [not any(o in node for node in tree.nodes) for o in tree.outs]
 
-    def record(order, fs, t2):
-        folded = {pos: alpha_pow[e] for pos, e in exps.items()}
+    def record(order, t2):
+        assignment = tuple((pos, e) for pos, e in enumerate(exps) if e)
+        folded = {pos: alpha_pow[e] for pos, e in assignment}
         for j, f in enumerate(fs):
             if f:
                 o = tree.outs[j]
@@ -388,86 +404,66 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
         sl = Slp(ring, k, base.steps, tuple(tree.outs[order[i]] for i in range(k)))
         return InvolutoryHit(
             tree_index=t_idx,
-            assignment=tuple(sorted(exps.items())),
+            assignment=assignment,
             row_scalars=tuple(fs),
             row_order=tuple(order),
             heuristic_t=t2,
             entry=CatalogEntry.from_slp(sl),
         )
 
-    # elements with u^2 = 1: det(M)^2 = 1 is necessary for M^2 = I, and
-    # det(P D R) = prod(d) * det(R) does not depend on the row order.
-    # fixable[b] = dets that some remaining alpha-power budget b can repair.
-    sqrt_one = frozenset(u for u in range(1 << n) if mul(u, u) == 1)
-    fixable = []
-    for b in range(max_t + 1):
-        fam = set()
-        for u in sqrt_one:
-            for g in range(-b, b + 1):
-                fam.add(mul(u, alpha_pow[g]))
-        fixable.append(frozenset(fam))
+    # det(M)^2 = 1 is necessary for M^2 = I, and det(P D R) = prod(d) *
+    # det(R) does not depend on the row order.  The screens compare squares,
+    # det(R)^2 * prod a^(2f) with sq[f] = a^(2f): fixable[b] holds those that
+    # some remaining alpha-power budget b can repair.
+    sq = {e: mul(v, v) for e, v in alpha_pow.items()}
+    fixable = _fixable_squares(ring, max_t)
 
-    def finish(s_used: int, t_used: int, det_r: int):
-        if det_r not in fixable[max_t - t_used]:
+    def finish(s_used: int, t_used: int, det_sq: int):
+        if det_sq not in fixable[max_t - t_used]:
             return
 
-        def scal_rec(i: int, s2: int, t2: int, fs: list[int], dprod: int):
+        def scal_rec(i: int, s2: int, t2: int, dprod: int):
             if i == k:
-                if mul(det_r, dprod) not in sqrt_one:
+                if mul(det_sq, dprod) != 1:
                     return
                 scaled = [unpack(scale(vecs[o], alpha_pow[f]) if f else vecs[o])
                           for o, f in zip(tree.outs, fs)]
                 for order in permutations(range(k)):
                     mat = tuple(scaled[order[i2]] for i2 in range(k))
                     if squares_to_identity(mat, mrows):
-                        hits.append(record(order, fs, t2))
+                        hits.append(record(order, t2))
                 return
             for f in opts[max_t - t2 if s2 < max_s and scalable[i] else 0]:
-                dp = dprod if f == 0 else mul(dprod, alpha_pow[f])
+                dp = dprod if f == 0 else mul(dprod, sq[f])
                 t3 = t2 + abs(f)
-                if mul(det_r, dp) in fixable[max_t - t3]:
-                    fs.append(f)
-                    scal_rec(i + 1, s2 + (f != 0), t3, fs, dp)
-                    fs.pop()
+                if mul(det_sq, dp) in fixable[max_t - t3]:
+                    fs[i] = f
+                    scal_rec(i + 1, s2 + (f != 0), t3, dp)
 
-        scal_rec(0, s_used, t_used, [], 1)
+        scal_rec(0, s_used, t_used, 1)
 
-    units = ring.unit_flags()
-
-    def rec(p: int, tracker: MinorTracker, s_used: int, t_used: int):
+    def rec(p: int, s_used: int, t_used: int):
         if p > tree.capacity:
-            finish(s_used, t_used, tracker.full_det())
+            det = tracker.full_det()
+            finish(s_used, t_used, mul(det, det))
             return
         m, n_op = tree.nodes[p - 1]
         vm, vn = vecs[m], vecs[n_op]
-        is_out = p in out_set
-        pos_l, pos_r = 2 * (p - 1), 2 * (p - 1) + 1
+        j = out_row.get(p)
         for ea in opts[max_t - t_used if s_used < max_s else 0]:
             sa, ta = s_used + (ea != 0), t_used + abs(ea)
             va = vm if ea == 0 else scale(vm, alpha_pow[ea])
             for eb in opts[max_t - ta if sa < max_s else 0]:
                 sb, tb = sa + (eb != 0), ta + abs(eb)
                 row = va ^ (vn if eb == 0 else scale(vn, alpha_pow[eb]))
-                tr = tracker
-                if is_out:
-                    entries = unpack(row)
-                    # cheap unit screen before cloning
-                    if not all(map(units.__getitem__, entries)):
-                        continue
-                    tr = tracker.clone()
-                    if not tr.add_row(entries):
-                        continue
+                if j is not None and not tracker.add_row(unpack(row), j):
+                    continue
                 vecs[p] = row
-                if ea:
-                    exps[pos_l] = ea
-                if eb:
-                    exps[pos_r] = eb
-                rec(p + 1, tr, sb, tb)
-                exps.pop(pos_l, None)
-                exps.pop(pos_r, None)
-                del vecs[p]
+                exps[2 * p - 2] = ea
+                exps[2 * p - 1] = eb
+                rec(p + 1, sb, tb)
 
-    rec(1, MinorTracker(ring, k), 0, 0)
+    rec(1, 0, 0)
     return hits
 
 

@@ -10,8 +10,8 @@ parameterized matrix is identically zero mod 2, no parameter assignment over
 any ring can make the corresponding rows part of an MDS matrix.
 
 The check runs on the one all-minors tracker, `blockmat.MinorTracker`, over
-GF(2^8) values: every parameter is evaluated at one fixed nonzero point,
-`point(pid)`.  Evaluation is a ring homomorphism, so a nonzero value proves
+GF(2^8) values, each output row written in place at its row index: every
+parameter is evaluated at one fixed nonzero point, `point(pid)`.  Evaluation is a ring homomorphism, so a nonzero value proves
 a minor nonzero.  A minor that evaluates to zero is decided by its exact
 symbolic determinant, `_det`; `minor_tracker` wires the two together.  The
 parameter-subset screen of `instantiate` and tree-file `verify` use it.  The

@@ -21,7 +21,8 @@ and Z(m) & Z(n) == 0: one AND, with no determinant and no path search.
 Accepting an output adds the bits of its minors to every term
 (`_accept_masks`).  A term that feeds a row is expanded over GF(2^8), at one
 point per parameter (`sympoly.point`), against the accepted rows' minors,
-which a `blockmat.MinorTracker` keeps; a zero value is decided by
+which one `blockmat.MinorTracker` keeps, each accepted row written in place
+at its row index over the rows below it; a zero value is decided by
 `no_disjoint_paths`: by the Lindstrom-Gessel-Viennot lemma a minor is
 identically zero iff its input and output terms cannot be joined by
 vertex-disjoint paths.
@@ -145,14 +146,14 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     inputs = list(range(0, lo - 1, -1))
 
     nodes: list[tuple[int, int]] = []
-    # tracker row i is the output at seg_end[i]; the masks prove each of its
-    # minors nonzero, so it only keeps their values for _accept_masks
-    root = MinorTracker(_ring(EVAL_MODULUS), k, lambda rowmask, colmask: False)
-    scale, unpack = packed_rows(root.ring, k)
+    # tracker row i, written in place, is the output at seg_end[i]; the masks
+    # prove each of its minors nonzero, so it only keeps them for _accept_masks
+    tracker = MinorTracker(_ring(EVAL_MODULUS), k, lambda rowmask, colmask: False)
+    scale, unpack = packed_rows(tracker.ring, k)
     # per-term state, keyed by term: the entries of nodes past the current
     # one are stale, and each is written again before it is next read.
     # pvecs: each term's vector evaluated at sympoly.point, packed into one int
-    pvecs: dict[int, int] = {i: 1 << (root.ring.n * -i) for i in inputs}
+    pvecs: dict[int, int] = {i: 1 << (tracker.ring.n * -i) for i in inputs}
     full_cov = (1 << k) - 1
     cov: dict[int, int] = {i: 1 << -i for i in inputs}
     depths: dict[int, int] = {i: 0 for i in inputs}
@@ -162,7 +163,7 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     pairs = [None, [(-1, 0)]] + [[(m, n) for m in range(lo, p - 1) for n in range(m + 1, p)]
                                  for p in range(2, capacity + 1)]
 
-    def rec(p: int, tracker, zs: dict, used_inputs: int, cur_roots: int, prev_fresh: bool):
+    def rec(p: int, zs: dict, used_inputs: int, cur_roots: int, prev_fresh: bool):
         if p > capacity:
             results.append((tuple(nodes), tuple(seg_end)))
             return
@@ -210,19 +211,18 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
             for j in fresh:
                 nu |= 1 << j
             if is_out and p < capacity:
-                new_tracker = tracker.clone()
-                new_tracker.add_row(unpack(pvecs[p]))
+                tracker.add_row(unpack(pvecs[p]), row)
                 zs[p] = 0
-                rec(p + 1, new_tracker,
+                rec(p + 1,
                     _accept_masks(k, nodes, seg_end[:row + 1], zs, cov,
-                                  lambda t: unpack(pvecs[t]), new_tracker.minors()),
+                                  lambda t: unpack(pvecs[t]), tracker.minors()),
                     nu, 0, bool(fresh))
             else:
                 zs[p] = zs[m] & zs[n]
-                rec(p + 1, tracker, zs, nu, 0 if is_out else (roots | (1 << p)), bool(fresh))
+                rec(p + 1, zs, nu, 0 if is_out else (roots | (1 << p)), bool(fresh))
             nodes.pop()
 
-    rec(1, root, {i: 0 for i in inputs}, 0, 0, False)
+    rec(1, {i: 0 for i in inputs}, 0, 0, False)
     return results
 
 

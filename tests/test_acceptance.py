@@ -330,7 +330,7 @@ def test_criterion_7_precheck_soundness():
             if p in outs:
                 rows.append(row)
                 ok = ok and tracker.add_row(tuple(sp_eval(c, tracker.ring, points)
-                                                  for c in row))
+                                                  for c in row), len(rows) - 1)
         if ok:
             continue
         pruned += 1
@@ -346,4 +346,4 @@ def test_criterion_7_precheck_soundness():
 def _rows_extend_to_mds(r, rows):
     from mdsforge.blockmat import MinorTracker as RingTracker
     tracker = RingTracker(r, len(rows[0]))
-    return all(tracker.add_row(row) for row in rows)
+    return all(tracker.add_row(row, j) for j, row in enumerate(rows))

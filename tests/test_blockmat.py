@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdsforge.gf2 import NonUnitError, ring
 from mdsforge.blockmat import (
@@ -87,7 +88,7 @@ def test_determinant_of_mds_matrix_is_unit():
     for entry in catalogs.load_catalog("cost67_4x4")[:5]:
         m = entry.matrix
         tracker = MinorTracker(m.ring, m.k)
-        assert all(tracker.add_row(row) for row in m.rows)
+        assert all(tracker.add_row(row, j) for j, row in enumerate(m.rows))
         assert tracker.full_det() == _leibniz_det(m)
         assert m.ring.is_unit(tracker.full_det())
 
@@ -105,19 +106,62 @@ def test_exact_hook_decides_non_unit_minors():
 
     rows = BlockMatrix.identity(r, 2).rows
     tracker = MinorTracker(r, 2, says(False))
-    assert all(tracker.add_row(row) for row in rows)
+    assert all(tracker.add_row(row, j) for j, row in enumerate(rows))
     assert calls == [(0b01, 0b10), (0b10, 0b01)]
     assert tracker.full_det() == 1
     calls.clear()
-    assert not MinorTracker(r, 2, says(True)).add_row(rows[0])
+    assert not MinorTracker(r, 2, says(True)).add_row(rows[0], 0)
     assert calls == [(0b01, 0b10)]
     # without a hook a non-unit minor fails at once
-    assert not MinorTracker(r, 2).add_row(rows[0])
+    assert not MinorTracker(r, 2).add_row(rows[0], 0)
     # a vanishing 2x2 minor reaches the hook with its row and column masks
     calls.clear()
     tracker = MinorTracker(r, 2, says(False))
-    assert tracker.add_row((1, 1)) and tracker.add_row((1, 1))
+    assert tracker.add_row((1, 1), 0) and tracker.add_row((1, 1), 1)
     assert calls == [(0b11, 0b11)]
+
+
+@st.composite
+def _tracker_writes(draw):
+    """(modulus, k, hooked, writes): a degree-8 ring with zero divisors or
+    GF(2^8), a matrix size, whether a deterministic exact hook keeps some
+    non-unit minors, and (j, row) writes; j is cut to the rows accepted so
+    far when the writes are replayed."""
+    modulus = draw(st.sampled_from(["x^8+x^2+1", "x^8+x^4+x^3+x+1"]))
+    k = draw(st.integers(1, 4))
+    row = st.tuples(*[st.one_of(st.integers(1, 255), st.just(0))] * k)
+    writes = draw(st.lists(st.tuples(st.integers(0, k - 1), row), min_size=1, max_size=16))
+    return modulus, k, draw(st.booleans()), writes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tracker_writes())
+def test_rows_written_in_place_match_a_fresh_tracker(case):
+    # a search writes output row j over the rows below it and keeps one
+    # tracker: after each write it must agree with a fresh tracker fed the
+    # rows of the current path
+    modulus, k, hooked, writes = case
+    r = ring(modulus)
+    hook = (lambda rowmask, colmask: (rowmask * 5 + colmask) % 3 == 0) if hooked else None
+    tracker = MinorTracker(r, k, hook)
+    path = []
+    for j, row in writes:
+        j = min(j, len(path))
+        path[j:] = [row]
+        fresh = MinorTracker(r, k, hook)
+        ok = tracker.add_row(row, j)
+        assert ok == all(fresh.add_row(p, i) for i, p in enumerate(path))
+        if not ok:
+            path.pop()
+            continue
+        below = (1 << j + 1) - 1
+        assert {key: v for key, v in tracker.minors().items()
+                if not key >> k & ~below} == fresh.minors()
+        if j == k - 1:
+            assert tracker.full_det() == fresh.full_det()
+        else:
+            with pytest.raises(ValueError):
+                tracker.full_det()
 
 
 def test_packed_rows_match_ring_mul():

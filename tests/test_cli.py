@@ -379,3 +379,22 @@ def test_max_depth_needs_capacity(capsys):
     assert err == "usage error: --max-depth needs --capacity\n"
     code, out, _ = run(capsys, "search-trees", "--k", "3", "--capacity", "5", "--max-depth", "2")
     assert code == 0 and "2 tree classes" in out
+
+
+def test_involutory_on_a_wide_ring_lists_no_residues(capsys):
+    # finishes at once: the determinant screens compare squares, so the
+    # ring's 2^24 residues are never listed
+    code, out, _ = run(capsys, "involutory", "--ring", "x^24+x^7+x^2+x+1",
+                       "--max-t", "1", "--max-s", "1")
+    assert code == 2 and "no involutory MDS matrix found" in out
+
+
+def test_repeated_values_are_scanned_once(capsys):
+    # alpha has order 15 over x^4+x+1: a^-15..a^15 repeats every value
+    tree = catalogs.data_path("trees", "4x4_tree1.txt")
+    argv = ("assign", "--tree", tree, "--ring", "x^4+x+1", "--cost-bound", "36", "--values")
+    code, out, err = run(capsys, *argv, "a^-7..a^7")
+    assert code == 0 and out
+    assert run(capsys, *argv, "a^-15..a^15") == (code, out, err)
+    once = run(capsys, *argv, "1,a,a^-1")
+    assert once[0] == 0 and run(capsys, *argv, "1,a,a^-1,a,1") == once

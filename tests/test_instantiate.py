@@ -13,6 +13,7 @@ from mdsforge.treesearch import ImplTree
 from mdsforge.instantiate import (
     CatalogEntry,
     InfeasibleError,
+    _fixable_squares,
     _symbolic_subset_ok,
     assign_parameters,
     catalog_from_text,
@@ -130,6 +131,17 @@ def test_involutory_search_threads(trees8, r8):
     assert len(serial) == 18 and pooled == serial
     # rings come back from the workers as the shared instance
     assert all(h.entry.matrix.ring is r8 and h.entry.slp.ring is r8 for h in pooled)
+
+
+def test_square_screen_matches_residue_enumeration():
+    # x is repairable by a budget b iff x = u * a^g with u^2 = 1, |g| <= b;
+    # the search tests x^2 against fixable[b] instead of listing every u
+    r = ring("x^8+x^2+1")
+    sqrt_one = [u for u in range(1 << r.n) if r.mul(u, u) == 1]
+    fixable = _fixable_squares(r, 8)
+    for b in range(9):
+        expected = {r.mul(u, r.pow(2, g)) for u in sqrt_one for g in range(-b, b + 1)}
+        assert {x for x in range(1 << r.n) if r.mul(x, x) in fixable[b]} == expected
 
 
 def test_catalog_round_trip():

@@ -101,8 +101,8 @@ def precheck(rows) -> bool:
     """The unified check: every minor of the symbolic rows is nonzero."""
     tracker = minor_tracker(len(rows[0]), rows.__getitem__)
     values = points_of(rows)
-    return all(tracker.add_row(tuple(sp_eval(e, tracker.ring, values) for e in row))
-               for row in rows)
+    return all(tracker.add_row(tuple(sp_eval(e, tracker.ring, values) for e in row), j)
+               for j, row in enumerate(rows))
 
 
 def det(rows):
@@ -236,7 +236,7 @@ def test_spurious_zero_goes_on():
     assert entry and sp_eval(entry, gf, points_of([[entry]])) == 0
     # order 1: the entry itself vanishes at the points
     assert precheck([(entry,)])
-    assert not MinorTracker(gf, 1).add_row((0,))
+    assert not MinorTracker(gf, 1).add_row((0,), 0)
     # order 2: det [[1, a_l], [1, a_i a_j]] vanishes at the points
     assert precheck([(SP_ONE, sp_param(l)), (SP_ONE, sp_mul(sp_param(i), sp_param(j)))])
     assert not precheck([(SP_ONE, sp_param(l)), (SP_ONE, sp_param(l))])

@@ -256,7 +256,8 @@ def test_search_exact_calls_match_symbolic_determinant(monkeypatch):
 
 # Reference for _generate_type: the generator that checked every candidate
 # output row on a MinorTracker, with a path proof behind each vanishing
-# value.  Verbatim apart from its name.
+# value.  Verbatim apart from its name and the row index that
+# MinorTracker.add_row takes.
 
 
 def reference_generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
@@ -353,7 +354,7 @@ def reference_generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | 
             new_tracker = tracker
             if is_out:
                 new_tracker = tracker.clone()
-                if not new_tracker.add_row(unpack(prow)):
+                if not new_tracker.add_row(unpack(prow), new_tracker.nrows):
                     nodes.pop()
                     continue
             fresh_flags.append(bool(fresh))
@@ -418,14 +419,14 @@ def _mask_verdicts(k, nodes, marks):
         zs[p] = zs[m] & zs[n]
         cov[p] = cov[m] | cov[n]
         rows.append(p)
-        expected = ref.clone().add_row(val(p))
+        expected = ref.clone().add_row(val(p), len(rows) - 1)
         rows.pop()
         got = all(vec(p)) and not zs[p]
         yield got, expected
         if got and p in marks and len(rows) < k - 1:
             rows.append(p)
-            ref.add_row(val(p))
-            tracker.add_row(val(p))
+            ref.add_row(val(p), len(rows) - 1)
+            tracker.add_row(val(p), len(rows) - 1)
             zs = _accept_masks(k, nodes, rows, zs, cov, val, tracker.minors())
 
 
