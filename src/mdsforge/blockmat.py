@@ -6,6 +6,10 @@ incremental all-minors tracker that every search shares, the packed-row
 helper the searches scale rows with, a brute-force branch-number oracle for
 small total bit widths, PMQ-equivalence canonical forms and the involution
 test on raw rows.  Entries are raw residues (ints), as in `gf2`.
+
+The tracker checks a row with straight-line code generated from the minor
+plan and compiled once per process and (k, row): two lines per minor, at
+most 64 minors per function, and a source made of plan ints only.
 """
 
 from __future__ import annotations
@@ -92,6 +96,69 @@ def _minor_plan(k: int, j: int):
     return plan
 
 
+_ROW_KERNELS: dict[tuple[int, int], object] = {}
+_PIECE = 64  # minors per generated function: one huge function costs compile memory
+
+
+def _reject(rowmask: int, colmask: int) -> bool:
+    """The exact hook of a tracker without one: every non-unit minor is zero."""
+    return True
+
+
+def _row_kernel(k: int, j: int):
+    """bind(units, mul, bad) -> check(row, dets): `MinorTracker.add_row` for
+    row j as straight-line code, generated from `_minor_plan(k, j)` and
+    compiled once per process.
+
+    check unpacks the row, screens its entries, writes their keys, and then
+    per minor, in plan order, one line stores its cofactor expansion and one
+    rejects it if it is not a unit and bad(rowmask, colmask) says it is
+    zero.  The source holds only names and ints of the plan.  Each piece of
+    at most _PIECE minors is compiled on its own, so neither a function nor
+    a compile grows large; the first piece returns the row's multiplication
+    rows, and a loop hands them to the others, not a call chain, which
+    would outgrow the recursion limit at k = 10.
+    """
+    bind = _ROW_KERNELS.get((k, j))
+    if bind is None:
+        entry_keys, minors = _minor_plan(k, j)
+        ms = ", ".join(f"m{c}" for c in range(k))
+        head = [", ".join(f"e{c}" for c in range(k)) + ", = row",
+                "if " + " or ".join(f"not units[e{c}] and bad({1 << j}, {1 << c})"
+                                    for c in range(k)) + ": return False"]
+        head += [f"d[{key}] = e{c}" for c, key in enumerate(entry_keys)]
+        if minors:
+            head.append(f"{ms}, = " + ", ".join(f"mul[e{c}]" for c in range(k)))
+        pieces = [minors[i:i + _PIECE] for i in range(0, len(minors), _PIECE)] or [[]]
+        binds = []
+        for i, piece in enumerate(pieces):
+            body = head if i == 0 else []
+            for rm, cm, key, items in piece:
+                body.append(f"d[{key}] = x = " + " ^ ".join(f"m{c}[d[{sub}]]" for c, sub in items))
+                body.append(f"if not units[x] and bad({rm}, {cm}): return False")
+            body.append(f"return {ms}," if i == 0 and len(pieces) > 1 else "return True")
+            src = ["def bind(units, mul, bad):",
+                   " def p(row, d):" if i == 0 else f" def p(d, {ms}):"]
+            src += ["  " + line for line in body] + [" return p"]
+            scope: dict = {}
+            exec(compile("\n".join(src), f"<row kernel k={k} j={j} piece {i}>", "exec"), scope)
+            binds.append(scope["bind"])
+
+        def bind(units, mul, bad):
+            first, *rest = [piece_bind(units, mul, bad) for piece_bind in binds]
+            if not rest:
+                return first
+
+            def check(row, dets):
+                ms = first(row, dets)
+                return bool(ms) and all(piece(dets, *ms) for piece in rest)
+
+            return check
+
+        _ROW_KERNELS[(k, j)] = bind
+    return bind
+
+
 class MinorTracker:
     """Incremental all-minors-are-units check over ring rows, written in place.
 
@@ -101,7 +168,10 @@ class MinorTracker:
     reads only minors of rows below j, so a depth-first search keeps one
     tracker and writes output row j at its depth: the minors of rows above j
     go stale, and each is written again before it is read.  Keys pack (row
-    subset, column subset) bitmasks into one int.
+    subset, column subset) bitmasks into one int.  Row j is checked by its
+    kernel, straight-line code generated from `_minor_plan(k, j)` (see
+    `_row_kernel`): no loop over the plan at run time, at most 64 minors per
+    generated function, and a source holding only the plan's ints.
 
     `exact`, if given, is consulted for each minor that is not a unit, order
     1 included: `exact(rowmask, colmask)` says whether that minor is truly
@@ -114,16 +184,25 @@ class MinorTracker:
     through `minors` to build the masks.
     """
 
-    __slots__ = ("ring", "k", "nrows", "_dets", "_mul", "_units", "_exact")
+    __slots__ = ("ring", "k", "nrows", "_dets", "_rows")
 
     def __init__(self, ring: QuotientRing, k: int, exact=None):
         self.ring = ring
         self.k = k
         self.nrows = 0
         self._dets: dict[int, int] = {}
-        self._mul = ring.mul_rows()
-        self._units = ring.unit_flags()
-        self._exact = exact
+        units, mul = ring.unit_flags(), ring.mul_rows()
+        bad = _reject if exact is None else exact
+
+        def on_first_call(j: int):
+            def first_call(row, dets):
+                rows[j] = _row_kernel(k, j)(units, mul, bad)
+                return rows[j](row, dets)
+            return first_call
+
+        # a kernel is bound (and compiled) when its row is first written, so
+        # a check that stops at a low row never builds the rows above it
+        rows = self._rows = [on_first_call(j) for j in range(k)]
 
     def clone(self) -> "MinorTracker":
         """A copy with minors of its own; no search needs one."""
@@ -132,40 +211,17 @@ class MinorTracker:
         c.k = self.k
         c.nrows = self.nrows
         c._dets = dict(self._dets)
-        c._mul = self._mul
-        c._units = self._units
-        c._exact = self._exact
+        c._rows = self._rows
         return c
 
     def add_row(self, row, j: int) -> bool:
         """Write row j (0 <= j <= nrows) over the rows below it; whether
         every minor it completes is a unit (or, with exact, not truly
-        zero).  Rows j + 1 and above are dropped."""
-        k = self.k
+        zero).  Rows j + 1 and above are dropped.  One call of row j's
+        generated kernel, which checks the entries first and then the
+        minors in plan order, so the exact hook sees them in that order."""
         self.nrows = j + 1
-        dets = self._dets
-        units = self._units
-        mul = self._mul
-        exact = self._exact
-        for e in row:
-            if not units[e]:
-                if exact is None or any(exact(1 << j, 1 << c)
-                                        for c in range(k) if not units[row[c]]):
-                    return False
-                break
-        entry_keys, minors = _minor_plan(k, j)
-        dets.update(zip(entry_keys, row))
-        for rm, cm, key, items in minors:
-            acc = 0
-            for c, sub in items:
-                e = row[c]
-                if e:
-                    acc ^= mul[e][dets[sub]]
-            if not units[acc]:
-                if exact is None or exact(rm, cm):
-                    return False
-            dets[key] = acc
-        return True
+        return self._rows[j](row, self._dets)
 
     def minors(self) -> dict[int, int]:
         """The stored minors, keyed rowmask << k | colmask; after

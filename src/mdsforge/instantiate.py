@@ -132,9 +132,10 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     depths: dict[int, int] = {-j: 0 for j in range(k)}
     scalars: dict[int, int] = {}
     entries: list[CatalogEntry] = []
+    cap = tree.capacity
 
     def rec(p: int, t_used: int, products: dict):
-        if p > tree.capacity:
+        if p > cap:
             entries.append(CatalogEntry.from_slp(tree.to_slp(ring, scalars)))
             return
         m, n = tree.nodes[p - 1]
@@ -301,9 +302,10 @@ def _subset_hit(tree: ImplTree, tracker: MinorTracker, choices) -> bool:
     out_row = {o: j for j, o in enumerate(tree.outs)}
     scale, unpack = packed_rows(tracker.ring, k)
     vecs: dict[int, int] = {-j: 1 << (tracker.ring.n * j) for j in range(k)}
+    cap = tree.capacity
 
     def rec(p: int) -> bool:
-        if p > tree.capacity:
+        if p > cap:
             return True
         m, n = tree.nodes[p - 1]
         vm, vn = vecs[m], vecs[n]
@@ -371,6 +373,7 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     k = tree.k
     n = ring.n
     out_row = {o: j for j, o in enumerate(tree.outs)}
+    cap = tree.capacity
     mul = ring.mul
     mrows = ring.mul_rows()
     alpha_pow = {e: ring.pow(2, e) for e in range(-max_t, max_t + 1)}
@@ -443,7 +446,7 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
         scal_rec(0, s_used, t_used, 1)
 
     def rec(p: int, s_used: int, t_used: int):
-        if p > tree.capacity:
+        if p > cap:
             det = tracker.full_det()
             finish(s_used, t_used, mul(det, det))
             return

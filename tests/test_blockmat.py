@@ -4,11 +4,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdsforge import blockmat
 from mdsforge.gf2 import NonUnitError, ring
 from mdsforge.blockmat import (
     BlockMatrix,
     MinorTracker,
     OracleTooLargeError,
+    _minor_plan,
     branch_number,
     canonical_form,
     canonical_key,
@@ -162,6 +164,130 @@ def test_rows_written_in_place_match_a_fresh_tracker(case):
         else:
             with pytest.raises(ValueError):
                 tracker.full_det()
+
+
+class _ReferenceTracker:
+    """The interpreted all-minors check that `MinorTracker`'s generated row
+    kernels replace: the same plan walked item by item, the same hook calls."""
+
+    def __init__(self, ring, k, exact=None):
+        self.k = k
+        self.nrows = 0
+        self._dets = {}
+        self._mul = ring.mul_rows()
+        self._units = ring.unit_flags()
+        self._exact = exact
+
+    def add_row(self, row, j):
+        k = self.k
+        self.nrows = j + 1
+        dets = self._dets
+        units = self._units
+        mul = self._mul
+        exact = self._exact
+        for e in row:
+            if not units[e]:
+                if exact is None or any(exact(1 << j, 1 << c)
+                                        for c in range(k) if not units[row[c]]):
+                    return False
+                break
+        entry_keys, minors = _minor_plan(k, j)
+        dets.update(zip(entry_keys, row))
+        for rm, cm, key, items in minors:
+            acc = 0
+            for c, sub in items:
+                e = row[c]
+                if e:
+                    acc ^= mul[e][dets[sub]]
+            if not units[acc]:
+                if exact is None or exact(rm, cm):
+                    return False
+            dets[key] = acc
+        return True
+
+    def minors(self):
+        return self._dets
+
+    def full_det(self):
+        if self.nrows != self.k:
+            raise ValueError("full determinant needs k rows")
+        full = (1 << self.k) - 1
+        return self._dets[full << self.k | full]
+
+
+@pytest.mark.parametrize("k, examples", [(1, 40), (2, 80), (3, 120), (4, 120), (5, 80), (6, 40)])
+def test_row_kernels_match_the_interpreted_reference(k, examples):
+    # a ring with zero divisors, a small field and GF(2^8), with and without
+    # a deterministic exact hook; the writes follow a depth-first search:
+    # mostly one row deeper than the rows accepted so far, else back to a
+    # lower row, never above them
+    @settings(max_examples=examples, deadline=None)
+    @given(st.sampled_from(["x^8+x^2+1", "x^4+x+1", "x^8+x^4+x^3+x+1"]), st.booleans(),
+           st.integers(1, 40), st.randoms(use_true_random=False))
+    def check(modulus, hooked, nwrites, rnd):
+        r = ring(modulus)
+        top = (1 << r.n) - 1
+        calls, ref_calls = [], []
+
+        def hook(log):
+            def exact(rowmask, colmask):
+                log.append((rowmask, colmask))
+                return (rowmask * 5 + colmask) % 3 == 0
+            return exact if hooked else None
+
+        tracker = MinorTracker(r, k, hook(calls))
+        ref = _ReferenceTracker(r, k, hook(ref_calls))
+        accepted = 0
+        for _ in range(nwrites):
+            j = min(accepted if rnd.random() < 0.7 else rnd.randrange(accepted + 1), k - 1)
+            row = tuple(0 if rnd.random() < 0.06 else rnd.randint(1, top) for _ in range(k))
+            ok = tracker.add_row(row, j)
+            assert ok == ref.add_row(row, j)
+            assert calls == ref_calls
+            accepted = j + 1 if ok else j
+            if ok:
+                below = (1 << j + 1) - 1
+
+                def current(t):
+                    return {key: v for key, v in t.minors().items() if not key >> k & ~below}
+
+                assert current(tracker) == current(ref)
+            if ok and j == k - 1:
+                assert tracker.full_det() == ref.full_det()
+            elif j != k - 1:
+                for t in (tracker, ref):
+                    with pytest.raises(ValueError):
+                        t.full_det()
+
+    check()
+
+
+def test_row_kernels_are_built_on_first_write(monkeypatch):
+    # a check that stops at row 0 generates no kernel for the rows above it,
+    # so an input of large k rejected early costs no compile
+    kernels = {}
+    monkeypatch.setattr(blockmat, "_ROW_KERNELS", kernels)
+    r = ring("x^8+x^4+x^3+x+1")
+    assert not is_mds(BlockMatrix(r, [[0] + [1] * 8] + [[1] * 9] * 8))
+    assert list(kernels) == [(9, 0)]
+
+
+def test_row_kernels_run_their_pieces_in_a_loop(monkeypatch):
+    # one minor per piece: row 6 of a 7x7 matrix runs 1,716 pieces, more
+    # than the recursion limit would allow as a chain of calls
+    monkeypatch.setattr(blockmat, "_PIECE", 1)
+    monkeypatch.setattr(blockmat, "_ROW_KERNELS", {})
+    r = ring("x^8+x^4+x^3+x+1")
+    cauchy = [[r.inv(i ^ (7 + j)) for j in range(7)] for i in range(7)]
+    rng = random.Random(3)
+    for last in [cauchy[6]] + [[rng.randrange(256) for _ in range(7)] for _ in range(5)]:
+        rows = cauchy[:6] + [last]
+        tracker, ref = MinorTracker(r, 7), _ReferenceTracker(r, 7)
+        ok = all(tracker.add_row(row, j) for j, row in enumerate(rows))
+        assert ok == all(ref.add_row(row, j) for j, row in enumerate(rows))
+        assert ok == (last is cauchy[6])
+        if ok:
+            assert tracker.full_det() == ref.full_det()
 
 
 def test_packed_rows_match_ring_mul():
