@@ -406,6 +406,18 @@ def parse_ring_header(tokens: list[str], line=None) -> QuotientRing:
         raise FormatError(str(e), line) from None
 
 
+# k of a matrix, square program or tree read from text: an all-minors check
+# covers C(2k, k) - 1 minors, and time and memory grow 3-5 fold per step in k
+MAX_K = 8
+
+
+def check_k(k: int, line: int) -> None:
+    """Raise a FormatError naming file line `line` (the block's header)
+    unless k is at most MAX_K."""
+    if k > MAX_K:
+        raise FormatError(f"k {k} is above the limit {MAX_K} of the all-minors check", line)
+
+
 def block_header(lines: list[tuple[int, str]], start: int, what: str,
                  word: str) -> tuple[QuotientRing, int]:
     """(ring, count) of the `what` block header at lines[start], which reads
@@ -438,6 +450,7 @@ def matrix_from_lines(lines: list[tuple[int, str]], start: int = 0) -> tuple[Blo
     """Parse the matrix block from (file line number, line) pairs; returns
     (matrix, next index)."""
     ring, k = block_header(lines, start, "matrix", "k")
+    check_k(k, lines[start][0])
     if ring.n < 2:  # entries are written in alpha, which needs degree 2
         raise FormatError("a matrix ring needs a modulus of degree >= 2", lines[start][0])
     rows = []

@@ -216,10 +216,11 @@ def cmd_verify(args) -> int:
         print(f"matrix k {m.k}: mds {int(is_mds(m))} involutory {int(is_involutory(m))}")
     elif kind == "slp":
         p = slpmod.slp_from_text(text)
-        entry = CatalogEntry.from_slp(p) if len(p.outputs) == p.k_in else None
-        if entry is None:
+        if len(p.outputs) != p.k_in:
             print(f"slp: cost {slpmod.cost(p)} depth {slpmod.depth(p)} (not square)")
         else:
+            blockmat.check_k(p.k_in, numbered_lines(text)[0][0])
+            entry = CatalogEntry.from_slp(p)
             print(f"slp: cost {entry.cost} depth {entry.depth} mds {int(entry.mds)} "
                   f"involutory {int(entry.involutory)}")
     else:
@@ -242,7 +243,9 @@ def cmd_canon(args) -> int:
     kind = _sniff(text)
     if kind == "slp":
         p = slpmod.slp_from_text(text)
-        slpmod.check_square(p, numbered_lines(text)[0][0])
+        head_no = numbered_lines(text)[0][0]
+        slpmod.check_square(p, head_no)
+        blockmat.check_k(p.k_in, head_no)
         m = slpmod.extract_matrix(p)
     elif kind == "matrix":
         m = blockmat.matrix_from_text(text)

@@ -515,6 +515,7 @@ def catalog_records(text: str):
         slp, end = slpmod.slp_from_lines(block, nxt)
         expect_end(block, end)
         slpmod.check_square(slp, block[nxt][0])
+        blockmat.check_k(slp.k_in, block[nxt][0])
         records.append((fields, matrix, slp, lineno))
     return records
 

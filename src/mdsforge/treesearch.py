@@ -2,13 +2,22 @@
 
 An implementation tree is the parameter-free skeleton of a normal
 straight-line program: nodes (m, n, p) with m < n < p, output marks, and a
-type vector of per-segment node counts.  The search enumerates all normal
+type vector of per-segment node counts.  The search enumerates the normal
 trees of a given capacity type by type, pruning every candidate output row
 with the symbolic MDS pre-check, and dedupes the survivors by a canonical
 encoding minimized over input relabelings and over every normal
 re-serialization (any output order).  That quotient is what makes the
 reported feasible-type sets reproducible: a tree serialized with a fat first
 segment, e.g. type (5,1,1,1), canonicalizes back to its minimal type.
+
+Each class is named by its least type vector over all valid output orders,
+so the generator keeps only type-minimal trees.  When an output completes it
+cuts the tree if some valid order of the completed outputs has a type-vector
+prefix below the tree's own (`_reorder_beats`): orderly generation in Read's
+sense (1978).  Any valid order of the completed outputs extends to a full
+one, every class has a serialization of its least type, and the generator's
+symmetry breaking (input order, operand-pair order inside a segment) never
+changes a type, so no class is lost.
 
 The pre-check is exact and runs on zero-minor masks.  Each term t keeps one
 bitmask Z(t): a bit per minor (R, C) of completed output rows R on |R| + 1
@@ -40,7 +49,7 @@ import itertools
 from dataclasses import dataclass
 
 from .gf2 import FormatError, QuotientRing, numbered_lines, ring as _ring
-from .blockmat import MinorTracker, _minor_plan, packed_rows
+from .blockmat import MinorTracker, _minor_plan, check_k, packed_rows
 from .slp import Slp, Step, ancestor_masks, labelled_terms, output_line
 from .sympoly import EVAL_MODULUS, point
 
@@ -127,8 +136,11 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     Symmetry breaking keeps one representative per orbit of input relabeling
     and Property-2 swaps: node 1 is (x2, x1), inputs first appear in order,
     and adjacent incomparable non-output nodes (neither touching fresh
-    inputs) carry sorted operand pairs.  Completeness is restored by the
-    canonical dedup downstream.
+    inputs) carry sorted operand pairs.  A tree is cut as soon as another
+    order of its completed outputs has a smaller type vector, so every
+    survivor has type_vec as its least type; the canonical dedup downstream
+    merges what is left, input relabelings and trees whose other output
+    orders tie type_vec.
     """
     capacity = sum(type_vec)
     seg_end = list(itertools.accumulate(type_vec))
@@ -197,16 +209,18 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                 if new_depth > max_depth or (not is_out and new_depth >= max_depth):
                     continue
             roots = cur_roots & ~a_mask
+            anc[p] = a_mask
             if is_out:
                 if roots:
                     continue  # some interior node would not precede this output
+                if row and _reorder_beats(type_vec, seg_end[:row + 1], anc):
+                    continue  # the class has a serialization of smaller type
             elif roots.bit_count() + 1 > slots_left + 1:
                 continue  # cannot reconnect all dangling interiors in time
             nodes.append((m, n))
             pvecs[p] = scale(pvecs[m], pa) ^ scale(pvecs[n], pb)
             cov[p] = cov[m] | cov[n]
             depths[p] = new_depth
-            anc[p] = a_mask
             nu = used_inputs
             for j in fresh:
                 nu |= 1 << j
@@ -224,6 +238,31 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
 
     rec(1, {i: 0 for i in inputs}, 0, 0, False)
     return results
+
+
+def _reorder_beats(type_vec, outs: list[int], anc: dict, placed: int = 0) -> bool:
+    """Whether the completed outputs at positions outs have a valid order,
+    after the nodes of the mask placed, whose type vector starts below
+    type_vec.
+
+    As in `canonical_tree`, an output's segment is its ancestors not yet
+    placed.  Only orders that tie type_vec so far are followed.  An order is
+    valid when no segment takes in a waiting output, but that needs no test:
+    a segment that takes in one is larger than the segment of the earliest
+    waiting output among its ancestors, which takes in none.  So where an
+    invalid order would tie or beat type_vec, a valid one beats it at the
+    same place.
+    """
+    s = type_vec[0]
+    for o in outs:
+        seg = anc[o] & ~placed
+        size = seg.bit_count() + 1
+        if size < s:
+            return True
+        if size == s and len(outs) > 1 and _reorder_beats(
+                type_vec[1:], [q for q in outs if q != o], anc, placed | seg | 1 << o):
+            return True
+    return False
 
 
 _MASK_PLANS: dict[tuple[int, int], tuple] = {}
@@ -584,6 +623,7 @@ def tree_from_text(text: str) -> ImplTree:
     except (IndexError, ValueError):
         raise FormatError(f"bad type header {head!r}", head_no) from None
     k = len(type_vec)
+    check_k(k, head_no)
     nodes: list[tuple[int, int]] = []
     outputs: list[tuple[int, int]] = []  # (label, mark)
     for lineno, ln in lines[1:]:

@@ -398,3 +398,52 @@ def test_repeated_values_are_scanned_once(capsys):
     assert run(capsys, *argv, "a^-15..a^15") == (code, out, err)
     once = run(capsys, *argv, "1,a,a^-1")
     assert once[0] == 0 and run(capsys, *argv, "1,a,a^-1,a,1") == once
+
+
+def _square_program(k: int) -> str:
+    return (f"ring x^8+x^2+1 inputs {k}\nt1 = x1 + x2\nout y1 = t1\n"
+            + "".join(f"out y{i} = x{i}\n" for i in range(2, k + 1)))
+
+
+def _identity_matrix(k: int) -> str:
+    return f"ring x^8+x^2+1 k {k}\n" + "".join(
+        ",".join("1" if j == i else "0" for j in range(k)) + "\n" for i in range(k))
+
+
+def _chain_tree(k: int) -> str:
+    outs = "".join(f"T{p} = T{-(p - 1)} + T{p - 1}\nout y{p} = T{p}\n" for p in range(2, k + 1))
+    return f"type ({','.join(['1'] * k)})\nT1 = T-1 + T0\nout y1 = T1\n" + outs
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("big.matrix", "# nine rows\n" + _identity_matrix(9), 2),
+    ("big.slp", "# nine outputs\n" + _square_program(9), 2),
+    ("big.catalog", "cost 1 depth 1 mds 0 involutory 0\n" + _identity_matrix(9)
+     + _square_program(9), 2),
+    ("mixed.catalog", "cost 1 depth 1 mds 0 involutory 0\n" + _identity_matrix(2)
+     + _square_program(9), 5),
+    ("big.tree", "\n" + _chain_tree(9), 2),
+])
+def test_k_above_limit_is_parse_error_on_its_header(tmp_path, capsys, name, text, line):
+    # an all-minors check at k covers C(2k, k) - 1 minors: about 1 s at
+    # k = 8, and each step in k multiplies time and memory by 3-5
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (65, "")
+    assert err == f"parse error: line {line}: k 9 is above the limit 8 of the all-minors check\n"
+    if name.endswith((".matrix", ".slp")):
+        assert run(capsys, "canon", str(path)) == (65, "", err)
+
+
+def test_k_at_limit_and_wide_programs_are_read(tmp_path, capsys):
+    path = tmp_path / "eight.matrix"
+    path.write_text(_identity_matrix(8))
+    assert run(capsys, "verify", str(path))[:2] == (0, "matrix k 8: mds 0 involutory 1\n")
+    # a program with more inputs than outputs builds no matrix, so no limit
+    path = tmp_path / "wide.slp"
+    path.write_text("ring x^8+x^2+1 inputs 13\nt1 = x1 + x13\nout y1 = t1\n")
+    assert run(capsys, "verify", str(path))[:2] == (0, "slp: cost 8 depth 1 (not square)\n")
+    path = tmp_path / "eight.tree"
+    path.write_text(_chain_tree(8))
+    assert run(capsys, "verify", str(path))[0] == 1  # a minor vanishes

@@ -98,6 +98,9 @@ def workdir(tmp_path_factory):
 # a modulus of degree 400 took seconds to set up; above degree 64 it is
 # a parse error
 @example("matrix/cost67_first.matrix", [("token", "replace", 1, "x^400+x^2+1")])
+# k above blockmat.MAX_K is a parse error on the header line, before any row
+# is read: with its rows, a matrix of k 13 ran for minutes in gigabytes
+@example("matrix/cost67_first.matrix", [("token", "replace", 3, "99")])
 def test_mutated_input_ends_in_a_documented_exit_code(workdir, name, mutations):
     text = mutate(INPUTS[name], mutations)
     path = workdir / os.path.basename(name)

@@ -109,7 +109,8 @@ def _reserializations(t: ImplTree) -> list[ImplTree]:
 
 
 def test_canonical_tree_matches_brute_force_on_raw_survivors():
-    raws = [raw for tv in enumerate_types(3, 5) for raw in _generate_type(3, tv, None)]
+    # every normal serialization, not only the type-minimal ones
+    raws = [raw for tv in enumerate_types(3, 5) for raw in reference_generate_type(3, tv, None)]
     assert len(raws) == 148
     # some survivors have two nodes on the same operands, where ties matter
     assert any(len(set(nodes)) < len(nodes) for nodes, _ in raws)
@@ -383,8 +384,24 @@ def reference_generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | 
     (5, 10, None, [(5, 2, 1, 1, 1)]),
 ])
 def test_generate_type_matches_tracker_reference(k, capacity, max_depth, types):
+    # the reference keeps every normal serialization; the generator keeps
+    # those whose own type is the least over all valid output orders
     for tv in types or enumerate_types(k, capacity):
-        assert _generate_type(k, tv, max_depth) == reference_generate_type(k, tv, max_depth)
+        expected = [raw for raw in reference_generate_type(k, tv, max_depth)
+                    if canonical_tree(ImplTree(k, *raw))[0] == tv]
+        assert _generate_type(k, tv, max_depth) == expected
+
+
+@pytest.mark.parametrize("k, capacity, max_depth", [
+    (3, 5, None),
+    (3, 6, None),
+    (4, 8, None),
+    (4, 8, 4),
+])
+def test_raw_survivors_have_their_least_type(k, capacity, max_depth):
+    for tv in enumerate_types(k, capacity):
+        for nodes, outs in _generate_type(k, tv, max_depth):
+            assert canonical_tree(ImplTree(k, nodes, outs))[0] == tv
 
 
 def _at_points(poly) -> int:
@@ -446,10 +463,11 @@ def _partial_trees(draw):
 
 @functools.cache
 def _scaffolds() -> tuple:
-    """Trees whose output rows all pass, one list per k: the raw survivors
-    of the k = 3 capacity-5 search, and the paper's 4x4 and 5x5 trees."""
+    """Trees whose output rows all pass, one list per k: every normal
+    serialization of the k = 3 capacity-5 search, and the paper's 4x4 and
+    5x5 trees."""
     return ([ImplTree(3, nodes, outs) for tv in enumerate_types(3, 5)
-             for nodes, outs in _generate_type(3, tv, None)],
+             for nodes, outs in reference_generate_type(3, tv, None)],
             list(catalogs.simplest_trees_4x4()),
             [catalogs.tree_5x5()])
 
