@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .gf2 import (FormatError, QuotientRing, expect_end, line_after, numbered_lines, poly_text,
-                  ring as _ring)
+from .gf2 import (_TABLE_MAX_N, FormatError, QuotientRing, expect_end, line_after,
+                  numbered_lines, poly_text, ring as _ring)
 
 
 class OracleTooLargeError(ValueError):
@@ -239,12 +239,17 @@ class MinorTracker:
 
 
 def packed_rows(ring: QuotientRing, k: int):
-    """(scale, unpack) for rows of k ring entries packed n bits each into
-    one int, entry c at bits n*c: scale(v, s) multiplies every entry by s,
-    unpack(v) returns the entry tuple."""
-    n = ring.n
-    if n == 8:
-        # one byte per entry: scaling is a byte translation
+    """(scale, unpack, units) for rows of k ring entries packed into one
+    int: scale(v, s) multiplies every entry by s, unpack(v) returns the
+    entry tuple, and units[c], a power of two, is input c's row, so a row
+    packs as sum(e * units[c]).
+
+    This is the one place the layout is spelled out.  On a ring with tables
+    (n <= 8) entry c is byte c and scaling is one byte translation; a wider
+    ring, which computes each product on use anyway, puts entry c at bits
+    n*c and scales entry by entry.
+    """
+    if ring.n <= _TABLE_MAX_N:
         tables = ring.mul_bytes()
 
         def scale(v: int, s: int) -> int:
@@ -253,7 +258,8 @@ def packed_rows(ring: QuotientRing, k: int):
         def unpack(v: int) -> tuple[int, ...]:
             return tuple(v.to_bytes(k, "little"))
 
-        return scale, unpack
+        return scale, unpack, [1 << (8 * c) for c in range(k)]
+    n = ring.n
     mask = (1 << n) - 1
     shifts = [n * c for c in range(k)]
     mul = ring.mul_rows()
@@ -268,7 +274,7 @@ def packed_rows(ring: QuotientRing, k: int):
     def unpack(v: int) -> tuple[int, ...]:
         return tuple([(v >> sh) & mask for sh in shifts])
 
-    return scale, unpack
+    return scale, unpack, [1 << sh for sh in shifts]
 
 
 def is_mds(m: BlockMatrix) -> bool:

@@ -380,10 +380,11 @@ class QuotientRing:
         return self._mul_table
 
     def mul_bytes(self) -> list[bytes]:
-        """mul_rows() as one bytes object per element, for bytes.translate
-        (n == 8 only)."""
+        """mul_rows() as one 256-byte table per element, for bytes.translate
+        (n <= 8); the bytes past 2^n are 0 and never read."""
         if self._mul_bytes is None:
-            self._mul_bytes = [bytes(row) for row in self.mul_rows()]
+            pad = bytes(256 - (1 << self.n))
+            self._mul_bytes = [bytes(row) + pad for row in self.mul_rows()]
         return self._mul_bytes
 
     def unit_flags(self):

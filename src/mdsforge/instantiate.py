@@ -10,7 +10,8 @@ format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from functools import partial
+from itertools import combinations, count, permutations
 
 from .gf2 import FormatError, QuotientRing, expect_end
 from . import blockmat
@@ -108,10 +109,11 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
 
     Values are drawn per position from value_set (default 1, a^±1, a^±2,
     a^±3; a repeated value only at its first place); the running cost n*s + t
-    prunes branches, t charging each distinct (scalar, operand term) product
-    once; completed output rows prune through the all-minors-are-units
-    tracker.  A tree whose skeleton is deeper than
-    depth_bound has no assignment.  Deterministic order.
+    prunes branches.  t charges each distinct (scalar, operand term) product
+    once: a value is charged at a position unless an earlier position scales
+    the same operand term by it, and 1 costs nothing.  Completed output rows
+    prune through the all-minors-are-units tracker.  A tree whose skeleton
+    is deeper than depth_bound has no assignment.  Deterministic order.
     """
     if value_set is None:
         value_set = default_value_set(ring)
@@ -123,38 +125,36 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     k = tree.k
     out_row = {o: j for j, o in enumerate(tree.outs)}
     val_cost = {v: ring.scalar_xor_count(v) for v in value_set}
+    # per scalar position, the earlier positions that scale the same operand term
+    terms = [t for node in tree.nodes for t in node]
+    same_term = [[q for q in range(i) if terms[q] == t] for i, t in enumerate(terms)]
 
     tracker = MinorTracker(ring, k)
-    scale, unpack = packed_rows(ring, k)
+    scale, unpack, units = packed_rows(ring, k)
     # per-position state, written at its depth: entries past the current
     # position are stale, and each is written again before it is read
-    vecs: dict[int, int] = {-j: 1 << (ring.n * j) for j in range(k)}
+    vecs: dict[int, int] = {-j: u for j, u in enumerate(units)}
     depths: dict[int, int] = {-j: 0 for j in range(k)}
     scalars: dict[int, int] = {}
     entries: list[CatalogEntry] = []
     cap = tree.capacity
 
-    def rec(p: int, t_used: int, products: dict):
+    def rec(p: int, t_used: int):
         if p > cap:
             entries.append(CatalogEntry.from_slp(tree.to_slp(ring, scalars)))
             return
         m, n = tree.nodes[p - 1]
         vm, vn = vecs[m], vecs[n]
         j = out_row.get(p)
+        held_a = {scalars[q] for q in same_term[2 * p - 2]}
+        held_b = {scalars[q] for q in same_term[2 * p - 1]}
         for a in value_set:
-            ca = 0
-            ka = (m, a)
-            if a != 1 and ka not in products:
-                ca = val_cost[a]
-                if t_used + ca > budget:
-                    continue
+            ta = t_used + (0 if a in held_a else val_cost[a])
+            if ta > budget:
+                continue
             va = vm if a == 1 else scale(vm, a)
             for b in value_set:
-                cb = 0
-                kb = (n, b)
-                if b != 1 and kb not in products:
-                    cb = val_cost[b]
-                t2 = t_used + ca + cb
+                t2 = ta + (0 if b in held_b else val_cost[b])
                 if t2 > budget:
                     continue
                 if depth_bound is not None:
@@ -170,21 +170,9 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                 depths[p] = d
                 scalars[2 * p - 2] = a
                 scalars[2 * p - 1] = b
-                if a != 1:
-                    products[ka] = products.get(ka, 0) + 1
-                if b != 1:
-                    products[kb] = products.get(kb, 0) + 1
-                rec(p + 1, t2, products)
-                if a != 1:
-                    products[ka] -= 1
-                    if not products[ka]:
-                        del products[ka]
-                if b != 1:
-                    products[kb] -= 1
-                    if not products[kb]:
-                        del products[kb]
+                rec(p + 1, t2)
 
-    rec(1, 0, {})
+    rec(1, 0)
     return entries
 
 
@@ -194,49 +182,43 @@ def search_lowest_cost(k: int, ring: QuotientRing,
     """Catalog of lowest-cost MDS classes over the simplest trees, with the
     default value set.
 
-    Capacities are scanned upward; since any MDS assignment needs at least
-    one non-trivial product, capacity c cannot beat a known cost below
-    n*c + 1, which bounds the scan.  With depth_bound set, assignments are
-    bounded by exact depth.  Returns PMQ-class representatives sorted by
-    (cost, depth, canonical encoding).
+    Capacities are scanned upward: the given trees grouped by capacity, or
+    else those `search_at_capacity` finds from `min_capacity` on.  Since any
+    MDS assignment needs at least one non-trivial product, capacity c cannot
+    beat a known cost below n*c + 1, which ends the scan.  Within a capacity
+    the scalar budget deepens one XOR at a time up to the first with
+    entries.  With depth_bound set, assignments are bounded by exact depth.
+    Returns PMQ-class representatives sorted by (cost, depth, canonical
+    encoding).
     """
     value_set = default_value_set(ring)
     max_val_cost = max(ring.scalar_xor_count(v) for v in value_set)
+    if trees is None:
+        caps = count(min_capacity(k))
+        trees_at = partial(search_at_capacity, k, max_depth=depth_bound)
+    else:
+        group: dict[int, list[ImplTree]] = {}
+        for t in trees:
+            group.setdefault(t.capacity, []).append(t)
+        caps, trees_at = sorted(group), group.get
     best: list[CatalogEntry] = []
     best_cost: int | None = None
-
-    def scan_capacity(cap_trees: list[ImplTree]):
-        """Iterative budget deepening: cheapest nonempty scalar budget wins."""
-        nonlocal best, best_cost
-        group: dict[int, list[ImplTree]] = {}
-        for t in cap_trees:
-            group.setdefault(t.capacity, []).append(t)
-        for cap in sorted(group):
-            base = ring.n * cap
-            if best_cost is not None and base + 1 > best_cost:
-                continue
-            limit = (best_cost - base) if best_cost is not None else 2 * cap * max_val_cost
-            for t_budget in range(1, limit + 1):
-                found = []
-                for t in group[cap]:
-                    found.extend(assign_parameters(t, ring, base + t_budget,
-                                                   value_set, depth_bound))
-                if found:
-                    for e in found:
-                        if best_cost is None or e.cost < best_cost:
-                            best, best_cost = [e], e.cost
-                        elif e.cost == best_cost:
-                            best.append(e)
-                    break
-
-    if trees is not None:
-        scan_capacity(list(trees))
-    else:
-        cap = min_capacity(k)
-        while best_cost is None or ring.n * cap + 1 <= best_cost:
-            scan_capacity(search_at_capacity(k, cap, max_depth=depth_bound))
-            cap += 1
-
+    for cap in caps:
+        base = ring.n * cap
+        if best_cost is not None and base + 1 > best_cost:
+            break
+        cap_trees = trees_at(cap)
+        limit = best_cost - base if best_cost is not None else 2 * cap * max_val_cost
+        for t_budget in range(1, limit + 1):
+            found = [e for t in cap_trees
+                     for e in assign_parameters(t, ring, base + t_budget, value_set, depth_bound)]
+            if found:
+                for e in found:
+                    if best_cost is None or e.cost < best_cost:
+                        best, best_cost = [e], e.cost
+                    elif e.cost == best_cost:
+                        best.append(e)
+                break
     return pmq_classes(best)
 
 
@@ -300,8 +282,8 @@ def _subset_hit(tree: ImplTree, tracker: MinorTracker, choices) -> bool:
     first complete assignment."""
     k = tree.k
     out_row = {o: j for j, o in enumerate(tree.outs)}
-    scale, unpack = packed_rows(tracker.ring, k)
-    vecs: dict[int, int] = {-j: 1 << (tracker.ring.n * j) for j in range(k)}
+    scale, unpack, units = packed_rows(tracker.ring, k)
+    vecs: dict[int, int] = {-j: u for j, u in enumerate(units)}
     cap = tree.capacity
 
     def rec(p: int) -> bool:
@@ -371,19 +353,17 @@ def _fixable_squares(ring: QuotientRing, max_t: int) -> list[frozenset]:
 def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                          max_s: int, max_t: int) -> list[InvolutoryHit]:
     k = tree.k
-    n = ring.n
     out_row = {o: j for j, o in enumerate(tree.outs)}
     cap = tree.capacity
     mul = ring.mul
     mrows = ring.mul_rows()
     alpha_pow = {e: ring.pow(2, e) for e in range(-max_t, max_t + 1)}
-    scale, unpack = packed_rows(ring, k)
+    scale, unpack, units = packed_rows(ring, k)
     tracker = MinorTracker(ring, k)
     # per-position state, written at its depth (entries past the current
-    # one are stale): coefficient vectors packed into one int, n bits per
-    # input coordinate, and the exponents (0: the identity) of each edge
-    # position and each row scalar
-    vecs: dict[int, int] = {-j: 1 << (n * j) for j in range(k)}
+    # one are stale): packed coefficient rows, and the exponents (0: the
+    # identity) of each edge position and each row scalar
+    vecs: dict[int, int] = {-j: u for j, u in enumerate(units)}
     exps = [0] * tree.scalar_positions()
     fs = [0] * k
     hits: list[InvolutoryHit] = []
@@ -450,8 +430,8 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
             det = tracker.full_det()
             finish(s_used, t_used, mul(det, det))
             return
-        m, n_op = tree.nodes[p - 1]
-        vm, vn = vecs[m], vecs[n_op]
+        m, n = tree.nodes[p - 1]
+        vm, vn = vecs[m], vecs[n]
         j = out_row.get(p)
         for ea in opts[max_t - t_used if s_used < max_s else 0]:
             sa, ta = s_used + (ea != 0), t_used + abs(ea)

@@ -91,9 +91,9 @@ def extract_matrix(p: Slp) -> BlockMatrix:
     """The matrix whose row i is the expansion of y_i over the inputs."""
     check_square(p)
     k = p.k_in
-    scale, unpack = packed_rows(p.ring, k)
+    scale, unpack, units = packed_rows(p.ring, k)
     # coefficient row of every term over the inputs, by forward accumulation
-    vec = {-j: 1 << (p.ring.n * j) for j in range(k)}
+    vec = {-j: u for j, u in enumerate(units)}
     for t, st in enumerate(p.steps, start=1):
         vm, vn = vec[st.m], vec[st.n]
         vec[t] = (vm if st.a == 1 else scale(vm, st.a)) ^ (vn if st.b == 1 else scale(vn, st.b))

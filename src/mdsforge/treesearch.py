@@ -161,11 +161,11 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     # tracker row i, written in place, is the output at seg_end[i]; the masks
     # prove each of its minors nonzero, so it only keeps them for _accept_masks
     tracker = MinorTracker(_ring(EVAL_MODULUS), k, lambda rowmask, colmask: False)
-    scale, unpack = packed_rows(tracker.ring, k)
+    scale, unpack, units = packed_rows(tracker.ring, k)
     # per-term state, keyed by term: the entries of nodes past the current
     # one are stale, and each is written again before it is next read.
     # pvecs: each term's vector evaluated at sympoly.point, packed into one int
-    pvecs: dict[int, int] = {i: 1 << (tracker.ring.n * -i) for i in inputs}
+    pvecs: dict[int, int] = {i: units[-i] for i in inputs}
     full_cov = (1 << k) - 1
     cov: dict[int, int] = {i: 1 << -i for i in inputs}
     depths: dict[int, int] = {i: 0 for i in inputs}
@@ -247,11 +247,12 @@ def _reorder_beats(type_vec, outs: list[int], anc: dict, placed: int = 0) -> boo
 
     As in `canonical_tree`, an output's segment is its ancestors not yet
     placed.  Only orders that tie type_vec so far are followed.  An order is
-    valid when no segment takes in a waiting output, but that needs no test:
-    a segment that takes in one is larger than the segment of the earliest
-    waiting output among its ancestors, which takes in none.  So where an
-    invalid order would tie or beat type_vec, a valid one beats it at the
-    same place.
+    valid when no segment takes in a waiting output, but that needs no test,
+    here or in `canonical_tree`: a segment that takes in one is larger than
+    the segment of the earliest waiting output among its ancestors, which
+    takes in none.  So where an invalid order would tie or beat type_vec, a
+    valid one beats it at the same place, and every order of least type
+    vector is valid.
     """
     s = type_vec[0]
     for o in outs:
@@ -439,17 +440,15 @@ def canonical_tree(t: ImplTree) -> tuple:
     A serialization follows an output order.  Each output's segment is its
     not yet placed ancestors, placed one by one (next is the node whose
     sorted pair of operand labels is least), then the output itself.  An
-    order whose segment would take in another output is not normal.  The
-    type vector and the segments depend on the output order alone, so only
-    the orders of least type vector are serialized, and each candidate is
-    abandoned at its first token above the best found so far.
+    order whose segment would take in another output is not normal, but it
+    never has the least type vector (see `_reorder_beats`).  The type vector
+    and the segments depend on the output order alone, so only the orders
+    of least type vector are serialized, and each candidate is abandoned at
+    its first token above the best found so far.
     """
     k = t.k
     nodes = t.nodes
     anc = ancestor_masks(nodes)
-    out_mask = 0
-    for o in t.outs:
-        out_mask |= 1 << o
     best_tv = None
     plans: list[list[list[int]]] = []
     for order in itertools.permutations(t.outs):
@@ -458,17 +457,14 @@ def canonical_tree(t: ImplTree) -> tuple:
         plan = []
         for o in order:
             seg = anc[o] & ~placed
-            if seg & out_mask:
-                break  # an unplaced output would be swallowed by this segment
             tv.append(seg.bit_count() + 1)
             placed |= seg | (1 << o)
             plan.append((seg, o))
-        else:
-            tv = tuple(tv)
-            if best_tv is None or tv < best_tv:
-                best_tv, plans = tv, []
-            if tv == best_tv:
-                plans.append([_segment(seg, o) for seg, o in plan])
+        tv = tuple(tv)
+        if best_tv is None or tv < best_tv:
+            best_tv, plans = tv, []
+        if tv == best_tv:
+            plans.append([_segment(seg, o) for seg, o in plan])
     c = len(nodes)
     best = None
     for sigma in itertools.permutations(range(k)):

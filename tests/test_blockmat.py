@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdsforge import blockmat
 from mdsforge.gf2 import NonUnitError, ring
@@ -143,9 +143,16 @@ def test_rows_written_in_place_match_a_fresh_tracker():
     # tracker: after each write it must agree with a fresh tracker fed the
     # rows of the current path
     accepted = Counter()  # accepted writes per (k, j)
+    # an MDS 4x4 and its leading 3x3 block, every minor of which is one of
+    # the 4x4's: all rows are accepted, then the last two are written again
+    mds = catalogs.load_catalog("cost67_4x4")[0].matrix
+    rows4 = list(mds.rows)
+    rows3 = [row[:3] for row in rows4[:3]]
 
     @settings(max_examples=300, deadline=None)
     @given(_tracker_writes())
+    @example(("x^8+x^2+1", 4, False, list(enumerate(rows4)) + [(2, rows4[2]), (3, rows4[3])]))
+    @example(("x^8+x^2+1", 3, False, list(enumerate(rows3)) + [(1, rows3[1]), (2, rows3[2])]))
     def check(case):
         modulus, k, hooked, writes = case
         r = ring(modulus)
@@ -301,13 +308,17 @@ def test_row_kernels_run_their_pieces_in_a_loop(monkeypatch):
 
 
 def test_packed_rows_match_ring_mul():
+    # every width of a ring with tables, 1 to 8 bits an entry; the shift
+    # path of wider rings is checked in test_gf2
     rng = random.Random(7)
-    for modulus in ("x^4+x+1", "x^8+x^2+1"):
+    for modulus in ("x+1", "x^3+x+1", "x^4+x+1", "x^8+x^2+1"):
         r = ring(modulus)
-        scale, unpack = packed_rows(r, 4)
+        scale, unpack, units = packed_rows(r, 4)
+        assert len(set(units)) == 4
+        assert all(u > 0 and u & (u - 1) == 0 for u in units)
         for _ in range(50):
             row = tuple(rng.randrange(1 << r.n) for _ in range(4))
-            packed = sum(e << (r.n * c) for c, e in enumerate(row))
+            packed = sum(e * u for e, u in zip(row, units))
             s = rng.randrange(1 << r.n)
             assert unpack(packed) == row
             assert unpack(scale(packed, s)) == tuple(r.mul(s, e) for e in row)
@@ -355,10 +366,10 @@ def test_permute_and_scale():
     r = ring("x^8+x^2+1")
     entry = catalogs.load_catalog("cost67_4x4")[0]
     m = entry.matrix
-    scale, unpack = packed_rows(r, 4)
+    scale, unpack, units = packed_rows(r, 4)
 
     def permute_and_scale(perm, scalars):
-        packed = [sum(e << (8 * c) for c, e in enumerate(row)) for row in m.rows]
+        packed = [sum(e * u for e, u in zip(row, units)) for row in m.rows]
         return BlockMatrix(r, tuple(unpack(scale(packed[p], s)) for p, s in zip(perm, scalars)))
 
     assert permute_and_scale((0, 1, 2, 3), (1, 1, 1, 1)) == m

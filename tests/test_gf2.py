@@ -223,10 +223,10 @@ def test_wide_ring_computes_products_and_units_on_use(modulus):
     flags = r.unit_flags()
     for a in range(512):
         assert flags[a] == r.is_unit(a) == (a != 0 and poly_gcd(a, p) == 1)
-    scale, unpack = packed_rows(r, 3)
+    scale, unpack, units = packed_rows(r, 3)
     for _ in range(50):
         row = tuple(rng.randrange(512) for _ in range(3))
-        packed = sum(e << (9 * c) for c, e in enumerate(row))
+        packed = sum(e * u for e, u in zip(row, units))
         s = rng.randrange(512)
         assert unpack(packed) == row
         assert unpack(scale(packed, s)) == tuple(poly_mod(poly_mul(s, e), p) for e in row)

@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -44,6 +44,35 @@ def test_assign_parameters_first_tree(trees8, r8):
 
 def test_assign_parameters_respects_bound(trees8, r8):
     assert assign_parameters(trees8[0], r8, cost_bound=66) == []
+
+
+@pytest.mark.parametrize("modulus", ["x^4+x+1", "x^8+x^2+1"])
+@pytest.mark.parametrize("tree, extra, depth", [
+    # (tree, scalar XORs over n*s allowed, depth bound): each tree has
+    # terms that two nodes scale
+    (ImplTree(2, ((-1, 0), (-1, 1)), (1, 2)), 2, 3),
+    (ImplTree(2, ((-1, 0), (-1, 1), (0, 2)), (1, 3)), 3, 4),
+    (ImplTree(3, ((-2, -1), (0, 1), (-2, 0), (-1, 3), (1, 4)), (2, 4, 5)), 3, 4),
+])
+def test_assign_parameters_matches_brute_force(modulus, tree, extra, depth):
+    # every assignment, in the walk's order: a product (scalar, operand
+    # term) is charged once however many nodes form it
+    r = ring(modulus)
+    a = 2
+    values = [1, a, r.inv(a), a] if tree.k == 2 else [1, a, a]
+    bound = r.n * tree.capacity + extra
+    reused = False
+    for depth_bound in (None, depth):
+        expected = []
+        for assignment in product(dict.fromkeys(values), repeat=tree.scalar_positions()):
+            e = CatalogEntry.from_slp(tree.to_slp(r, dict(enumerate(assignment))))
+            if e.mds and e.cost <= bound and (depth_bound is None or e.depth <= depth_bound):
+                expected.append(e)
+                # charged for every non-identity scalar, this one is over the bound
+                reused |= r.n * tree.capacity + sum(map(r.scalar_xor_count, assignment)) > bound
+        assert expected
+        assert assign_parameters(tree, r, bound, values, depth_bound) == expected
+    assert reused
 
 
 def test_conjugation_preserves_cost_changes_class():

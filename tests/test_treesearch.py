@@ -284,9 +284,9 @@ def reference_generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | 
         return no_disjoint_paths(nodes, sinks, colmask)
 
     root = MinorTracker(_ring(EVAL_MODULUS), k, exact)
-    scale, unpack = packed_rows(root.ring, k)
+    scale, unpack, units = packed_rows(root.ring, k)
     # each term's vector evaluated at sympoly.point, packed into one int
-    pvecs: dict[int, int] = {i: 1 << (root.ring.n * -i) for i in inputs}
+    pvecs: dict[int, int] = {i: units[-i] for i in inputs}
     full_cov = (1 << k) - 1
     cov: dict[int, int] = {i: 1 << -i for i in inputs}
     depths: dict[int, int] = {i: 0 for i in inputs}
@@ -402,6 +402,42 @@ def test_raw_survivors_have_their_least_type(k, capacity, max_depth):
     for tv in enumerate_types(k, capacity):
         for nodes, outs in _generate_type(k, tv, max_depth):
             assert canonical_tree(ImplTree(k, nodes, outs))[0] == tv
+
+
+@st.composite
+def _marked_trees(draw):
+    """Trees of random nodes (m, n), m < n < p, over 2 to 5 inputs, with
+    k random output marks."""
+    k = draw(st.integers(2, 5))
+    capacity = draw(st.integers(k, 3 * k))
+    nodes = []
+    for p in range(1, capacity + 1):
+        m = draw(st.integers(-(k - 1), p - 2))
+        nodes.append((m, draw(st.integers(m + 1, p - 1))))
+    outs = sorted(draw(st.sets(st.integers(1, capacity), min_size=k, max_size=k)))
+    return ImplTree(k, tuple(nodes), tuple(outs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_marked_trees())
+def test_least_type_orders_are_valid(t):
+    # canonical_tree and _reorder_beats test no output order for validity (no
+    # segment takes in a waiting output): the least type vector over all
+    # orders is the least over valid ones, and only valid orders reach it
+    anc = ancestor_masks(t.nodes)
+    out_mask = sum(1 << o for o in t.outs)
+    types = []
+    for order in itertools.permutations(t.outs):
+        placed, tv, valid = 0, [], True
+        for o in order:
+            seg = anc[o] & ~placed
+            valid = valid and not seg & out_mask
+            tv.append(seg.bit_count() + 1)
+            placed |= seg | 1 << o
+        types.append((tuple(tv), valid))
+    least = min(tv for tv, _ in types)
+    assert least == min(tv for tv, valid in types if valid)
+    assert all(valid for tv, valid in types if tv == least)
 
 
 def _at_points(poly) -> int:
