@@ -271,9 +271,10 @@ class QuotientRing:
     """The commutative ring F2[x]/(p(x)), p with constant term 1.
 
     Elements are residues (ints of degree < n).  `rep` optionally replaces the
-    companion matrix as the image of x inside GL(n, 2); the ring structure is
-    identical, but multiplication matrices (hence XOR counts of scalars)
-    depend on the representation.
+    companion matrix as the image of x inside GL(n, 2), and must have the
+    modulus as its minimal polynomial; the ring structure is identical, but
+    multiplication matrices (hence XOR counts of scalars) depend on the
+    representation.
 
     `scalar_cost_model` selects how scalar multiplications are priced:
     "rowweight" (default) is the naive row-weight XOR count of the
@@ -294,18 +295,25 @@ class QuotientRing:
         self.n = n
         if rep is None:
             rep = companion(modulus)
-        else:
-            if rep.nrows != n or rep.cols != n:
-                raise ValueError("representation matrix has wrong size")
-            if _min_poly(rep) != modulus:
-                raise ValueError("representation matrix does not satisfy the modulus")
+        elif rep.nrows != n or rep.cols != n:
+            raise ValueError("representation matrix has wrong size")
+        # I, rep, .., rep^n.  The modulus is rep's minimal polynomial iff it
+        # annihilates rep and no polynomial of lower degree does, that is,
+        # iff I, rep, .., rep^(n-1) are independent
+        self._pow_mats = [BitMatrix.identity(n)]
+        for _ in range(n):
+            self._pow_mats.append(self._pow_mats[-1] * rep)
+        flat = [sum(r << i * n for i, r in enumerate(pm.rows)) for pm in self._pow_mats]
+        image = 0
+        for i, v in enumerate(flat):
+            if modulus >> i & 1:
+                image ^= v
+        if image or rank(BitMatrix(tuple(flat[:n]), n * n)) < n:
+            raise ValueError("representation matrix does not satisfy the modulus")
         self.rep = rep
         if scalar_cost_model not in ("rowweight", "chained"):
             raise ValueError(f"unknown scalar cost model {scalar_cost_model!r}")
         self.scalar_cost_model = scalar_cost_model
-        self._pow_mats = [BitMatrix.identity(n)]
-        for _ in range(1, n):
-            self._pow_mats.append(self._pow_mats[-1] * rep)
         self._mul_table: list[list[int]] | _Computed | None = None
         self._mul_bytes: list[bytes] | None = None
         self._unit_flags: list[bool] | _Computed | None = None
@@ -494,28 +502,6 @@ class QuotientRing:
                 continue
             raise FormatError(f"bad element monomial {term!r}")
         return acc
-
-
-def _min_poly(m: BitMatrix) -> int:
-    """Minimal polynomial of a square GF(2) matrix (by linear dependence of powers)."""
-    n = m.nrows
-    powers = [BitMatrix.identity(n)]
-    for _ in range(n):
-        powers.append(powers[-1] * m)
-    # Find least d with I, m, ..., m^d linearly dependent; solve for coefficients.
-    flat = [sum(p.rows[i] << (i * n) for i in range(n)) for p in powers]
-    basis: list[tuple[int, int]] = []  # (reduced vector, combination bitmask)
-    for d, v in enumerate(flat):
-        comb = 1 << d
-        for bv, bc in basis:
-            if poly_deg(v ^ bv) < poly_deg(v):
-                v ^= bv
-                comb ^= bc
-        if v == 0:
-            return comb
-        basis.append((v, comb))
-        basis.sort(key=lambda t: -t[0])
-    raise AssertionError("minimal polynomial search failed")
 
 
 _RINGS: dict[tuple, QuotientRing] = {}

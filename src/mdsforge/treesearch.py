@@ -22,11 +22,12 @@ changes a type, so no class is lost.
 The pre-check is exact and runs on zero-minor masks.  Each term t keeps one
 bitmask Z(t): a bit per minor (R, C) of completed output rows R on |R| + 1
 columns C, set iff that minor, with t added as a row, vanishes identically.
-Every edge of a search tree carries its own parameter and a determinant is
-linear in each row, so for a node q = (m, n) that no row of R reads,
-L(q) = a*L(m) + b*L(n) vanishes iff L(m) and L(n) do.  A new node gets
-Z(m) & Z(n), and a candidate output is accepted iff it reaches every input
-and Z(m) & Z(n) == 0: one AND, with no determinant and no path search.
+Its k lowest bits are the minors with R empty, t's own entries: bit c is
+set iff t misses input -c.  Every edge of a search tree carries its own
+parameter and a determinant is linear in each row, so for a node q = (m, n)
+that no row of R reads, L(q) = a*L(m) + b*L(n) vanishes iff L(m) and L(n)
+do.  A new node gets Z(m) & Z(n), and a candidate output is accepted iff
+Z(m) & Z(n) == 0: one AND, with no determinant and no path search.
 Accepting an output adds the bits of its minors to every term
 (`_accept_masks`).  A term that feeds a row is expanded over GF(2^8), at one
 point per parameter (`sympoly.point`), against the accepted rows' minors,
@@ -141,6 +142,10 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     survivor has type_vec as its least type; the canonical dedup downstream
     merges what is left, input relabelings and trees whose other output
     orders tie type_vec.
+
+    A candidate output row (m, n) passes iff zs[m] & zs[n] == 0: none of
+    its entries (the k low bits) and none of its minors with the accepted
+    rows vanish.  An accepted row gets the mask 0.
     """
     capacity = sum(type_vec)
     seg_end = list(itertools.accumulate(type_vec))
@@ -166,8 +171,6 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     # one are stale, and each is written again before it is next read.
     # pvecs: each term's vector evaluated at sympoly.point, packed into one int
     pvecs: dict[int, int] = {i: units[-i] for i in inputs}
-    full_cov = (1 << k) - 1
-    cov: dict[int, int] = {i: 1 << -i for i in inputs}
     depths: dict[int, int] = {i: 0 for i in inputs}
     anc: dict[int, int] = {}
     results: list[tuple[tuple, tuple]] = []
@@ -183,8 +186,8 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
         is_out = row is not None
         slots_left = slots[p]
         cand = pairs[p]
-        if is_out:  # one AND per pair: the row must reach every input, and no minor vanish
-            cand = [(m, n) for m, n in cand if cov[m] | cov[n] == full_cov and not zs[m] & zs[n]]
+        if is_out:  # one AND per pair: no entry and no minor of the row may vanish
+            cand = [(m, n) for m, n in cand if not zs[m] & zs[n]]
         # operand-pair ordering between adjacent incomparable non-output
         # nodes of one segment, unless either node touches fresh inputs
         orderable = p > 1 and out_row[p - 1] is None and not is_out and not prev_fresh
@@ -219,7 +222,6 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                 continue  # cannot reconnect all dangling interiors in time
             nodes.append((m, n))
             pvecs[p] = scale(pvecs[m], pa) ^ scale(pvecs[n], pb)
-            cov[p] = cov[m] | cov[n]
             depths[p] = new_depth
             nu = used_inputs
             for j in fresh:
@@ -228,7 +230,7 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                 tracker.add_row(unpack(pvecs[p]), row)
                 zs[p] = 0
                 rec(p + 1,
-                    _accept_masks(k, nodes, seg_end[:row + 1], zs, cov,
+                    _accept_masks(k, nodes, seg_end[:row + 1], zs, anc,
                                   lambda t: unpack(pvecs[t]), tracker.minors()),
                     nu, 0, bool(fresh))
             else:
@@ -236,7 +238,7 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                 rec(p + 1, zs, nu, 0 if is_out else (roots | (1 << p)), bool(fresh))
             nodes.pop()
 
-    rec(1, {i: 0 for i in inputs}, 0, 0, False)
+    rec(1, {i: ((1 << k) - 1) ^ 1 << -i for i in inputs}, 0, 0, False)  # -c misses all but c
     return results
 
 
@@ -273,41 +275,43 @@ def _mask_plan(k: int, j: int) -> tuple:
     """Bit layout of the zero masks for the minors that accepting row j adds.
 
     A mask bit stands for a minor (R, C): R a set of accepted rows and C a
-    set of |R| + 1 columns.  Accepting row j adds the minors with max(R) = j.
-    A term's row added as row j + 1 expands such a minor along itself, so
+    set of |R| + 1 columns.  Bits 0..k-1 are the minors with R empty, a
+    term's entries (bit c: column c); the minors that accepting row j adds,
+    those with max(R) = j, follow from bit k on, in the order of j.  A
+    term's row added as row j + 1 expands such a minor along itself, so
     they are the minors of `blockmat._minor_plan(k, j + 1)` whose other rows
     include j, with its cofactor keys.  Returns (minors, zero_bits,
     row_bits, free_bits): minors lists (bit, rowmask of R, colmask of C,
     [(c, key of the minor R on C - c), ...]); zero_bits[x] are the bits
-    with C disjoint from the column mask x, row_bits[i] those with i in R
-    and free_bits[d] those with R disjoint from the row mask d.
+    with C inside the column mask x, row_bits[i] those with i in R and
+    free_bits[d] those with R disjoint from the row mask d.
     """
     plan = _MASK_PLANS.get((k, j))
     if plan is None:
-        bit = 1 << sum(len(_mask_plan(k, i)[0]) for i in range(j))
+        bit = 1 << k + sum(len(_mask_plan(k, i)[0]) for i in range(j))
         minors = []
         for rm, cm, _, items in _minor_plan(k, j + 1)[1]:
             rm ^= 1 << j + 1
             if rm >> j & 1:
                 minors.append((bit, rm, cm, items))
                 bit <<= 1
-        zero_bits = [sum(b for b, _, cm, _ in minors if not cm & x) for x in range(1 << k)]
+        zero_bits = [sum(b for b, _, cm, _ in minors if cm & x == cm) for x in range(1 << k)]
         row_bits = [sum(b for b, rm, _, _ in minors if rm >> i & 1) for i in range(j + 1)]
         free_bits = [sum(b for b, rm, _, _ in minors if not rm & d) for d in range(1 << j + 1)]
         plan = _MASK_PLANS[(k, j)] = (minors, zero_bits, row_bits, free_bits)
     return plan
 
 
-def _accept_masks(k: int, nodes, rows, zs: dict, cov: dict, val, minors: dict) -> dict:
+def _accept_masks(k: int, nodes, rows, zs: dict, anc: dict, val, minors: dict) -> dict:
     """The zero masks zs of every term, with the bits of the minors that the
-    new row adds.
+    new row adds; a term's entry bits (its k low bits) stay as they are.
 
     rows are the positions of the accepted outputs, the new one last;
-    cov[t] is the input coverage of term t (bit c for input -c), val(t)
-    gives term t's entries at `sympoly.point` and minors those of the
-    accepted rows (`MinorTracker.minors`).  A bit of term t is set by the
-    first rule that applies:
-    - t reaches no column of C: its row is zero there (for an input -c,
+    anc[o] is the mask of the nodes that node o reads (`_generate_type`'s
+    ancestor masks), val(t) gives term t's entries at `sympoly.point` and
+    minors those of the accepted rows (`MinorTracker.minors`).  A bit of
+    term t is set by the first rule that applies:
+    - t misses every column of C: its row is zero there (for an input -c,
       that is c not in C; with c in C its minor is one of R's, nonzero);
     - t reads no row of R: the node t = (m, n) is linear in its own two
       parameters, so L(t) = a*L(m) + b*L(n) vanishes iff both do;
@@ -319,29 +323,28 @@ def _accept_masks(k: int, nodes, rows, zs: dict, cov: dict, val, minors: dict) -
     j = len(rows) - 1
     plan, zero_bits, row_bits, free_bits = _mask_plan(k, j)
     mul = _ring(EVAL_MODULUS).mul_rows()
+    full = (1 << k) - 1
     end = rows[-1]
-    reads = dict.fromkeys(range(-(k - 1), end + 1), 0)  # the rows each term reaches
-    for i, o in enumerate(rows):
-        reads[o] |= 1 << i
-    for q in range(end, 0, -1):
-        m, n = nodes[q - 1]
-        reads[m] |= reads[q]
-        reads[n] |= reads[q]
+    feeds = [anc[o] | 1 << o for o in rows]  # the nodes each row reads, itself included
+    miss = {t: zs[t] & full for t in range(-(k - 1), end + 1)}  # the inputs each term misses
     out = {}
     for t in range(-(k - 1), end + 1):
         if t <= 0:
-            out[t] = zs[t] | zero_bits[cov[t]]
+            out[t] = zs[t] | zero_bits[miss[t]]
             continue
-        d = reads[t]
+        d = 0  # the rows that read t
+        for i, f in enumerate(feeds):
+            if f >> t & 1:
+                d |= 1 << i
         m, n = nodes[t - 1]
         bits = out[m] & out[n] & free_bits[d]
         if d:
-            bits |= zero_bits[cov[t]]
-            cut = dict(cov)  # coverage with t taken out
-            cut[t] = 0
+            bits |= zero_bits[miss[t]]
+            cut = dict(miss)  # missed inputs with t taken out
+            cut[t] = full
             for q in range(t + 1, end + 1):
                 a, b = nodes[q - 1]
-                cut[q] = cut[a] | cut[b]
+                cut[q] = cut[a] & cut[b]
             for i, o in enumerate(rows):
                 if d >> i & 1:
                     bits |= row_bits[i] & zero_bits[cut[o]]

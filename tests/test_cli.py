@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -151,6 +152,22 @@ def test_cli_determinism(capsys):
     a = run(capsys, "search-trees", "--k", "3")
     b = run(capsys, "search-trees", "--k", "3", "--threads", "2")
     assert a[1] == b[1]
+
+
+@pytest.mark.parametrize("argv, digest, size", [
+    (("--k", "4"),
+     "d9853711c9f07437f98ef0030bc3a02fc5da0ba96d559ecf92da24cd8179a04e", 1447),
+    (("--k", "3", "--capacity", "5"),
+     "753021e41df41ced31db38a222be716f6925b02713c398aabe43963f1f02a0d9", 3963),
+    (("--k", "3", "--capacity", "6"),
+     "fa7b4ea6d6cf7573d941c422c54eea71af9aed62cc6b5d1660eb3056d1d1100d", 384493),
+])
+def test_search_trees_output_is_pinned(capsys, argv, digest, size):
+    # the tree classes and their text, byte for byte: SHA-256 and length of
+    # the whole stdout, recorded before the zero masks took in the entries
+    code, out, _ = run(capsys, "search-trees", *argv)
+    data = out.encode()
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest)
 
 
 @pytest.mark.parametrize("header", [

@@ -3,6 +3,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdsforge.blockmat import BlockMatrix, is_mds, packed_rows
 from mdsforge.gf2 import (
@@ -167,6 +168,59 @@ def test_custom_representation_and_chained_cost():
         assert r.scalar_xor_count(r.pow(2, e)) == 2 * abs(e)
     with pytest.raises(ValueError):
         QuotientRing(poly_parse("x^8+x^2+1"), rep=rep)  # wrong minimal polynomial
+
+
+def _min_poly(m: BitMatrix) -> int:
+    """Reference: the minimal polynomial of a square GF(2) matrix, the
+    least d with I, m, .., m^d dependent and the combination that vanishes."""
+    n = m.nrows
+    powers = [BitMatrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * m)
+    flat = [sum(p.rows[i] << (i * n) for i in range(n)) for p in powers]
+    basis: list[tuple[int, int]] = []  # (reduced vector, combination bitmask)
+    for d, v in enumerate(flat):
+        comb = 1 << d
+        for bv, bc in basis:
+            if (v ^ bv).bit_length() < v.bit_length():
+                v ^= bv
+                comb ^= bc
+        if v == 0:
+            return comb
+        basis.append((v, comb))
+        basis.sort(key=lambda t: -t[0])
+    raise AssertionError("minimal polynomial search failed")
+
+
+@st.composite
+def _reps(draw):
+    """(rows of a random n x n matrix, n from 1 to 6, and a random modulus
+    of degree n with constant term 1)."""
+    n = draw(st.integers(1, 6))
+    rows = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    return rows, 1 << n | draw(st.integers(0, (1 << n - 1) - 1)) << 1 | 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reps())
+# block diagonal with two copies of the companion of x^4+x+1: x^8+x^2+1 =
+# (x^4+x+1)^2 annihilates it, but its minimal polynomial is x^4+x+1
+@example(((0x08, 0x09, 0x02, 0x04, 0x80, 0x90, 0x20, 0x40), poly_parse("x^8+x^2+1")))
+def test_rep_is_accepted_iff_the_modulus_is_its_minimal_polynomial(case):
+    rows, modulus = case
+    rep = BitMatrix(rows, len(rows))
+    n = len(rows)
+    own = _min_poly(rep)
+    for p in {modulus, own}:
+        if p.bit_length() - 1 != n or not p & 1:
+            continue  # another size, or no ring: rejected before the rep is read
+        try:
+            QuotientRing(p, rep)
+        except ValueError as e:
+            assert str(e) == "representation matrix does not satisfy the modulus"
+            assert own != p
+        else:
+            assert own == p
 
 
 def test_rings_pickle_as_their_shared_instance():

@@ -457,30 +457,39 @@ def _mask_verdicts(k, nodes, marks):
     the last accepted row is a candidate output row, and a node of marks
     that passes is accepted as the next row, up to k - 1 of them.  Yields
     (mask verdict, verdict of MinorTracker.add_row with the sympoly._det
-    hook) for every node."""
+    hook) for every node.  Checks on the way that the k low bits of each
+    mask are the term's zero entries, and that accepting a row keeps them."""
     vec = term_vectors(k, nodes)
 
     def val(t):
         return tuple(_at_points(e) for e in vec(t))
 
+    def zero_entries(t):
+        return sum(1 << c for c, e in enumerate(vec(t)) if not e)
+
+    full = (1 << k) - 1
+    anc = ancestor_masks(nodes)
     rows: list[int] = []
     ref = minor_tracker(k, lambda i: vec(rows[i]))
     tracker = MinorTracker(_ring(EVAL_MODULUS), k, lambda rowmask, colmask: False)
-    zs = {-c: 0 for c in range(k)}
-    cov = {-c: 1 << c for c in range(k)}
+    zs = {-c: full ^ 1 << c for c in range(k)}
     for p, (m, n) in enumerate(nodes, start=1):
         zs[p] = zs[m] & zs[n]
-        cov[p] = cov[m] | cov[n]
+        assert zs[p] & full == zero_entries(p)
         rows.append(p)
         expected = ref.clone().add_row(val(p), len(rows) - 1)
         rows.pop()
-        got = all(vec(p)) and not zs[p]
+        got = not zs[p]
+        # the verdict when the entries were kept apart from the minor bits
+        assert got == (all(vec(p)) and not zs[p] >> k)
         yield got, expected
         if got and p in marks and len(rows) < k - 1:
             rows.append(p)
             ref.add_row(val(p), len(rows) - 1)
             tracker.add_row(val(p), len(rows) - 1)
-            zs = _accept_masks(k, nodes, rows, zs, cov, val, tracker.minors())
+            new = _accept_masks(k, nodes, rows, zs, anc, val, tracker.minors())
+            assert all(new[t] & full == zs[t] & full for t in new)
+            zs = new
 
 
 @st.composite
