@@ -2,9 +2,9 @@
 
 Library layout:
 
-- ``gf2``         polynomials, bit matrices, quotient rings F2[x]/(p) with
-                  elements as plain int residues; ``ring`` is the one shared,
-                  interned ring constructor
+- ``gf2``         polynomials, bit matrices, quotient rings F2[x]/(p) of
+                  degree at most 8 with elements as plain int residues;
+                  ``ring`` is the one shared, interned ring constructor
 - ``sympoly``     multivariate GF(2) polynomials and the symbolic MDS pre-check:
                   rows evaluated at one GF(2^8) point per parameter, with an
                   exact determinant for every minor that vanishes there

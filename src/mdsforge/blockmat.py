@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .gf2 import (_TABLE_MAX_N, FormatError, QuotientRing, expect_end, line_after,
+from .gf2 import (FormatError, QuotientRing, expect_end, line_after,
                   numbered_lines, poly_text, ring as _ring)
 
 
@@ -244,37 +244,18 @@ def packed_rows(ring: QuotientRing, k: int):
     entry tuple, and units[c], a power of two, is input c's row, so a row
     packs as sum(e * units[c]).
 
-    This is the one place the layout is spelled out.  On a ring with tables
-    (n <= 8) entry c is byte c and scaling is one byte translation; a wider
-    ring, which computes each product on use anyway, puts entry c at bits
-    n*c and scales entry by entry.
+    This is the one place the layout is spelled out: entry c is byte c (a
+    residue has at most 8 bits), and scaling is one byte translation.
     """
-    if ring.n <= _TABLE_MAX_N:
-        tables = ring.mul_bytes()
-
-        def scale(v: int, s: int) -> int:
-            return int.from_bytes(v.to_bytes(k, "little").translate(tables[s]), "little")
-
-        def unpack(v: int) -> tuple[int, ...]:
-            return tuple(v.to_bytes(k, "little"))
-
-        return scale, unpack, [1 << (8 * c) for c in range(k)]
-    n = ring.n
-    mask = (1 << n) - 1
-    shifts = [n * c for c in range(k)]
-    mul = ring.mul_rows()
+    tables = ring.mul_bytes()
 
     def scale(v: int, s: int) -> int:
-        t = mul[s]
-        out = 0
-        for sh in shifts:
-            out |= t[(v >> sh) & mask] << sh
-        return out
+        return int.from_bytes(v.to_bytes(k, "little").translate(tables[s]), "little")
 
     def unpack(v: int) -> tuple[int, ...]:
-        return tuple([(v >> sh) & mask for sh in shifts])
+        return tuple(v.to_bytes(k, "little"))
 
-    return scale, unpack, [1 << sh for sh in shifts]
+    return scale, unpack, [1 << (8 * c) for c in range(k)]
 
 
 def is_mds(m: BlockMatrix) -> bool:

@@ -168,7 +168,7 @@ def _trees_for_assign(args):
 def cmd_assign(args) -> int:
     threads = _threads(args)
     ring = _parse_ring(args.ring)
-    values = (_parse_values(ring, args.values) if args.values
+    values = (_parse_values(ring, args.values) if args.values is not None
               else instantiate.default_value_set(ring))
     jobs = [(tree, ring, args.cost_bound, values, args.depth_bound)
             for tree in _trees_for_assign(args)]

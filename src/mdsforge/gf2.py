@@ -4,7 +4,8 @@ Polynomials over GF(2) are stored as nonnegative integers, bit ``i`` holding
 the coefficient of ``x^i`` (lowest degree first).  The zero polynomial has
 degree -1 (sentinel).  Quotient rings ``F2[x]/(p)`` embed into GL(n, 2) by
 sending the class of x to a representation matrix, the companion matrix of
-``p`` by default.  Ring elements are residues held as plain ints; a
+``p`` by default.  Rings have degree at most `MAX_DEGREE` = 8, and their
+elements are residues held as plain ints of one byte at most; a
 `QuotientRing` multiplies and tests units through lookup tables
 (`mul_rows`, `unit_flags`), and `ring` is its one, interning constructor.
 """
@@ -129,7 +130,7 @@ def poly_text(a: int, var: str = "x") -> str:
     return "+".join(parts)
 
 
-MAX_DEGREE = 64  # a ring of degree n takes about n^3 bit operations to build
+MAX_DEGREE = 8  # widest ring: its residues are bytes and its tables 2^n x 2^n
 
 
 def poly_parse(text: str) -> int:
@@ -251,30 +252,17 @@ def companion(p: int) -> BitMatrix:
 # ---------------------------------------------------------------------------
 # quotient rings F2[x]/(p)
 
-_TABLE_MAX_N = 8  # widest ring whose multiplication and unit tables are built
-
-
-class _Computed:
-    """Stand-in for a table too large to build (rings with n > 8): item i is
-    fn(i), computed on every use."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, i):
-        return self.fn(i)
-
 
 class QuotientRing:
-    """The commutative ring F2[x]/(p(x)), p with constant term 1.
+    """The commutative ring F2[x]/(p(x)), p of degree n <= MAX_DEGREE with
+    constant term 1.
 
-    Elements are residues (ints of degree < n).  `rep` optionally replaces the
-    companion matrix as the image of x inside GL(n, 2), and must have the
-    modulus as its minimal polynomial; the ring structure is identical, but
-    multiplication matrices (hence XOR counts of scalars) depend on the
-    representation.
+    Elements are residues (ints of degree < n, so one byte at most), and
+    products and unit tests are read from tables built once per ring.  `rep`
+    optionally replaces the companion matrix as the image of x inside
+    GL(n, 2), and must have the modulus as its minimal polynomial; the ring
+    structure is identical, but multiplication matrices (hence XOR counts of
+    scalars) depend on the representation.
 
     `scalar_cost_model` selects how scalar multiplications are priced:
     "rowweight" (default) is the naive row-weight XOR count of the
@@ -289,6 +277,8 @@ class QuotientRing:
         n = poly_deg(modulus)
         if n < 1:
             raise ValueError("modulus must have degree >= 1")
+        if n > MAX_DEGREE:
+            raise ValueError(f"modulus degree {n} exceeds the degree limit {MAX_DEGREE}")
         if not modulus & 1:
             raise ValueError("modulus constant term must be 1")
         self.modulus = modulus
@@ -314,9 +304,9 @@ class QuotientRing:
         if scalar_cost_model not in ("rowweight", "chained"):
             raise ValueError(f"unknown scalar cost model {scalar_cost_model!r}")
         self.scalar_cost_model = scalar_cost_model
-        self._mul_table: list[list[int]] | _Computed | None = None
+        self._mul_table: list[list[int]] | None = None
         self._mul_bytes: list[bytes] | None = None
-        self._unit_flags: list[bool] | _Computed | None = None
+        self._unit_flags: list[bool] | None = None
         self._inv_cache: dict[int, int] = {}
         self._elem_mat_cache: dict[int, BitMatrix] = {}
         self._xor_cache: dict[int, int] = {}
@@ -373,39 +363,26 @@ class QuotientRing:
             table.append(row)
         self._mul_table = table
 
-    def mul_rows(self):
-        """Indexable multiplication table: mul_rows()[a][b] == mul(a, b).
-
-        Built once for n <= 8; beyond that each product is computed on use.
-        """
+    def mul_rows(self) -> list[list[int]]:
+        """The multiplication table, built once: mul_rows()[a][b] == mul(a, b)."""
         if self._mul_table is None:
-            if self.n <= _TABLE_MAX_N:
-                self._build_table()
-            else:
-                m = self.modulus
-                self._mul_table = _Computed(
-                    lambda a: _Computed(lambda b: poly_mod(poly_mul(a, b), m)))
+            self._build_table()
         return self._mul_table
 
     def mul_bytes(self) -> list[bytes]:
-        """mul_rows() as one 256-byte table per element, for bytes.translate
-        (n <= 8); the bytes past 2^n are 0 and never read."""
+        """mul_rows() as one 256-byte table per element, for bytes.translate;
+        the bytes past 2^n are 0 and never read."""
         if self._mul_bytes is None:
             pad = bytes(256 - (1 << self.n))
             self._mul_bytes = [bytes(row) + pad for row in self.mul_rows()]
         return self._mul_bytes
 
-    def unit_flags(self):
-        """Indexable truth table: unit_flags()[a] iff a is a unit (gcd with
-        the modulus 1); built once for n <= 8, computed on use beyond."""
+    def unit_flags(self) -> list[bool]:
+        """The unit truth table, built once: unit_flags()[a] iff a is a unit
+        (gcd with the modulus 1)."""
         if self._unit_flags is None:
             m = self.modulus
-
-            def unit(a: int) -> bool:
-                return a != 0 and poly_gcd(a, m) == 1
-
-            self._unit_flags = (list(map(unit, range(1 << self.n)))
-                                if self.n <= _TABLE_MAX_N else _Computed(unit))
+            self._unit_flags = [a != 0 and poly_gcd(a, m) == 1 for a in range(1 << self.n)]
         return self._unit_flags
 
     def is_unit(self, a: int) -> bool:

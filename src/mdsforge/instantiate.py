@@ -55,19 +55,18 @@ class CatalogEntry:
 
 
 def alpha_powers(ring: QuotientRing, lo: int, hi: int) -> list[int]:
-    """1 and a^e for lo <= e <= hi, in the documented scan order 1, a, a^-1,
-    a^2, a^-2, ..., up to the first e with a^e = 1: the powers from there
-    on repeat."""
-    vals = [1]
-    for e in range(1, max(abs(lo), abs(hi)) + 1):
-        v = ring.pow(2, e)
-        if v == 1:
-            break
-        if e <= hi:
-            vals.append(v)
-        if -e >= lo:
-            vals.append(ring.pow(2, -e))
-    return vals
+    """1 and each a^e with lo <= e <= hi, each value once, at its first place
+    when the range's exponents are scanned in the documented order 1, a,
+    a^-1, a^2, a^-2, ...  The scan reads one period of alpha's order from
+    the range's exponent nearest 0: past that the powers repeat."""
+    times_a = ring.mul_rows()[2]
+    period, v = 1, 2
+    while v != 1:
+        v = times_a[v]
+        period += 1
+    near = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    scan = [e for m in range(max(near, 1), near + period) for e in (m, -m) if lo <= e <= hi]
+    return list(dict.fromkeys([1] + [ring.pow(2, e) for e in scan]))
 
 
 def default_value_set(ring: QuotientRing) -> list[int]:

@@ -12,9 +12,11 @@ and repeated products are computed once.  Depth counts XOR levels from any
 input to any output; a non-identity scalar on an operand adds one level.
 
 A program is normal when every step between two consecutive outputs is
-read, directly or not, by the later one.  `ancestor_masks` gives that
-relation as one bitmask per step; `is_normal`, `normalize` and the
-canonical tree encoding (`treesearch.canonical_tree`) all read it.
+read, directly or not, by the later one, and no step follows the last
+output.  `ancestor_masks` gives that relation as one bitmask per step, and
+`unread_step` finds the first step that breaks the rule; `is_normal`,
+`normalize`, the tree file reader and the canonical tree encoding
+(`treesearch.canonical_tree`) read them.
 """
 
 from __future__ import annotations
@@ -126,22 +128,25 @@ def ancestor_masks(steps) -> list[int]:
     return anc
 
 
-def is_normal(p: Slp) -> bool:
-    """Every non-output step between consecutive outputs precedes the next output."""
-    anc = ancestor_masks(p.steps)
-    out_steps = [o for o in p.outputs if o >= 1]
-    if out_steps != sorted(out_steps) or len(set(out_steps)) != len(out_steps):
-        return False
+def unread_step(steps, outs) -> int | None:
+    """The first step that the output closing its segment does not read,
+    directly or not, or that follows the last output; None when every step
+    is read so.  outs are the output steps, increasing."""
+    anc = ancestor_masks(steps)
     prev = 0
-    out_pos = {o: i for i, o in enumerate(p.outputs)}
-    for o in p.outputs:
-        if o < 1:
-            continue
+    for o in outs:
         for t in range(prev + 1, o):
-            if t in out_pos or not anc[o] >> t & 1:
-                return False
+            if not anc[o] >> t & 1:
+                return t
         prev = o
-    return prev == p.n_steps
+    return prev + 1 if prev < len(steps) else None
+
+
+def is_normal(p: Slp) -> bool:
+    """Output steps increase, and every other step is read by the output
+    that closes its segment."""
+    out_steps = [o for o in p.outputs if o >= 1]
+    return out_steps == sorted(set(out_steps)) and unread_step(p.steps, out_steps) is None
 
 
 def normalize(p: Slp) -> Slp:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from .gf2 import FormatError, QuotientRing, numbered_lines, ring as _ring
 from .blockmat import MinorTracker, _minor_plan, check_k, packed_rows
-from .slp import Slp, Step, ancestor_masks, labelled_terms, output_line
+from .slp import Slp, Step, ancestor_masks, labelled_terms, output_line, unread_step
 from .sympoly import EVAL_MODULUS, point
 
 
@@ -624,6 +624,7 @@ def tree_from_text(text: str) -> ImplTree:
     k = len(type_vec)
     check_k(k, head_no)
     nodes: list[tuple[int, int]] = []
+    node_lines: list[int] = []
     outputs: list[tuple[int, int]] = []  # (label, mark)
     for lineno, ln in lines[1:]:
         lhs, _, rhs = ln.partition("=")
@@ -646,6 +647,7 @@ def tree_from_text(text: str) -> ImplTree:
         except ValueError as e:
             raise FormatError(str(e), lineno) from None
         nodes.append((m, n))
+        node_lines.append(lineno)
     marks = labelled_terms(outputs, lines[-1][0])
     try:  # one mark per output of the type header, increasing with the labels
         tree = ImplTree(k, tuple(nodes), marks)
@@ -653,4 +655,9 @@ def tree_from_text(text: str) -> ImplTree:
         raise FormatError(str(e), head_no) from None
     if tree.type_vector != type_vec:
         raise FormatError("type header does not match output marks", head_no)
+    p = unread_step(nodes, tree.outs)  # a tree is a normal program
+    if p is not None:
+        after = [o for o in tree.outs if o > p]
+        raise FormatError(f"node T{p} is not read by the next output T{after[0]}" if after
+                          else f"node T{p} comes after the last output", node_lines[p - 1])
     return tree

@@ -308,8 +308,7 @@ def test_row_kernels_run_their_pieces_in_a_loop(monkeypatch):
 
 
 def test_packed_rows_match_ring_mul():
-    # every width of a ring with tables, 1 to 8 bits an entry; the shift
-    # path of wider rings is checked in test_gf2
+    # every ring width, 1 to 8 bits an entry, in one byte each
     rng = random.Random(7)
     for modulus in ("x+1", "x^3+x+1", "x^4+x+1", "x^8+x^2+1"):
         r = ring(modulus)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import pytest
 
@@ -194,6 +195,7 @@ def test_bad_ring_modulus_is_usage_error(capsys):
     ("assign", "--all-trees", "--ring", "x^y", "--cost-bound", "10"),
     ("assign", "--all-trees", "--ring", "x+1", "--cost-bound", "10"),
     ("involutory", "--ring", "x+1", "--max-t", "1"),
+    ("involutory", "--ring", "x^9+x^4+1", "--max-t", "1"),
     ("involutory", "--ring", "x^65+x^2+1", "--max-t", "1"),
     ("involutory", "--ring", "x^10000000000+1", "--max-t", "1"),
 ])
@@ -206,14 +208,17 @@ def test_bad_ring_polynomial_is_usage_error(capsys, argv):
 
 
 def test_ring_degree_above_limit_is_parse_error_with_its_line(tmp_path, capsys):
-    # a ring of degree n takes about n^3 bit operations to build, so x^400
-    # took seconds, and a longer exponent would never finish
+    # a ring of degree n builds 2^n x 2^n tables; words have at most 8 bits
     path = tmp_path / "big.matrix"
-    path.write_text("# a wide ring\nring x^400+x^2+1 k 1\n1\n")
+    path.write_text("ring x^9+x^4+1 k 1\n1\n")
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out) == (65, "")
-    assert err == "parse error: line 2: exponent in 'x^400' exceeds the degree limit 64\n"
-    path.write_text("ring x^64+x^4+x^3+x+1 k 1\n1\n")
+    assert err == "parse error: line 1: exponent in 'x^9' exceeds the degree limit 8\n"
+    path.write_text("# a wide ring\nring x^10000000000+x^2+1 k 1\n1\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (65, "")
+    assert err.startswith("parse error: line 2: exponent in 'x^10000000000' exceeds")
+    path.write_text("ring x^8+x^4+x^3+x+1 k 1\n1\n")
     assert run(capsys, "verify", str(path))[:2] == (0, "matrix k 1: mds 1 involutory 1\n")
 
 
@@ -310,7 +315,7 @@ def test_trailing_lines_are_parse_errors(tmp_path, capsys):
     assert code == 65 and f"parse error: line {end + 1}: unexpected line" in err
 
 
-@pytest.mark.parametrize("spec", ["a^x..a^3", "a^-3..a^3x", "0,a", "a^4+a+1", "zz"])
+@pytest.mark.parametrize("spec", ["a^x..a^3", "a^-3..a^3x", "0,a", "a^4+a+1", "zz", ""])
 def test_bad_value_spec_is_usage_error(capsys, spec):
     tree = catalogs.data_path("trees", "4x4_tree1.txt")
     code, out, err = run(capsys, "assign", "--tree", tree, "--ring", "x^8+x^2+1",
@@ -380,6 +385,21 @@ def test_tree_output_labels_are_read(tmp_path, capsys):
     assert err == "parse error: line 3: output line must read 'out y<i> = <term>'\n"
 
 
+def test_tree_with_a_dead_node_is_parse_error(tmp_path, capsys):
+    # T3 follows the last output: its word XOR would be charged to every
+    # program, 13 instead of 9 for the cheapest over x^4+x+1
+    body = "type (1,1)\nT1 = T-1 + T0\nout y1 = T1\nT2 = T-1 + T1\nout y2 = T2\n"
+    path = tmp_path / "k2.tree"
+    argv = ("assign", "--tree", str(path), "--ring", "x^4+x+1", "--cost-bound", "20")
+    path.write_text(body)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "\ncost 9 depth 2 mds 1" in out
+    path.write_text(body + "T3 = T1 + T2\n")
+    err = "parse error: line 6: node T3 comes after the last output\n"
+    assert run(capsys, *argv) == (65, "", err)
+    assert run(capsys, "verify", str(path)) == (65, "", err)
+
+
 def test_capacity_is_reported_as_given(capsys):
     # capacity 3 is not the least at k = 2, so the line must not call it so
     code, out, _ = run(capsys, "search-trees", "--k", "2", "--capacity", "3")
@@ -398,12 +418,13 @@ def test_max_depth_needs_capacity(capsys):
     assert code == 0 and "2 tree classes" in out
 
 
-def test_involutory_on_a_wide_ring_lists_no_residues(capsys):
-    # finishes at once: the determinant screens compare squares, so the
-    # ring's 2^24 residues are never listed
-    code, out, _ = run(capsys, "involutory", "--ring", "x^24+x^7+x^2+x+1",
-                       "--max-t", "1", "--max-s", "1")
-    assert code == 2 and "no involutory MDS matrix found" in out
+def test_value_range_keeps_its_bounds(capsys):
+    # a^2..a^3 scans 1, a^2 and a^3 only: no a or a^-1 = a^3+1 scalar
+    tree = catalogs.data_path("trees", "4x4_tree1.txt")
+    code, out, _ = run(capsys, "assign", "--tree", tree, "--ring", "x^4+x+1",
+                       "--values", "a^2..a^3", "--cost-bound", "40")
+    assert code == 0 and "mds 1" in out
+    assert set(re.findall(r"([^ ]+)\*", out)) == {"a^2", "a^3"}
 
 
 def test_repeated_values_are_scanned_once(capsys):

@@ -1,19 +1,17 @@
 import pickle
 import random
-from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdsforge.blockmat import BlockMatrix, is_mds, packed_rows
 from mdsforge.gf2 import (
+    MAX_DEGREE,
     BitMatrix,
     FormatError,
     NonUnitError,
     QuotientRing,
     companion,
     is_invertible,
-    poly_gcd,
     poly_mod,
     poly_mul,
     poly_parse,
@@ -68,6 +66,16 @@ def test_degree_one_ring_has_no_alpha():
     for text in ("a", "a^2", "1+a^-1"):
         with pytest.raises(FormatError, match="no alpha in a ring of degree 1"):
             r.parse_element(text)
+
+
+def test_degree_above_limit_is_refused():
+    # every ring builds 2^n x 2^n tables, so x^9+x^4+1 would build 512 x 512
+    assert MAX_DEGREE == 8
+    with pytest.raises(ValueError, match="modulus degree 9 exceeds the degree limit 8"):
+        ring(0x211)
+    with pytest.raises(FormatError, match="exceeds the degree limit 8"):
+        poly_parse("x^9+x^4+1")
+    assert ring(poly_parse("x^8+x^4+x^3+x+1")).n == 8
 
 
 def test_companion_satisfies_modulus():
@@ -244,55 +252,3 @@ def test_mul_table_matches_polynomial_product(modulus):
     n = p.bit_length() - 1
     want = [[poly_mod(poly_mul(a, b), p) for b in range(1 << n)] for a in range(1 << n)]
     assert ring(modulus).mul_rows() == want
-
-
-def _minors_are_units(r, rows) -> bool:
-    """All-minors check by Leibniz determinants in polynomial arithmetic."""
-    k = len(rows)
-    for size in range(1, k + 1):
-        for ri in combinations(range(k), size):
-            for ci in combinations(range(k), size):
-                det = 0
-                for perm in permutations(ci):
-                    term = 1
-                    for i, c in zip(ri, perm):
-                        term = poly_mod(poly_mul(term, rows[i][c]), r.modulus)
-                    det ^= term
-                if det == 0 or poly_gcd(det, r.modulus) != 1:
-                    return False
-    return True
-
-
-@pytest.mark.parametrize("modulus", ["x^9+x^4+1", "x^9+1"])
-def test_wide_ring_computes_products_and_units_on_use(modulus):
-    # n = 9 is past the widest ring with built tables; x^9+x^4+1 is
-    # irreducible, x^9+1 has zero divisors
-    r = ring(modulus)
-    p = r.modulus
-    rng = random.Random(9)
-    rows = r.mul_rows()
-    for _ in range(200):
-        a, b = rng.randrange(512), rng.randrange(512)
-        assert rows[a][b] == r.mul(a, b) == poly_mod(poly_mul(a, b), p)
-    flags = r.unit_flags()
-    for a in range(512):
-        assert flags[a] == r.is_unit(a) == (a != 0 and poly_gcd(a, p) == 1)
-    scale, unpack, units = packed_rows(r, 3)
-    for _ in range(50):
-        row = tuple(rng.randrange(512) for _ in range(3))
-        packed = sum(e * u for e, u in zip(row, units))
-        s = rng.randrange(512)
-        assert unpack(packed) == row
-        assert unpack(scale(packed, s)) == tuple(poly_mod(poly_mul(s, e), p) for e in row)
-
-
-def test_wide_ring_is_mds():
-    r = ring("x^9+x^4+1")
-    rng = random.Random(9)
-    verdicts = set()
-    for _ in range(20):
-        rows = [[rng.choice((1, 2, 3, rng.randrange(512))) for _ in range(3)] for _ in range(3)]
-        mds = is_mds(BlockMatrix(r, rows))
-        assert mds == _minors_are_units(r, rows)
-        verdicts.add(mds)
-    assert verdicts == {True, False}

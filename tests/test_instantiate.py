@@ -15,6 +15,7 @@ from mdsforge.instantiate import (
     InfeasibleError,
     _fixable_squares,
     _symbolic_subset_ok,
+    alpha_powers,
     assign_parameters,
     catalog_from_text,
     catalog_to_text,
@@ -32,6 +33,38 @@ def test_default_value_set_order(r8):
     a = 2
     expect = [1, a, r8.inv(a), r8.pow(a, 2), r8.pow(a, -2), r8.pow(a, 3), r8.pow(a, -3)]
     assert vals == expect
+
+
+@pytest.mark.parametrize("lo, hi, exps", [
+    (2, 3, [0, 2, 3]),
+    (-3, -2, [0, -2, -3]),
+    (20, 40, [0, 5, 6, 7, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4]),
+    (10**9, 10**9 + 1, [0, -5, -4]),  # 10^9 = 10 = -5 modulo 15
+    (-3, 3, [0, 1, -1, 2, -2, 3, -3]),
+])
+def test_alpha_powers_keep_their_bounds(lo, hi, exps):
+    # alpha has order 15 over x^4+x+1: each value once, in the range's own
+    # scan order, and every value within one period
+    r = ring("x^4+x+1")
+    assert [r.power_of_alpha(v) for v in alpha_powers(r, lo, hi)] == exps
+
+
+def test_alpha_power_ranges_around_zero_scan_as_before():
+    # the former rule for a range around 0, a^e and a^-e for e = 1, 2, .. up
+    # to the first a^e = 1, then the scan's dedupe, gives the same values in
+    # the same order
+    def former(r, lo, hi):
+        vals = [1]
+        for e in range(1, max(-lo, hi) + 1):
+            if r.pow(2, e) == 1:
+                break
+            vals += [r.pow(2, e)] * (e <= hi) + [r.pow(2, -e)] * (-e >= lo)
+        return list(dict.fromkeys(vals))
+
+    for modulus in ("x^2+x+1", "x^2+1", "x^4+x+1", "x^4+x^3+x^2+x+1", "x^8+x^2+1"):
+        r = ring(modulus)
+        for lo, hi in ((-3, 3), (0, 5), (-9, 1), (-20, 20), (0, 0)):
+            assert alpha_powers(r, lo, hi) == former(r, lo, hi), (modulus, lo, hi)
 
 
 def test_assign_parameters_first_tree(trees8, r8):

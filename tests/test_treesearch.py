@@ -637,6 +637,24 @@ def test_tree_text_structure_errors_name_the_line(body, line, message):
         tree_from_text("type (1,1)\n" + body)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    # a node after the last output
+    ("type (1,1)\nT1 = T-1 + T0\nout y1 = T1\nT2 = T-1 + T1\nout y2 = T2\nT3 = T1 + T2\n",
+     6, "node T3 comes after the last output"),
+    # a node that no output reads
+    ("type (1,2)\nT1 = T-1 + T0\nout y1 = T1\nT2 = T-1 + T1\nT3 = T0 + T1\nout y2 = T3\n",
+     4, "node T2 is not read by the next output T3"),
+    # a node that only a later output reads
+    ("type (1,2,1)\nT1 = T-1 + T0\nout y1 = T1\nT2 = T-2 + T0\nT3 = T-2 + T1\nout y2 = T3\n"
+     "T4 = T1 + T2\nout y3 = T4\n", 4, "node T2 is not read by the next output T3"),
+])
+def test_tree_text_must_be_normal(text, line, message):
+    # each node is read by the output that closes its segment, so the type
+    # vector is the tree's segments and every node's word XOR is needed
+    with pytest.raises(FormatError, match=f"^line {line}: {re.escape(message)}$"):
+        tree_from_text(text)
+
+
 def test_max_depth_filter():
     shallow = search_at_capacity(4, 8, max_depth=4)
     assert shallow
