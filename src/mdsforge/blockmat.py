@@ -241,8 +241,9 @@ class MinorTracker:
 def packed_rows(ring: QuotientRing, k: int):
     """(scale, unpack, units) for rows of k ring entries packed into one
     int: scale(v, s) multiplies every entry by s, unpack(v) returns the
-    entry tuple, and units[c], a power of two, is input c's row, so a row
-    packs as sum(e * units[c]).
+    entries as `bytes` (entry c is unpack(v)[c]; `MinorTracker.add_row`
+    takes them as they are), and units[c], a power of two, is input c's
+    row, so a row packs as sum(e * units[c]).
 
     This is the one place the layout is spelled out: entry c is byte c (a
     residue has at most 8 bits), and scaling is one byte translation.
@@ -252,8 +253,8 @@ def packed_rows(ring: QuotientRing, k: int):
     def scale(v: int, s: int) -> int:
         return int.from_bytes(v.to_bytes(k, "little").translate(tables[s]), "little")
 
-    def unpack(v: int) -> tuple[int, ...]:
-        return tuple(v.to_bytes(k, "little"))
+    def unpack(v: int) -> bytes:
+        return v.to_bytes(k, "little")
 
     return scale, unpack, [1 << (8 * c) for c in range(k)]
 
@@ -305,16 +306,11 @@ def branch_number(m: BlockMatrix, kind: str = "differential") -> int:
 
 def canonical_key(m: BlockMatrix) -> tuple:
     """Lexicographically least row-major entry encoding over all PMQ orbits."""
-    k = m.k
-    best = None
-    cols = list(range(k))
-    for cperm in permutations(cols):
-        permuted = [tuple(row[c] for c in cperm) for row in m.rows]
-        permuted.sort()
-        flat = tuple(v for row in permuted for v in row)
-        if best is None or flat < best:
-            best = flat
-    return best
+    cols = list(zip(*m.rows))
+    # rows of equal length compare as their row-major flattening does
+    best = min(tuple(sorted(zip(*[cols[c] for c in cperm])))
+               for cperm in permutations(range(m.k)))
+    return tuple(v for row in best for v in row)
 
 
 def canonical_form(m: BlockMatrix) -> BlockMatrix:
@@ -326,9 +322,10 @@ def canonical_form(m: BlockMatrix) -> BlockMatrix:
 
 
 def squares_to_identity(rows, mul) -> bool:
-    """Whether the matrix of k entry tuples `rows` squares to the identity,
-    with mul = ring.mul_rows(); (M^2)[i][l] is checked one entry at a time,
-    stopping at the first wrong one."""
+    """Whether the matrix of k rows `rows` (entry tuples, or the bytes of
+    `packed_rows`' unpack) squares to the identity, with mul =
+    ring.mul_rows(); (M^2)[i][l] is checked one entry at a time, stopping at
+    the first wrong one."""
     k = len(rows)
     for i in range(k):
         ri = rows[i]

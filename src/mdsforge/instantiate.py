@@ -54,19 +54,27 @@ class CatalogEntry:
         return (self.cost, self.depth, self.canonical)
 
 
+def _alpha(ring: QuotientRing) -> int:
+    """Alpha, the residue x: the int 2, which a ring of degree 1 has not."""
+    if ring.n < 2:
+        raise ValueError("no alpha in a ring of degree 1")
+    return 2
+
+
 def alpha_powers(ring: QuotientRing, lo: int, hi: int) -> list[int]:
     """1 and each a^e with lo <= e <= hi, each value once, at its first place
     when the range's exponents are scanned in the documented order 1, a,
     a^-1, a^2, a^-2, ...  The scan reads one period of alpha's order from
     the range's exponent nearest 0: past that the powers repeat."""
-    times_a = ring.mul_rows()[2]
-    period, v = 1, 2
+    alpha = _alpha(ring)
+    times_a = ring.mul_rows()[alpha]
+    period, v = 1, alpha
     while v != 1:
         v = times_a[v]
         period += 1
     near = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
     scan = [e for m in range(max(near, 1), near + period) for e in (m, -m) if lo <= e <= hi]
-    return list(dict.fromkeys([1] + [ring.pow(2, e) for e in scan]))
+    return list(dict.fromkeys([1] + [ring.pow(alpha, e) for e in scan]))
 
 
 def default_value_set(ring: QuotientRing) -> list[int]:
@@ -110,9 +118,15 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     a^±3; a repeated value only at its first place); the running cost n*s + t
     prunes branches.  t charges each distinct (scalar, operand term) product
     once: a value is charged at a position unless an earlier position scales
-    the same operand term by it, and 1 costs nothing.  Completed output rows
-    prune through the all-minors-are-units tracker.  A tree whose skeleton
-    is deeper than depth_bound has no assignment.  Deterministic order.
+    the same operand term by it, and 1 costs nothing.  A position visits
+    only the values its remaining budget affords, from lists made once per
+    budget in value-set order, with the values an earlier position holds on
+    its operand term added at no charge.  Completed output rows prune
+    through the all-minors-are-units tracker.  With depth_bound, node p is
+    cut as soon as its depth d has d + height[p] > depth_bound, where
+    height[p] is the longest path from p to a node that reads it: each step
+    of such a path adds a level.  A tree whose skeleton is deeper than
+    depth_bound has no assignment.  Deterministic order.
     """
     if value_set is None:
         value_set = default_value_set(ring)
@@ -122,11 +136,41 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     if budget < 0 or depth_bound is not None and tree.skeleton_depth() > depth_bound:
         return []
     k = tree.k
+    cap = tree.capacity
     out_row = {o: j for j, o in enumerate(tree.outs)}
-    val_cost = {v: ring.scalar_xor_count(v) for v in value_set}
-    # per scalar position, the earlier positions that scale the same operand term
+    priced = [(v, ring.scalar_xor_count(v)) for v in value_set]
+    # no scan charges more than every position its dearest value
+    budget = min(budget, 2 * cap * max((c for _, c in priced), default=0))
+    bit = {v: 0 if v == 1 else 1 << i for i, v in enumerate(value_set)}
+    # only 1, for an operand that a scalar would put over the depth bound
+    unscaled = [[(v, c) for v, c in priced if v == 1]] * (budget + 1)
+    menus: dict[int, list] = {}
+
+    def menu(held: int) -> list:
+        """menu(held)[r]: the (value, charge) pairs that r of the budget
+        affords, in value-set order, at a position whose operand term
+        earlier positions scale by the values of the bit set held, which
+        are charged nothing there."""
+        lists = menus.get(held)
+        if lists is None:
+            charged = [(v, 0 if bit[v] & held else c) for v, c in priced]
+            lists = menus[held] = [[(v, c) for v, c in charged if c <= r]
+                                   for r in range(budget + 1)]
+        return lists
+
+    # prev[pos]: the last earlier position on the same operand term, or the
+    # slot 2 * cap, which holds no value; held[pos] is the bit set of the
+    # values at pos and at the earlier positions on its term
     terms = [t for node in tree.nodes for t in node]
-    same_term = [[q for q in range(i) if terms[q] == t] for i, t in enumerate(terms)]
+    prev = [max((q for q in range(i) if terms[q] == t), default=2 * cap)
+            for i, t in enumerate(terms)]
+    held = [0] * (2 * cap + 1)
+    # height[p], as above; a node that is no output counts one level even
+    # if nothing reads it
+    height = {}
+    for p in range(cap, 0, -1):
+        height[p] = max((height[q] + 1 for q in range(p + 1, cap + 1) if p in tree.nodes[q - 1]),
+                        default=int(p not in out_row))
 
     tracker = MinorTracker(ring, k)
     scale, unpack, units = packed_rows(ring, k)
@@ -136,40 +180,43 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     depths: dict[int, int] = {-j: 0 for j in range(k)}
     scalars: dict[int, int] = {}
     entries: list[CatalogEntry] = []
-    cap = tree.capacity
 
     def rec(p: int, t_used: int):
         if p > cap:
             entries.append(CatalogEntry.from_slp(tree.to_slp(ring, scalars)))
             return
         m, n = tree.nodes[p - 1]
+        pa, pb = 2 * p - 2, 2 * p - 1
+        dm, dn = depths[m], depths[n]
+        ha, hb = held[prev[pa]], held[prev[pb]]
+        menu_a, menu_b = menu(ha), menu(hb)
+        if depth_bound is not None:
+            # an operand's level, one more if its scalar is not 1, is at most lim
+            lim = depth_bound - height[p] - 1
+            if dm > lim or dn > lim:
+                return
+            if dm == lim:
+                menu_a = unscaled
+            if dn == lim:
+                menu_b = unscaled
         vm, vn = vecs[m], vecs[n]
         j = out_row.get(p)
-        held_a = {scalars[q] for q in same_term[2 * p - 2]}
-        held_b = {scalars[q] for q in same_term[2 * p - 1]}
-        for a in value_set:
-            ta = t_used + (0 if a in held_a else val_cost[a])
-            if ta > budget:
-                continue
+        left = budget - t_used
+        for a, ca in menu_a[left]:
             va = vm if a == 1 else scale(vm, a)
-            for b in value_set:
-                t2 = ta + (0 if b in held_b else val_cost[b])
-                if t2 > budget:
-                    continue
-                if depth_bound is not None:
-                    d = 1 + max(depths[m] + (a != 1), depths[n] + (b != 1))
-                    if d > depth_bound or (j is None and d >= depth_bound):
-                        continue
-                else:
-                    d = 0
+            da = dm + (a != 1)
+            held[pa] = ha | bit[a]
+            for b, cb in menu_b[left - ca]:
                 row = va ^ (vn if b == 1 else scale(vn, b))
                 if j is not None and not tracker.add_row(unpack(row), j):
                     continue
                 vecs[p] = row
-                depths[p] = d
-                scalars[2 * p - 2] = a
-                scalars[2 * p - 1] = b
-                rec(p + 1, t2)
+                db = dn + (b != 1)
+                depths[p] = 1 + (da if da > db else db)
+                held[pb] = hb | bit[b]
+                scalars[pa] = a
+                scalars[pb] = b
+                rec(p + 1, t_used + ca + cb)
 
     rec(1, 0)
     return entries
@@ -356,7 +403,7 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     cap = tree.capacity
     mul = ring.mul
     mrows = ring.mul_rows()
-    alpha_pow = {e: ring.pow(2, e) for e in range(-max_t, max_t + 1)}
+    alpha_pow = {e: ring.pow(_alpha(ring), e) for e in range(-max_t, max_t + 1)}
     scale, unpack, units = packed_rows(ring, k)
     tracker = MinorTracker(ring, k)
     # per-position state, written at its depth (entries past the current

@@ -319,8 +319,8 @@ def test_packed_rows_match_ring_mul():
             row = tuple(rng.randrange(1 << r.n) for _ in range(4))
             packed = sum(e * u for e, u in zip(row, units))
             s = rng.randrange(1 << r.n)
-            assert unpack(packed) == row
-            assert unpack(scale(packed, s)) == tuple(r.mul(s, e) for e in row)
+            assert unpack(packed) == bytes(row)
+            assert unpack(scale(packed, s)) == bytes(r.mul(s, e) for e in row)
 
 
 def test_canonical_form_orbit_invariance():
@@ -350,6 +350,36 @@ def test_canonical_orbit_size():
                            for i in range(4)))
     assert len(seen) == 576
     assert len({canonical_key(BlockMatrix(m.ring, s)) for s in seen}) == 1
+
+
+def _canonical_key_reference(m):
+    """canonical_key by flattening every candidate: for each column
+    permutation, permute every row, sort the rows and flatten them; the
+    least flattening."""
+    best = None
+    for cperm in permutations(range(m.k)):
+        permuted = sorted(tuple(row[c] for c in cperm) for row in m.rows)
+        flat = tuple(v for row in permuted for v in row)
+        if best is None or flat < best:
+            best = flat
+    return best
+
+
+@st.composite
+def _square_matrices(draw):
+    """A k x k matrix over x^4+x+1, k = 2..5; a small entry range makes
+    equal rows and columns, whose ties the sort must break the same way."""
+    k = draw(st.integers(2, 5))
+    top = draw(st.sampled_from([1, 2, 15]))
+    rows = draw(st.lists(st.lists(st.integers(0, top), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    return BlockMatrix(ring("x^4+x+1"), rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices())
+def test_canonical_key_matches_the_flattening_reference(m):
+    assert canonical_key(m) == _canonical_key_reference(m)
 
 
 def test_involutory_reference_entries(r8):

@@ -89,13 +89,15 @@ def test_assign_parameters_respects_bound(trees8, r8):
 ])
 def test_assign_parameters_matches_brute_force(modulus, tree, extra, depth):
     # every assignment, in the walk's order: a product (scalar, operand
-    # term) is charged once however many nodes form it
+    # term) is charged once however many nodes form it.  At the skeleton's
+    # own depth a scalar may sit only off the longest paths, so the depth
+    # lookahead cuts most branches there
     r = ring(modulus)
     a = 2
     values = [1, a, r.inv(a), a] if tree.k == 2 else [1, a, a]
     bound = r.n * tree.capacity + extra
     reused = False
-    for depth_bound in (None, depth):
+    for depth_bound in (None, depth, tree.skeleton_depth()):
         expected = []
         for assignment in product(dict.fromkeys(values), repeat=tree.scalar_positions()):
             e = CatalogEntry.from_slp(tree.to_slp(r, dict(enumerate(assignment))))
@@ -106,6 +108,20 @@ def test_assign_parameters_matches_brute_force(modulus, tree, extra, depth):
         assert expected
         assert assign_parameters(tree, r, bound, values, depth_bound) == expected
     assert reused
+
+
+def test_degree_one_ring_has_no_alpha(trees8):
+    # x+1 has the residues 0 and 1 only: no alpha, so no value set and no
+    # exponents
+    r = ring("x+1")
+    tree = ImplTree(2, ((-1, 0), (0, 1)), (1, 2))
+    calls = [lambda: default_value_set(r),
+             lambda: assign_parameters(tree, r, 40),
+             lambda: search_lowest_cost(4, r, trees=trees8),
+             lambda: involutory_search(trees8[2:4], r, 2, 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="no alpha in a ring of degree 1"):
+            call()
 
 
 def test_conjugation_preserves_cost_changes_class():
