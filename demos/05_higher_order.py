@@ -13,7 +13,7 @@ from mdsforge.slp import cost, depth
 
 r56 = catalogs.higher_order_ring()
 print("representation of alpha costs", r56.scalar_xor_count(2), "XOR;",
-      "a^-3 is priced", r56.scalar_xor_count(r56.pow(2, -3)))
+      "a^-3 is priced", r56.scalar_xor_count(r56.alpha_pow(-3)))
 
 for name in ("construction_5x5", "construction_6x6"):
     e = catalogs.load_catalog(name)[0]
@@ -21,7 +21,7 @@ for name in ("construction_5x5", "construction_6x6"):
           f"mds {e.mds}")
 
 tree = catalogs.tree_5x5()
-values = [1] + [r56.pow(2, e) for e in (1, -1, 2, -2, 3, -3, 4, -4)]
+values = [1] + [r56.alpha_pow(e) for e in (1, -1, 2, -2, 3, -3, 4, -4)]
 s, wits = simplify_tree(tree, r56, values, max_s=5, first_only=True)
 print("\n5x5 tree: fewest non-identity positions =", s,
       "first witness:", wits[0])

@@ -117,6 +117,14 @@ def _read_file(path: str) -> str:
         raise FormatError(f"cannot read {path}: {e.strerror}")
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -144,12 +152,15 @@ def cmd_search_trees(args) -> int:
         return EX_NOTFOUND
     types = sorted(set(t.type_vector for t in trees))
     types_s = ",".join("(" + ",".join(map(str, tv)) + ")" for tv in types)
+    if args.out:  # files first: a path that cannot be written prints nothing
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            raise UsageError(f"cannot write {args.out}: {e.strerror}") from None
+        for i, t in enumerate(trees, start=1):
+            _write_file(os.path.join(args.out, f"{k}x{k}_cap{cap}_tree{i}.txt"), tree_to_text(t))
     print(f"k {k}: {label} {cap}; {len(trees)} tree classes; types {types_s}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for i, t in enumerate(trees, start=1):
-            with open(os.path.join(args.out, f"{k}x{k}_cap{cap}_tree{i}.txt"), "w") as f:
-                f.write(tree_to_text(t))
         print(f"wrote {len(trees)} tree files to {args.out}")
     else:
         for t in trees:
@@ -184,8 +195,7 @@ def cmd_assign(args) -> int:
         f"{len(result)} equivalence classes",
     ])
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        _write_file(args.out, text)
         print(f"wrote {len(result)} entries to {args.out}")
     else:
         sys.stdout.write(text)

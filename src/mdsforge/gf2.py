@@ -6,8 +6,8 @@ degree -1 (sentinel).  Quotient rings ``F2[x]/(p)`` embed into GL(n, 2) by
 sending the class of x to a representation matrix, the companion matrix of
 ``p`` by default.  Rings have degree at most `MAX_DEGREE` = 8, and their
 elements are residues held as plain ints of one byte at most; a
-`QuotientRing` multiplies and tests units through lookup tables
-(`mul_rows`, `unit_flags`), and `ring` is its one, interning constructor.
+`QuotientRing` reads every element fact (products, units, inverses, powers
+of alpha) from tables, and `ring` is its one, interning constructor.
 """
 
 from __future__ import annotations
@@ -78,40 +78,6 @@ def poly_mod(a: int, m: int) -> int:
         a ^= m << (da - dm)
         da = poly_deg(a)
     return a
-
-
-def poly_divmod(a: int, b: int) -> tuple[int, int]:
-    if b == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    db = poly_deg(b)
-    q = 0
-    da = poly_deg(a)
-    while da >= db:
-        q ^= 1 << (da - db)
-        a ^= b << (da - db)
-        da = poly_deg(a)
-    return q, a
-
-
-def poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, poly_mod(a, b)
-    return a
-
-
-def poly_invmod(a: int, m: int) -> int:
-    """Inverse of a modulo m; raises NonUnitError when gcd(a, m) != 1."""
-    if poly_mod(a, m) == 0:
-        raise NonUnitError("zero is not invertible")
-    r0, r1 = m, poly_mod(a, m)
-    s0, s1 = 0, 1
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ poly_mul(q, s1)
-    if r0 != 1:
-        raise NonUnitError(f"gcd with modulus is {poly_text(r0)}, not 1")
-    return poly_mod(s0, m)
 
 
 def poly_text(a: int, var: str = "x") -> str:
@@ -258,18 +224,22 @@ class QuotientRing:
     constant term 1.
 
     Elements are residues (ints of degree < n, so one byte at most), and
-    products and unit tests are read from tables built once per ring.  `rep`
-    optionally replaces the companion matrix as the image of x inside
-    GL(n, 2), and must have the modulus as its minimal polynomial; the ring
-    structure is identical, but multiplication matrices (hence XOR counts of
-    scalars) depend on the representation.
+    every element question is read from two tables built with the ring: the
+    multiplication table (products, units, inverses) and one period of the
+    powers of alpha, the residue x (`alpha_pow`, `alpha_order`,
+    `power_of_alpha`).  Alpha is a unit since p(0) = 1; a ring of degree 1
+    has none.  `rep` optionally replaces the companion matrix as the image
+    of x inside GL(n, 2), and must have the modulus as its minimal
+    polynomial; the ring structure is identical, but multiplication matrices
+    (hence XOR counts of scalars) depend on the representation.
 
     `scalar_cost_model` selects how scalar multiplications are priced:
     "rowweight" (default) is the naive row-weight XOR count of the
-    multiplication matrix; "chained" prices a power alpha^e as |e| in-place
-    applications of the representation matrix (|e| * xor_count(rep)), the
-    accounting used for the bundled higher-order constructions, falling back
-    to row weight for elements that are not powers of alpha.
+    multiplication matrix; "chained" prices a power alpha^e whose least-|e|
+    exponent has |e| <= 16 as |e| in-place applications of the
+    representation matrix (|e| * xor_count(rep)), the accounting used for
+    the bundled higher-order constructions, falling back to row weight for
+    every other element.
     """
 
     def __init__(self, modulus: int, rep: BitMatrix | None = None,
@@ -283,8 +253,9 @@ class QuotientRing:
             raise ValueError("modulus constant term must be 1")
         self.modulus = modulus
         self.n = n
+        comp = companion(modulus)
         if rep is None:
-            rep = companion(modulus)
+            rep = comp
         elif rep.nrows != n or rep.cols != n:
             raise ValueError("representation matrix has wrong size")
         # I, rep, .., rep^n.  The modulus is rep's minimal polynomial iff it
@@ -304,31 +275,28 @@ class QuotientRing:
         if scalar_cost_model not in ("rowweight", "chained"):
             raise ValueError(f"unknown scalar cost model {scalar_cost_model!r}")
         self.scalar_cost_model = scalar_cost_model
-        self._mul_table: list[list[int]] | None = None
+        # (modulus, rep rows or None for the companion matrix, cost model)
+        self.key = (modulus, None if rep.rows == comp.rows else rep.rows, scalar_cost_model)
+        self._build_table()
+        # alpha^0, alpha^1, .. up to alpha's order
+        self._alpha_period = [1]
+        if n > 1:
+            times_a, v = self._mul_table[2], 2
+            while v != 1:
+                self._alpha_period.append(v)
+                v = times_a[v]
         self._mul_bytes: list[bytes] | None = None
         self._unit_flags: list[bool] | None = None
-        self._inv_cache: dict[int, int] = {}
         self._elem_mat_cache: dict[int, BitMatrix] = {}
         self._xor_cache: dict[int, int] = {}
 
     # -- identity helpers ---------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QuotientRing)
-            and self.modulus == other.modulus
-            and self.rep.rows == other.rep.rows
-            and self.scalar_cost_model == other.scalar_cost_model
-        )
+        return isinstance(other, QuotientRing) and self.key == other.key
 
     def __hash__(self):
-        return hash((self.modulus, self.rep.rows, self.scalar_cost_model))
-
-    @property
-    def key(self) -> tuple:
-        """(modulus, rep rows or None for the companion matrix, cost model)."""
-        rep_rows = None if self.rep.rows == companion(self.modulus).rows else self.rep.rows
-        return (self.modulus, rep_rows, self.scalar_cost_model)
+        return hash(self.key)
 
     def __reduce__(self):
         # pickled as its key: unpickling returns the receiving process's
@@ -342,10 +310,7 @@ class QuotientRing:
     # -- raw int arithmetic (hot paths) --------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        table = self._mul_table
-        if table is None:
-            table = self.mul_rows()
-        return table[a][b]
+        return self._mul_table[a][b]
 
     def _build_table(self):
         # a*b is linear in b: row a doubles once per bit i of b, the new half
@@ -364,9 +329,7 @@ class QuotientRing:
         self._mul_table = table
 
     def mul_rows(self) -> list[list[int]]:
-        """The multiplication table, built once: mul_rows()[a][b] == mul(a, b)."""
-        if self._mul_table is None:
-            self._build_table()
+        """The multiplication table: mul_rows()[a][b] == mul(a, b)."""
         return self._mul_table
 
     def mul_bytes(self) -> list[bytes]:
@@ -374,26 +337,25 @@ class QuotientRing:
         the bytes past 2^n are 0 and never read."""
         if self._mul_bytes is None:
             pad = bytes(256 - (1 << self.n))
-            self._mul_bytes = [bytes(row) + pad for row in self.mul_rows()]
+            self._mul_bytes = [bytes(row) + pad for row in self._mul_table]
         return self._mul_bytes
 
     def unit_flags(self) -> list[bool]:
-        """The unit truth table, built once: unit_flags()[a] iff a is a unit
-        (gcd with the modulus 1)."""
+        """The unit truth table, built once: unit_flags()[a] iff a is a unit,
+        that is, iff a's table row holds 1."""
         if self._unit_flags is None:
-            m = self.modulus
-            self._unit_flags = [a != 0 and poly_gcd(a, m) == 1 for a in range(1 << self.n)]
+            self._unit_flags = [1 in row for row in self._mul_table]
         return self._unit_flags
 
     def is_unit(self, a: int) -> bool:
         return self.unit_flags()[a]
 
     def inv(self, a: int) -> int:
-        cached = self._inv_cache.get(a)
-        if cached is None:
-            cached = poly_invmod(a, self.modulus)
-            self._inv_cache[a] = cached
-        return cached
+        """The inverse of a: where a's table row holds 1."""
+        try:
+            return self._mul_table[a].index(1)
+        except ValueError:
+            raise NonUnitError(f"{self.element_text(a)} is not a unit") from None
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -406,6 +368,28 @@ class QuotientRing:
             a = self.mul(a, a)
             e >>= 1
         return acc
+
+    def alpha_order(self) -> int:
+        """The least e > 0 with alpha^e == 1."""
+        if self.n < 2:
+            raise ValueError("no alpha in a ring of degree 1")
+        return len(self._alpha_period)
+
+    def alpha_pow(self, e: int) -> int:
+        """alpha^e, for any int e."""
+        return self._alpha_period[e % self.alpha_order()]
+
+    def power_of_alpha(self, value: int) -> int | None:
+        """The least-|e| exponent with alpha^e == value, or None.
+
+        Ties between e and -e resolve to the positive exponent.  1 is
+        alpha^0 in every ring, the one of degree 1 included.
+        """
+        period = self._alpha_period
+        if value not in period:
+            return None
+        e = period.index(value)
+        return e if 2 * e <= len(period) else e - len(period)
 
     def element_matrix_int(self, a: int) -> BitMatrix:
         m = self._elem_mat_cache.get(a)
@@ -429,22 +413,10 @@ class QuotientRing:
             c = xor_count(self.element_matrix_int(a))
             if self.scalar_cost_model == "chained":
                 e = self.power_of_alpha(a)
-                if e is not None:
+                if e is not None and abs(e) <= 16:  # the chained model's reach
                     c = abs(e) * xor_count(self.rep)
             self._xor_cache[a] = c
         return c
-
-    def power_of_alpha(self, value: int) -> int | None:
-        """Smallest-|e| exponent, |e| <= 16, with alpha^e == value, or None.
-
-        Ties between e and -e resolve to the positive exponent.
-        """
-        for e in range(17):
-            if self.pow(2, e) == value:
-                return e
-            if self.pow(2, -e) == value:
-                return -e
-        return None
 
     # -- element text form ----------------------------------------------------
 
@@ -465,17 +437,15 @@ class QuotientRing:
             if term == "1":
                 acc ^= 1
                 continue
-            if self.n < 2 and (term == "a" or term.startswith("a^")):
-                raise FormatError(f"no alpha in a ring of degree 1: {term!r}")
-            if term == "a":
-                acc ^= 2
-                continue
-            if term.startswith("a^"):
+            if term == "a" or term.startswith("a^"):
                 try:
-                    e = int(term[2:])
+                    e = 1 if term == "a" else int(term[2:])
                 except ValueError:
                     raise FormatError(f"bad element monomial {term!r}") from None
-                acc ^= self.pow(2, e)
+                try:
+                    acc ^= self.alpha_pow(e)
+                except ValueError as err:  # no alpha
+                    raise FormatError(f"{err}: {term!r}") from None
                 continue
             raise FormatError(f"bad element monomial {term!r}")
         return acc

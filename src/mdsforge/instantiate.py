@@ -54,27 +54,15 @@ class CatalogEntry:
         return (self.cost, self.depth, self.canonical)
 
 
-def _alpha(ring: QuotientRing) -> int:
-    """Alpha, the residue x: the int 2, which a ring of degree 1 has not."""
-    if ring.n < 2:
-        raise ValueError("no alpha in a ring of degree 1")
-    return 2
-
-
 def alpha_powers(ring: QuotientRing, lo: int, hi: int) -> list[int]:
     """1 and each a^e with lo <= e <= hi, each value once, at its first place
     when the range's exponents are scanned in the documented order 1, a,
     a^-1, a^2, a^-2, ...  The scan reads one period of alpha's order from
     the range's exponent nearest 0: past that the powers repeat."""
-    alpha = _alpha(ring)
-    times_a = ring.mul_rows()[alpha]
-    period, v = 1, alpha
-    while v != 1:
-        v = times_a[v]
-        period += 1
+    order = ring.alpha_order()
     near = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    scan = [e for m in range(max(near, 1), near + period) for e in (m, -m) if lo <= e <= hi]
-    return list(dict.fromkeys([1] + [ring.pow(alpha, e) for e in scan]))
+    scan = [e for m in range(max(near, 1), near + order) for e in (m, -m) if lo <= e <= hi]
+    return list(dict.fromkeys([1] + [ring.alpha_pow(e) for e in scan]))
 
 
 def default_value_set(ring: QuotientRing) -> list[int]:
@@ -90,7 +78,7 @@ def conjugate_slp(p: Slp) -> Slp:
         e = ring.power_of_alpha(v)
         if e is None:
             raise ValueError(f"scalar {ring.element_text(v)} is not a power of alpha")
-        return ring.pow(2, -e)
+        return ring.alpha_pow(-e)
 
     steps = tuple(Step(st.m, st.n, flip(st.a), flip(st.b)) for st in p.steps)
     return Slp(ring, p.k_in, steps, p.outputs)
@@ -393,7 +381,7 @@ def _fixable_squares(ring: QuotientRing, max_t: int) -> list[frozenset]:
     """fixable[b] = {a^(2g) : |g| <= b} for b = 0..max_t.  Squaring is a
     ring homomorphism in characteristic 2, so x * a^-g squares to 1 for some
     |g| <= b iff x^2 is in fixable[b]: no residue of the ring is listed."""
-    return [frozenset(ring.pow(2, 2 * g) for g in range(-b, b + 1)) for b in range(max_t + 1)]
+    return [frozenset(ring.alpha_pow(2 * g) for g in range(-b, b + 1)) for b in range(max_t + 1)]
 
 
 def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
@@ -403,7 +391,7 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     cap = tree.capacity
     mul = ring.mul
     mrows = ring.mul_rows()
-    alpha_pow = {e: ring.pow(_alpha(ring), e) for e in range(-max_t, max_t + 1)}
+    alpha_pow = {e: ring.alpha_pow(e) for e in range(-max_t, max_t + 1)}
     scale, unpack, units = packed_rows(ring, k)
     tracker = MinorTracker(ring, k)
     # per-position state, written at its depth (entries past the current

@@ -545,12 +545,13 @@ def _type_classes(k: int, type_vec: tuple[int, ...], max_depth: int | None) -> s
 
 
 def pool_map(fn, jobs: list[tuple], threads: int) -> list:
-    """[fn(*job) for job in jobs], spread over `threads` worker processes
-    when threads > 1 and there is more than one job; order is kept."""
+    """[fn(*job) for job in jobs], spread over `threads` worker processes,
+    one per job at most, when threads > 1 and there is more than one job;
+    order is kept."""
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             return list(pool.map(fn, *zip(*jobs)))
     return [fn(*job) for job in jobs]
 

@@ -136,6 +136,21 @@ def test_assign_small(tmp_path, capsys):
     assert code == 0
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    # the path is checked by writing it, before any line reaches stdout
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = tmp_path / "missing" / "x.catalog"
+    for argv, path, reason in (
+        (("search-trees", "--k", "2"), taken, "File exists"),
+        (("assign", "--all-trees", "--ring", "x^4+x+1", "--cost-bound", "35"), missing,
+         "No such file or directory"),
+    ):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (64, "")
+        assert err == f"usage error: cannot write {path}: {reason}\n"
+
+
 def test_assign_bound_too_low(capsys):
     tree = catalogs.data_path("trees", "4x4_tree1.txt")
     code, out, _ = run(capsys, "assign", "--tree", tree, "--ring", "x^8+x^2+1",

@@ -66,6 +66,10 @@ def test_degree_one_ring_has_no_alpha():
     for text in ("a", "a^2", "1+a^-1"):
         with pytest.raises(FormatError, match="no alpha in a ring of degree 1"):
             r.parse_element(text)
+    for call in (r.alpha_order, lambda: r.alpha_pow(1), lambda: r.alpha_pow(0)):
+        with pytest.raises(ValueError, match="no alpha in a ring of degree 1"):
+            call()
+    assert r.power_of_alpha(1) == 0 and r.power_of_alpha(0) is None
 
 
 def test_degree_above_limit_is_refused():
@@ -174,6 +178,13 @@ def test_custom_representation_and_chained_cost():
     assert xor_count(rep) == 2
     for e in (1, -1, 2, -2, 3, -3):
         assert r.scalar_xor_count(r.pow(2, e)) == 2 * abs(e)
+    # alpha has order 255: a^17 is a power of alpha past the chained
+    # model's reach, priced by its row weight
+    assert r.alpha_order() == 255
+    assert r.scalar_xor_count(r.alpha_pow(16)) == 32
+    a17 = r.alpha_pow(17)
+    assert r.power_of_alpha(a17) == 17
+    assert r.scalar_xor_count(a17) == xor_count(r.element_matrix_int(a17)) == 14
     with pytest.raises(ValueError):
         QuotientRing(poly_parse("x^8+x^2+1"), rep=rep)  # wrong minimal polynomial
 
@@ -252,3 +263,28 @@ def test_mul_table_matches_polynomial_product(modulus):
     n = p.bit_length() - 1
     want = [[poly_mod(poly_mul(a, b), p) for b in range(1 << n)] for a in range(1 << n)]
     assert ring(modulus).mul_rows() == want
+
+
+@pytest.mark.parametrize("modulus", ["x^8+x^2+1", "x^4+x+1", "x^2+1", "x^4+x^3+x^2+x+1",
+                                     "higher-order"])
+def test_ring_facts_match_the_arithmetic(modulus):
+    # every element fact read from the ring's tables against square and
+    # multiply (pow) and a brute-force least-|e| scan
+    from mdsforge.catalogs import higher_order_ring
+
+    r = higher_order_ring() if modulus == "higher-order" else ring(modulus)
+    for e in range(-40, 41):
+        assert r.alpha_pow(e) == r.pow(2, e)
+    order = next(e for e in range(1, 1 << r.n) if r.pow(2, e) == 1)
+    assert r.alpha_order() == order
+    least = {}  # value: its exponent of least |e|, the positive one on a tie
+    for m in range(order):
+        for e in (m, -m):
+            least.setdefault(r.pow(2, e), e)
+    for v in range(1 << r.n):
+        assert r.power_of_alpha(v) == least.get(v), v
+        if r.is_unit(v):
+            assert r.mul(v, r.inv(v)) == 1
+        else:
+            with pytest.raises(NonUnitError):
+                r.inv(v)

@@ -132,6 +132,16 @@ def test_conjugation_preserves_cost_changes_class():
         assert c.canonical != e.canonical
 
 
+def test_conjugation_reaches_every_power_of_alpha():
+    # alpha has order 255 here, so a^20 is no power of least |e| <= 16
+    r = ring("x^8+x^4+x^3+x^2+1")
+    a20 = r.alpha_pow(20)
+    p = Slp(r, 2, (Step(-1, 0, a20, 1), Step(-1, 1, 2, r.alpha_pow(-100))), (1, 2))
+    c = conjugate_slp(p)
+    assert c.steps[0].a == r.alpha_pow(-20) and c.steps[1].b == r.alpha_pow(100)
+    assert conjugate_slp(c) == p
+
+
 def test_pmq_classes_keep_first_of_least_sort_key():
     cat = list(catalogs.load_catalog("cost67_4x4")[:5])
     dearer = [replace(e, cost=e.cost + 1) for e in cat]

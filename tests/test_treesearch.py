@@ -173,6 +173,34 @@ def test_search_determinism_with_threads():
     assert search_at_capacity(3, 6, threads=2) == single
 
 
+def test_pool_map_starts_one_worker_per_job_at_most(monkeypatch):
+    # a stand-in executor that records its size and runs the jobs in this
+    # process: no worker is started
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    jobs = [(1, 2), (3, 4), (5, 6)]
+    for threads, size in ((64, 3), (3, 3), (2, 2)):
+        assert treesearch.pool_map(pow, jobs, threads) == [1, 81, 15625]
+        assert sizes.pop() == size
+    assert treesearch.pool_map(pow, jobs[:1], 64) == [1] and not sizes
+
+
 def test_returned_trees_are_normal_without_dead_nodes():
     _, trees = search_simplest(3)
     r = ring("x^2+x+1")
