@@ -357,18 +357,6 @@ class QuotientRing:
         except ValueError:
             raise NonUnitError(f"{self.element_text(a)} is not a unit") from None
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
-
     def alpha_order(self) -> int:
         """The least e > 0 with alpha^e == 1."""
         if self.n < 2:

@@ -38,14 +38,19 @@ identically zero iff its input and output terms cannot be joined by
 vertex-disjoint paths.
 
 `canonical_tree` finds that minimum by a pruned search: the type vector
-first, from the output order alone, then serializations built token by token
-and cut at the first token above the best so far.  Each type's survivors are
-canonicalized where they are generated, inside the worker at threads > 1, so
-only its set of keys comes back.
+first, from the output order alone, then one search per output order of
+least type vector, built token by token and cut at the first token above the
+best so far.  Inputs are not relabeled up front: an input gets its label
+when a token first reads it, and the search branches only where the least
+next token can be reached in more than one way (the individualization of
+McKay and Piperno, 2014).  Each type's survivors are canonicalized where
+they are generated, inside the worker at threads > 1, so only its set of
+keys comes back.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -248,13 +253,14 @@ def _reorder_beats(type_vec, outs: list[int], anc: dict, placed: int = 0) -> boo
     type_vec.
 
     As in `canonical_tree`, an output's segment is its ancestors not yet
-    placed.  Only orders that tie type_vec so far are followed.  An order is
-    valid when no segment takes in a waiting output, but that needs no test,
-    here or in `canonical_tree`: a segment that takes in one is larger than
-    the segment of the earliest waiting output among its ancestors, which
-    takes in none.  So where an invalid order would tie or beat type_vec, a
-    valid one beats it at the same place, and every order of least type
-    vector is valid.
+    placed, and an order is followed only while it ties the type vector it
+    is held against: type_vec here, the least so far there.  An order is
+    valid when no segment takes in a waiting output, but that needs no
+    test, here or in `canonical_tree`: a segment that takes in one is
+    larger than the segment of the earliest waiting output among its
+    ancestors, which takes in none.  So where an invalid order would tie or
+    beat type_vec, a valid one beats it at the same place, and every order
+    of least type vector is valid.
     """
     s = type_vec[0]
     for o in outs:
@@ -446,83 +452,171 @@ def canonical_tree(t: ImplTree) -> tuple:
     order whose segment would take in another output is not normal, but it
     never has the least type vector (see `_reorder_beats`).  The type vector
     and the segments depend on the output order alone, so only the orders
-    of least type vector are serialized, and each candidate is abandoned at
-    its first token above the best found so far.
+    of least type vector are serialized, one search each (`_least_tokens`),
+    and a branch is abandoned at its first token above the best so far.
+
+    No input relabeling is tried up front.  The search labels an input when
+    a token first reads it, with the least input label not yet given
+    (-(k-1) first), and branches only where the least next token can be
+    reached in more than one way.  The least encoding labels inputs in that
+    order: were an input first read at token i labeled above one not read by
+    then, swapping the two labels would change no token before i or make the
+    first that changes smaller, and would make token i smaller.
     """
     k = t.k
     nodes = t.nodes
     anc = ancestor_masks(nodes)
-    best_tv = None
-    plans: list[list[list[int]]] = []
-    for order in itertools.permutations(t.outs):
-        placed = 0
-        tv = []
-        plan = []
-        for o in order:
-            seg = anc[o] & ~placed
-            tv.append(seg.bit_count() + 1)
-            placed |= seg | (1 << o)
-            plan.append((seg, o))
-        tv = tuple(tv)
-        if best_tv is None or tv < best_tv:
-            best_tv, plans = tv, []
-        if tv == best_tv:
-            plans.append([_segment(seg, o) for seg, o in plan])
-    c = len(nodes)
+    # the output orders of least type vector, one part at a time: every order
+    # kept so far has the least prefix, and the next part is the least size
+    plans = [(0, ())]  # (placed nodes, segments)
+    best_tv = []
+    for _ in range(k):
+        size = None
+        nxt = []
+        for placed, segs in plans:
+            for o in t.outs:
+                if not placed >> o & 1:
+                    seg = anc[o] & ~placed
+                    s = seg.bit_count()
+                    if size is None or s < size:
+                        size, nxt = s, []
+                    if s == size:
+                        nxt.append((placed | seg | 1 << o, segs + (_segment(seg, o),)))
+        best_tv.append(size + 1)
+        plans = nxt
+    # labels by term: node q at index q, input -j at index -j (from the end)
+    lab: list = [None] * (len(nodes) + k)
     best = None
-    for sigma in itertools.permutations(range(k)):
-        # labels by term: node q at index q, input -j at index -j (from the
-        # end), where it gets the new label -sigma[j]
-        lab: list = [None] * (c + k)
-        for j in range(k):
-            lab[-j] = -sigma[j]
-        for plan in plans:
-            tokens = _serialize_below(nodes, plan, lab.copy(), best)
-            if tokens is not None:
-                best = tokens
-    return (best_tv, best)
+    for _, plan in plans:
+        best = _least_tokens(nodes, plan, 0, list(plan[0]), lab.copy(), 1 - k, {}, [],
+                             best is not None, best)
+    return (tuple(best_tv), best)
 
 
-def _segment(seg: int, o: int) -> list[int]:
+@functools.lru_cache(maxsize=4096)
+def _segment(seg: int, o: int) -> tuple[int, ...]:
     """The nodes of a segment (bitmask seg, output o), output last.
 
-    Two nodes tie for the next place only when they share both operands.
-    The encoding breaks such ties by the iteration order of the segment's
-    node set built in ascending order; keeping that keeps every key.
+    Two nodes tie for the next place under one input labeling only when
+    they share both operands.  The encoding breaks such ties by the
+    iteration order of the segment's node set built in ascending order;
+    keeping that keeps every key.  Segments recur across trees, so each is
+    built once (the tuple is shared: copy it to change it).
     """
-    return list(set(q for q in range(1, o) if (seg >> q) & 1)) + [o]
+    return tuple(set(q for q in range(1, o) if (seg >> q) & 1)) + (o,)
 
 
-def _serialize_below(nodes, plan, lab: list, best: tuple | None) -> tuple | None:
-    """Tokens of one serialization, or None unless they are below best."""
-    tokens: list[tuple[int, int, int]] = []
-    tied = best is not None  # every token so far equals best's
-    pos = 0
-    for seg in plan:
-        # the output becomes placeable only once the rest of its segment is
-        pending = seg.copy()
-        while pending:
-            q = pair = None
-            for r in pending:
-                m, n = nodes[r - 1]
-                a = lab[m]
-                b = lab[n]
-                if a is None or b is None:
+def _least_tokens(nodes, plan, i: int, pending: list, lab: list, nl: int, twins: dict,
+                  tokens: list, tied: bool, best: tuple | None) -> tuple | None:
+    """The least of best and the serializations that go on from this state.
+
+    The state is segment i of plan with its nodes still pending, the labels
+    lab given so far (None: an unread input or a node not yet placed), nl
+    the least input label not yet given, the unsettled twins, and the tokens
+    so far, which are not above best's (tied: equal to its prefix).
+
+    Each step places the pending node whose pair of labels is least, an
+    unread input counted as labeled nl.  A node that first reads two inputs
+    labels them nl and nl + 1 in an order left open: the two are twins, both
+    labeled nl in lab and paired in twins, until a node that reads one
+    without the other settles that one on the lower label, the one that
+    gives that node its least pair.  The search
+    branches only where the least pair can be reached through nodes on
+    different operands; nodes on the same operands tie under every
+    labeling, and the first in pending order goes.  A branch ends at its
+    first token above best's.
+    """
+    pos = len(tokens)
+    while True:
+        if not pending:
+            i += 1
+            if i == len(plan):
+                return best if tied else tuple(tokens)
+            pending = list(plan[i])
+        pair = q = ties = None
+        for r in pending:
+            m, n = nodes[r - 1]
+            a = lab[m]
+            b = lab[n]
+            if a is None:
+                if m > 0:
                     continue
-                rp = (a, b) if a < b else (b, a)
-                if pair is None or rp < pair:
-                    pair, q = rp, r
-            pending.remove(q)
-            pos += 1
-            lab[q] = pos
-            tok = (pair[0], pair[1], 0 if pending else 1)
-            if tied:
-                ref = best[pos - 1]
-                if tok > ref:
-                    return None
-                tied = tok == ref
-            tokens.append(tok)
-    return None if tied else tuple(tokens)
+                if b is None:
+                    if n > 0:
+                        continue
+                    rp = (nl, nl + 1)
+                else:
+                    rp = (b, nl) if b < nl else (nl, b)
+            elif b is None:
+                if n > 0:
+                    continue
+                rp = (a, nl)  # m < n <= 0: a is an input's label, below nl
+            elif a < b:
+                rp = (a, b)
+            elif a > b:
+                rp = (b, a)
+            else:
+                rp = (a, a + 1)  # twins
+            if pair is None or rp < pair:
+                pair, q, ties = rp, r, None
+            elif rp == pair:
+                if ties is None:
+                    ties = [q]
+                ties.append(r)
+        pos += 1
+        tok = (pair[0], pair[1], 0 if len(pending) > 1 else 1)
+        if tied:
+            ref = best[pos - 1]
+            if tok > ref:
+                return best
+            tied = tok == ref
+        tokens.append(tok)
+        if ties is not None:
+            ways = {}  # the first node on each pair of operands
+            for r in ties:
+                ways.setdefault(nodes[r - 1], r)
+            if len(ways) > 1:
+                for ops, r in ways.items():
+                    sub = lab.copy()
+                    tw = twins.copy()
+                    sub[r] = pos
+                    rest = pending.copy()
+                    rest.remove(r)
+                    res = _least_tokens(nodes, plan, i, rest, sub, _read_inputs(ops, sub, nl, tw),
+                                        tw, tokens.copy(), tied, best)
+                    if res is not best:
+                        best, tied = res, True
+                return best
+        ops = nodes[q - 1]
+        m, n = ops
+        # only a node on an unread input or a twin changes the input labels
+        if m <= 0 and (twins or lab[m] is None or n <= 0 and lab[n] is None):
+            nl = _read_inputs(ops, lab, nl, twins)
+        lab[q] = pos
+        pending.remove(q)
+
+
+def _read_inputs(ops: tuple[int, int], lab: list, nl: int, twins: dict) -> int:
+    """Label the inputs that a node placed on operands ops reads first, and
+    settle the twins it reads one of (see `_least_tokens`); returns the
+    least input label not yet given."""
+    m, n = ops
+    for x, y in ((m, n), (n, m)):
+        z = twins.get(x)
+        if z is not None and z != y:
+            lab[z] += 1
+            del twins[x], twins[z]
+    if m <= 0 and lab[m] is None:
+        if n <= 0 and lab[n] is None:
+            lab[m] = lab[n] = nl
+            twins[m], twins[n] = n, m
+            return nl + 2
+        lab[m] = nl
+        return nl + 1
+    if n <= 0 and lab[n] is None:
+        lab[n] = nl
+        return nl + 1
+    return nl
 
 
 def tree_from_encoding(k: int, enc: tuple) -> ImplTree:

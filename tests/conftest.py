@@ -6,6 +6,25 @@ from mdsforge.instantiate import involutory_search
 from mdsforge.treesearch import search_at_capacity
 
 
+def _ring_pow(r, a: int, e: int) -> int:
+    """Reference: a^e in ring r by square and multiply, a^-e as the inverse's."""
+    if e < 0:
+        a = r.inv(a)
+        e = -e
+    acc = 1
+    while e:
+        if e & 1:
+            acc = r.mul(acc, a)
+        a = r.mul(a, a)
+        e >>= 1
+    return acc
+
+
+@pytest.fixture(scope="session")
+def ring_pow():
+    return _ring_pow
+
+
 @pytest.fixture(scope="session")
 def r8():
     return ring("x^8+x^2+1")

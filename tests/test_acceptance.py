@@ -184,7 +184,7 @@ def test_criterion_5_higher_order(r56):
 
     t1 = time.time()
     tree = catalogs.tree_5x5()
-    values = [1] + [r56.pow(2, e) for e in (1, -1, 2, -2, 3, -3, 4, -4)]
+    values = [1] + [r56.alpha_pow(e) for e in (1, -1, 2, -2, 3, -3, 4, -4)]
     s, wits = simplify_tree(tree, r56, values, max_s=5, first_only=True)
     assert s == 5
     assert wits[0] == (0, 4, 5, 13, 17)

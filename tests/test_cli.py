@@ -1,6 +1,8 @@
 import hashlib
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -500,3 +502,14 @@ def test_k_at_limit_and_wide_programs_are_read(tmp_path, capsys):
     path = tmp_path / "eight.tree"
     path.write_text(_chain_tree(8))
     assert run(capsys, "verify", str(path))[0] == 1  # a minor vanishes
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    # a checkout runs as `python -m mdsforge` with src/ on the import path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "mdsforge", "catalog"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run(capsys, "catalog")[1]

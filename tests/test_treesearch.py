@@ -140,6 +140,52 @@ def test_canonical_tree_matches_brute_force_on_reserializations(trees8):
     assert all(canonical_tree(v) == key for v in variants)
 
 
+@functools.lru_cache(maxsize=None)
+def _raw_survivors(k: int, capacity: int) -> list[ImplTree]:
+    return [ImplTree(k, nodes, outs) for tv in enumerate_types(k, capacity)
+            for nodes, outs in _generate_type(k, tv, None)]
+
+
+@st.composite
+def _survivor_draws(draw):
+    """(a raw survivor, a relabeling seed, a re-serialization pick)."""
+    k, capacity = draw(st.sampled_from([(3, 6), (4, 8)]))
+    raws = _raw_survivors(k, capacity)
+    t = raws[draw(st.integers(0, len(raws) - 1))]
+    return t, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_survivor_draws())
+# node 1 reads two inputs, and which of them a later node reads alone matters
+@example((ImplTree(3, ((-1, 0), (-2, -1), (1, 2), (-2, 0), (1, 4), (2, 4)), (3, 5, 6)), 7, 3))
+# nodes 3 and 5 share both operands, where the tie rule decides
+@example((ImplTree(3, ((-1, 0), (-2, 1), (-2, -1), (0, 3), (-2, -1), (0, 5)), (2, 4, 6)), 11, 1))
+# nodes 3 and 4 share both operands and tie with node 5, which reads node 1's other input
+@example((ImplTree(3, ((-2, -1), (-2, -1), (-2, 1), (-2, 1), (-1, 1), (3, 5), (4, 6)), (1, 2, 7)), 3, 0))
+def test_canonical_tree_is_a_class_invariant(case):
+    # a survivor, relabeled and re-serialized, keeps the survivor's own key
+    t, seed, pick = case
+    sigma = random.Random(seed).sample(range(t.k), t.k)
+    variants = _reserializations(_relabel_inputs(t, sigma))
+    v = variants[pick % len(variants)]
+    key = canonical_tree(v)
+    assert key == canonical_tree(t)
+    if seed % 2 or t.k == 3:  # one brute-force call at k=4 takes 576 serializations
+        assert key == brute_force_canonical_tree(v)
+
+
+def test_canonical_tree_keeps_one_key_for_the_6x6_tree():
+    # brute force would take 720 x 720 serializations per call
+    t = tree_from_text(open(catalogs.data_path("trees", "6x6_tree.txt")).read())
+    key = canonical_tree(t)
+    rng = random.Random(6)
+    for _ in range(5):
+        variants = _reserializations(_relabel_inputs(t, rng.sample(range(6), 6)))
+        assert len(variants) >= 20
+        assert all(canonical_tree(v) == key for v in variants[:20])
+
+
 def test_enumerate_types_counts():
     t48 = enumerate_types(4, 8)
     assert len(t48) == 10
