@@ -115,45 +115,38 @@ def _row_kernel(k: int, j: int):
     rejects it if it is not a unit and bad(rowmask, colmask) says it is
     zero.  The source holds only names and ints of the plan.  Each piece of
     at most _PIECE minors is compiled on its own, so neither a function nor
-    a compile grows large; the first piece returns the row's multiplication
-    rows, and a loop hands them to the others, not a call chain, which
-    would outgrow the recursion limit at k = 10.
+    a compile grows large; every piece is called as piece(row, d) and
+    unpacks the row and its multiplication rows itself, and check calls
+    them in a loop, not a call chain, which would outgrow the recursion
+    limit at k = 10.
     """
     bind = _ROW_KERNELS.get((k, j))
     if bind is None:
         entry_keys, minors = _minor_plan(k, j)
-        ms = ", ".join(f"m{c}" for c in range(k))
-        head = [", ".join(f"e{c}" for c in range(k)) + ", = row",
-                "if " + " or ".join(f"not units[e{c}] and bad({1 << j}, {1 << c})"
-                                    for c in range(k)) + ": return False"]
-        head += [f"d[{key}] = e{c}" for c, key in enumerate(entry_keys)]
-        if minors:
-            head.append(f"{ms}, = " + ", ".join(f"mul[e{c}]" for c in range(k)))
+        unpack = ", ".join(f"e{c}" for c in range(k)) + ", = row"
+        screen = ["if " + " or ".join(f"not units[e{c}] and bad({1 << j}, {1 << c})"
+                                      for c in range(k)) + ": return False"]
+        screen += [f"d[{key}] = e{c}" for c, key in enumerate(entry_keys)]
+        muls = (", ".join(f"m{c}" for c in range(k)) + ", = "
+                + ", ".join(f"mul[e{c}]" for c in range(k)))
         pieces = [minors[i:i + _PIECE] for i in range(0, len(minors), _PIECE)] or [[]]
         binds = []
         for i, piece in enumerate(pieces):
-            body = head if i == 0 else []
+            body = [unpack] + (screen if i == 0 else []) + ([muls] if piece else [])
             for rm, cm, key, items in piece:
                 body.append(f"d[{key}] = x = " + " ^ ".join(f"m{c}[d[{sub}]]" for c, sub in items))
                 body.append(f"if not units[x] and bad({rm}, {cm}): return False")
-            body.append(f"return {ms}," if i == 0 and len(pieces) > 1 else "return True")
-            src = ["def bind(units, mul, bad):",
-                   " def p(row, d):" if i == 0 else f" def p(d, {ms}):"]
-            src += ["  " + line for line in body] + [" return p"]
+            src = ["def bind(units, mul, bad):", " def p(row, d):"]
+            src += ["  " + line for line in body] + ["  return True", " return p"]
             scope: dict = {}
             exec(compile("\n".join(src), f"<row kernel k={k} j={j} piece {i}>", "exec"), scope)
             binds.append(scope["bind"])
 
         def bind(units, mul, bad):
-            first, *rest = [piece_bind(units, mul, bad) for piece_bind in binds]
-            if not rest:
-                return first
-
-            def check(row, dets):
-                ms = first(row, dets)
-                return bool(ms) and all(piece(dets, *ms) for piece in rest)
-
-            return check
+            checks = [piece_bind(units, mul, bad) for piece_bind in binds]
+            if len(checks) == 1:
+                return checks[0]
+            return lambda row, dets: all(check(row, dets) for check in checks)
 
         _ROW_KERNELS[(k, j)] = bind
     return bind

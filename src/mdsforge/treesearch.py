@@ -448,12 +448,13 @@ def canonical_tree(t: ImplTree) -> tuple:
 
     A serialization follows an output order.  Each output's segment is its
     not yet placed ancestors, placed one by one (next is the node whose
-    sorted pair of operand labels is least), then the output itself.  An
-    order whose segment would take in another output is not normal, but it
-    never has the least type vector (see `_reorder_beats`).  The type vector
-    and the segments depend on the output order alone, so only the orders
-    of least type vector are serialized, one search each (`_least_tokens`),
-    and a branch is abandoned at its first token above the best so far.
+    sorted pair of operand labels is least; of nodes on the same operands,
+    the lower-numbered), then the output itself.  An order whose segment
+    would take in another output is not normal, but it never has the least
+    type vector (see `_reorder_beats`).  The type vector and the segments
+    depend on the output order alone, so only the orders of least type
+    vector are serialized, one search each (`_least_tokens`), and a branch
+    is abandoned at its first token above the best so far.
 
     No input relabeling is tried up front.  The search labels an input when
     a token first reads it, with the least input label not yet given
@@ -495,15 +496,19 @@ def canonical_tree(t: ImplTree) -> tuple:
 
 @functools.lru_cache(maxsize=4096)
 def _segment(seg: int, o: int) -> tuple[int, ...]:
-    """The nodes of a segment (bitmask seg, output o), output last.
+    """The nodes of a segment (bitmask seg of the nodes before output o), in
+    node order with the output last.
 
-    Two nodes tie for the next place under one input labeling only when
-    they share both operands.  The encoding breaks such ties by the
-    iteration order of the segment's node set built in ascending order;
-    keeping that keeps every key.  Segments recur across trees, so each is
-    built once (the tuple is shared: copy it to change it).
+    Two nodes tie for the next place under one input labeling only when they
+    share both operands; the lower-numbered one goes first, as
+    `_least_tokens` takes the first pending node on a tie.  Segments recur
+    across trees, so each is built once (the tuple is shared).
     """
-    return tuple(set(q for q in range(1, o) if (seg >> q) & 1)) + (o,)
+    nodes = []
+    while seg:
+        nodes.append((seg & -seg).bit_length() - 1)  # the lowest node left
+        seg &= seg - 1
+    return (*nodes, o)
 
 
 def _least_tokens(nodes, plan, i: int, pending: list, lab: list, nl: int, twins: dict,
@@ -523,8 +528,8 @@ def _least_tokens(nodes, plan, i: int, pending: list, lab: list, nl: int, twins:
     gives that node its least pair.  The search
     branches only where the least pair can be reached through nodes on
     different operands; nodes on the same operands tie under every
-    labeling, and the first in pending order goes.  A branch ends at its
-    first token above best's.
+    labeling, and the lower-numbered one goes first (pending keeps node
+    order).  A branch ends at its first token above best's.
     """
     pos = len(tokens)
     while True:

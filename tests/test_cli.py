@@ -179,13 +179,18 @@ def test_cli_determinism(capsys):
      "753021e41df41ced31db38a222be716f6925b02713c398aabe43963f1f02a0d9", 3963),
     (("--k", "3", "--capacity", "6"),
      "fa7b4ea6d6cf7573d941c422c54eea71af9aed62cc6b5d1660eb3056d1d1100d", 384493),
+    (("--k", "4", "--capacity", "9", "--max-depth", "3"),
+     "54b21fbba44513dc381632f4dcb997a5225027e01484d9077bf75abf4ef47475", 32062),
 ])
 def test_search_trees_output_is_pinned(capsys, argv, digest, size):
-    # the tree classes and their text, byte for byte: SHA-256 and length of
-    # the whole stdout, recorded before the zero masks took in the entries
-    code, out, _ = run(capsys, "search-trees", *argv)
-    data = out.encode()
-    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest)
+    # the tree classes and their text, byte for byte and at any thread count:
+    # SHA-256 and length of the whole stdout, the first three recorded before
+    # the zero masks took in the entries, the last before ties between nodes
+    # on the same operands went to the lower node number
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, "search-trees", *argv, "-j", threads)
+        data = out.encode()
+        assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest), threads
 
 
 @pytest.mark.parametrize("header", [
