@@ -100,11 +100,6 @@ _ROW_KERNELS: dict[tuple[int, int], object] = {}
 _PIECE = 64  # minors per generated function: one huge function costs compile memory
 
 
-def _reject(rowmask: int, colmask: int) -> bool:
-    """The exact hook of a tracker without one: every non-unit minor is zero."""
-    return True
-
-
 def _row_kernel(k: int, j: int):
     """bind(units, mul, bad) -> check(row, dets): `MinorTracker.add_row` for
     row j as straight-line code, generated from `_minor_plan(k, j)` and
@@ -112,20 +107,23 @@ def _row_kernel(k: int, j: int):
 
     check unpacks the row, screens its entries, writes their keys, and then
     per minor, in plan order, one line stores its cofactor expansion and one
-    rejects it if it is not a unit and bad(rowmask, colmask) says it is
-    zero.  The source holds only names and ints of the plan.  Each piece of
-    at most _PIECE minors is compiled on its own, so neither a function nor
-    a compile grows large; every piece is called as piece(row, d) and
-    unpacks the row and its multiplication rows itself, and check calls
-    them in a loop, not a call chain, which would outgrow the recursion
-    limit at k = 10.
+    rejects it if it is not a unit and either there is no hook (bad is None)
+    or bad(rowmask, colmask) says it is zero; one kernel serves trackers
+    with and without a hook.  The store d is the tracker's list, indexed by
+    the plan's keys.  The source holds only names and ints of the plan.
+    Each piece of at most _PIECE minors is compiled on its own, so neither
+    a function nor a compile grows large; every piece is called as
+    piece(row, d) and unpacks the row and its multiplication rows itself,
+    and check calls them in a loop, not a call chain, which would outgrow
+    the recursion limit at k = 10.
     """
     bind = _ROW_KERNELS.get((k, j))
     if bind is None:
         entry_keys, minors = _minor_plan(k, j)
         unpack = ", ".join(f"e{c}" for c in range(k)) + ", = row"
-        screen = ["if " + " or ".join(f"not units[e{c}] and bad({1 << j}, {1 << c})"
-                                      for c in range(k)) + ": return False"]
+        zero = "not units[{}] and (bad is None or bad({}, {}))"
+        screen = ["if " + " or ".join(zero.format(f"e{c}", 1 << j, 1 << c) for c in range(k))
+                  + ": return False"]
         screen += [f"d[{key}] = e{c}" for c, key in enumerate(entry_keys)]
         muls = (", ".join(f"m{c}" for c in range(k)) + ", = "
                 + ", ".join(f"mul[e{c}]" for c in range(k)))
@@ -135,7 +133,7 @@ def _row_kernel(k: int, j: int):
             body = [unpack] + (screen if i == 0 else []) + ([muls] if piece else [])
             for rm, cm, key, items in piece:
                 body.append(f"d[{key}] = x = " + " ^ ".join(f"m{c}[d[{sub}]]" for c, sub in items))
-                body.append(f"if not units[x] and bad({rm}, {cm}): return False")
+                body.append("if " + zero.format("x", rm, cm) + ": return False")
             src = ["def bind(units, mul, bad):", " def p(row, d):"]
             src += ["  " + line for line in body] + ["  return True", " return p"]
             scope: dict = {}
@@ -160,7 +158,8 @@ class MinorTracker:
     soon as a minor is not a unit.  Such a minor expands along row j and
     reads only minors of rows below j, so a depth-first search keeps one
     tracker and writes output row j at its depth: the minors of rows above j
-    go stale, and each is written again before it is read.  Keys pack (row
+    go stale, and each is written again before it is read.  The minors live
+    in a flat list of 1 << 2k slots, indexed by the key that packs (row
     subset, column subset) bitmasks into one int.  Row j is checked by its
     kernel, straight-line code generated from `_minor_plan(k, j)` (see
     `_row_kernel`): no loop over the plan at run time, at most 64 minors per
@@ -169,9 +168,10 @@ class MinorTracker:
     `exact`, if given, is consulted for each minor that is not a unit, order
     1 included: `exact(rowmask, colmask)` says whether that minor is truly
     zero.  The row is rejected only if it is; otherwise the value is kept
-    and the check goes on.  The symbolic pre-check tracks evaluations of
-    formal-parameter rows this way, with a symbolic determinant behind each
-    vanishing value (see sympoly).  The tree search decides its rows by
+    and the check goes on.  Without it the kernels reject every non-unit
+    minor at once, with no call.  The symbolic pre-check tracks evaluations
+    of formal-parameter rows this way, with a symbolic determinant behind
+    each vanishing value (see sympoly).  The tree search decides its rows by
     zero-minor masks instead (see treesearch), with a hook that never
     rejects: it adds only accepted rows, and reads their stored minors
     through `minors` to build the masks.
@@ -183,13 +183,12 @@ class MinorTracker:
         self.ring = ring
         self.k = k
         self.nrows = 0
-        self._dets: dict[int, int] = {}
+        self._dets = [0] * (1 << 2 * k)
         units, mul = ring.unit_flags(), ring.mul_rows()
-        bad = _reject if exact is None else exact
 
         def on_first_call(j: int):
             def first_call(row, dets):
-                rows[j] = _row_kernel(k, j)(units, mul, bad)
+                rows[j] = _row_kernel(k, j)(units, mul, exact)
                 return rows[j](row, dets)
             return first_call
 
@@ -203,7 +202,7 @@ class MinorTracker:
         c.ring = self.ring
         c.k = self.k
         c.nrows = self.nrows
-        c._dets = dict(self._dets)
+        c._dets = self._dets[:]
         c._rows = self._rows
         return c
 
@@ -216,8 +215,8 @@ class MinorTracker:
         self.nrows = j + 1
         return self._rows[j](row, self._dets)
 
-    def minors(self) -> dict[int, int]:
-        """The stored minors, keyed rowmask << k | colmask; after
+    def minors(self) -> list[int]:
+        """The stored minors, indexed by key rowmask << k | colmask; after
         add_row(row, j) accepts, those of rows 0..j are current and any of
         rows above j are stale.  Read only."""
         return self._dets

@@ -96,6 +96,25 @@ def check_units(ring: QuotientRing, values) -> None:
             raise ValueError(f"value {ring.element_text(v)} is not a unit")
 
 
+def _scan_state(tree: ImplTree, units) -> tuple[list, list]:
+    """(plan, scaled) for a depth-first scan over tree's nodes, with
+    units[c] the packed row of input c.  plan[p] = (m, n, j) for node p:
+    its operand terms and its output row, None if it is no output.
+    scaled[t] maps 1 and each value used on term t since its row was last
+    written to that row scaled by it; term t sits at index t, so input c is
+    at -c.  A scan replaces node p's table whenever it writes p's row: the
+    tables of the nodes past the current one are stale, and each is written
+    again before it is read.  So a scaled row is computed once per (row,
+    value), not once per operand pair, and a table holds at most one row
+    per value."""
+    out_row = {o: j for j, o in enumerate(tree.outs)}
+    plan = [None] + [(m, n, out_row.get(p)) for p, (m, n) in enumerate(tree.nodes, start=1)]
+    scaled: list = [None] * (tree.capacity + len(units))
+    for c, u in enumerate(units):
+        scaled[-c] = {1: u}
+    return plan, scaled
+
+
 def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                       value_set: list[int] | None = None,
                       depth_bound: int | None = None) -> list[CatalogEntry]:
@@ -123,26 +142,24 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     budget = cost_bound - ring.n * tree.capacity
     if budget < 0 or depth_bound is not None and tree.skeleton_depth() > depth_bound:
         return []
-    k = tree.k
     cap = tree.capacity
-    out_row = {o: j for j, o in enumerate(tree.outs)}
     priced = [(v, ring.scalar_xor_count(v)) for v in value_set]
     # no scan charges more than every position its dearest value
     budget = min(budget, 2 * cap * max((c for _, c in priced), default=0))
     bit = {v: 0 if v == 1 else 1 << i for i, v in enumerate(value_set)}
     # only 1, for an operand that a scalar would put over the depth bound
-    unscaled = [[(v, c) for v, c in priced if v == 1]] * (budget + 1)
+    unscaled = [tuple((v, c, 0, 0) for v, c in priced if v == 1)] * (budget + 1)
     menus: dict[int, list] = {}
 
     def menu(held: int) -> list:
-        """menu(held)[r]: the (value, charge) pairs that r of the budget
-        affords, in value-set order, at a position whose operand term
-        earlier positions scale by the values of the bit set held, which
-        are charged nothing there."""
+        """menu(held)[r]: the options that r of the budget affords, in
+        value-set order, at a position whose operand term earlier positions
+        scale by the values of the bit set held, which are charged nothing
+        there.  An option is (value, charge, its bit, the level it adds)."""
         lists = menus.get(held)
         if lists is None:
-            charged = [(v, 0 if bit[v] & held else c) for v, c in priced]
-            lists = menus[held] = [[(v, c) for v, c in charged if c <= r]
+            charged = [(v, 0 if bit[v] & held else c, bit[v], int(v != 1)) for v, c in priced]
+            lists = menus[held] = [tuple(o for o in charged if o[1] <= r)
                                    for r in range(budget + 1)]
         return lists
 
@@ -158,14 +175,14 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     height = {}
     for p in range(cap, 0, -1):
         height[p] = max((height[q] + 1 for q in range(p + 1, cap + 1) if p in tree.nodes[q - 1]),
-                        default=int(p not in out_row))
+                        default=int(p not in tree.outs))
 
-    tracker = MinorTracker(ring, k)
-    scale, unpack, units = packed_rows(ring, k)
-    # per-position state, written at its depth: entries past the current
-    # position are stale, and each is written again before it is read
-    vecs: dict[int, int] = {-j: u for j, u in enumerate(units)}
-    depths: dict[int, int] = {-j: 0 for j in range(k)}
+    add_row = MinorTracker(ring, tree.k).add_row
+    scale, unpack, units = packed_rows(ring, tree.k)
+    plan, scaled = _scan_state(tree, units)
+    # per-term depths and per-position scalars, written at their depth like
+    # the scaled rows
+    depths = [0] * len(scaled)
     scalars: dict[int, int] = {}
     entries: list[CatalogEntry] = []
 
@@ -173,7 +190,7 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
         if p > cap:
             entries.append(CatalogEntry.from_slp(tree.to_slp(ring, scalars)))
             return
-        m, n = tree.nodes[p - 1]
+        m, n, j = plan[p]
         pa, pb = 2 * p - 2, 2 * p - 1
         dm, dn = depths[m], depths[n]
         ha, hb = held[prev[pa]], held[prev[pb]]
@@ -187,21 +204,25 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                 menu_a = unscaled
             if dn == lim:
                 menu_b = unscaled
-        vm, vn = vecs[m], vecs[n]
-        j = out_row.get(p)
+        sm, sn = scaled[m], scaled[n]
         left = budget - t_used
-        for a, ca in menu_a[left]:
-            va = vm if a == 1 else scale(vm, a)
-            da = dm + (a != 1)
-            held[pa] = ha | bit[a]
-            for b, cb in menu_b[left - ca]:
-                row = va ^ (vn if b == 1 else scale(vn, b))
-                if j is not None and not tracker.add_row(unpack(row), j):
+        for a, ca, bit_a, level_a in menu_a[left]:
+            va = sm.get(a)
+            if va is None:
+                va = sm[a] = scale(sm[1], a)
+            da = dm + level_a
+            held[pa] = ha | bit_a
+            for b, cb, bit_b, level_b in menu_b[left - ca]:
+                vb = sn.get(b)
+                if vb is None:
+                    vb = sn[b] = scale(sn[1], b)
+                row = va ^ vb
+                if j is not None and not add_row(unpack(row), j):
                     continue
-                vecs[p] = row
-                db = dn + (b != 1)
+                scaled[p] = {1: row}
+                db = dn + level_b
                 depths[p] = 1 + (da if da > db else db)
-                held[pb] = hb | bit[b]
+                held[pb] = hb | bit_b
                 scalars[pa] = a
                 scalars[pb] = b
                 rec(p + 1, t_used + ca + cb)
@@ -314,25 +335,28 @@ def _subset_hit(tree: ImplTree, tracker: MinorTracker, choices) -> bool:
     choices[pos] of the tracker's ring, in order (1: the identity).  Depth
     first, writing output j as the tracker's row j in place, stopping at the
     first complete assignment."""
-    k = tree.k
-    out_row = {o: j for j, o in enumerate(tree.outs)}
-    scale, unpack, units = packed_rows(tracker.ring, k)
-    vecs: dict[int, int] = {-j: u for j, u in enumerate(units)}
     cap = tree.capacity
+    add_row = tracker.add_row
+    scale, unpack, units = packed_rows(tracker.ring, tree.k)
+    plan, scaled = _scan_state(tree, units)
 
     def rec(p: int) -> bool:
         if p > cap:
             return True
-        m, n = tree.nodes[p - 1]
-        vm, vn = vecs[m], vecs[n]
-        j = out_row.get(p)
+        m, n, j = plan[p]
+        sm, sn = scaled[m], scaled[n]
         for a in choices[2 * p - 2]:
-            va = vm if a == 1 else scale(vm, a)
+            va = sm.get(a)
+            if va is None:
+                va = sm[a] = scale(sm[1], a)
             for b in choices[2 * p - 1]:
-                row = va ^ (vn if b == 1 else scale(vn, b))
-                if j is not None and not tracker.add_row(unpack(row), j):
+                vb = sn.get(b)
+                if vb is None:
+                    vb = sn[b] = scale(sn[1], b)
+                row = va ^ vb
+                if j is not None and not add_row(unpack(row), j):
                     continue
-                vecs[p] = row
+                scaled[p] = {1: row}
                 if rec(p + 1):
                     return True
         return False
@@ -387,24 +411,27 @@ def _fixable_squares(ring: QuotientRing, max_t: int) -> list[frozenset]:
 def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                          max_s: int, max_t: int) -> list[InvolutoryHit]:
     k = tree.k
-    out_row = {o: j for j, o in enumerate(tree.outs)}
     cap = tree.capacity
     mul = ring.mul
     mrows = ring.mul_rows()
     alpha_pow = {e: ring.alpha_pow(e) for e in range(-max_t, max_t + 1)}
-    scale, unpack, units = packed_rows(ring, k)
     tracker = MinorTracker(ring, k)
-    # per-position state, written at its depth (entries past the current
-    # one are stale): packed coefficient rows, and the exponents (0: the
-    # identity) of each edge position and each row scalar
-    vecs: dict[int, int] = {-j: u for j, u in enumerate(units)}
+    add_row = tracker.add_row
+    scale, unpack, units = packed_rows(ring, k)
+    plan, scaled = _scan_state(tree, units)
+    # the exponents (0: the identity) of each edge position and each row
+    # scalar, written at their depth like the scaled rows
     exps = [0] * tree.scalar_positions()
     fs = [0] * k
     hits: list[InvolutoryHit] = []
 
     # opts[b]: the exponents a position may take with b of the budget t
-    # left, in scan order 0, 1, -1, 2, -2, ...; opts[0] = [0] once s is spent
-    opts = [[0] + [e for mag in range(1, b + 1) for e in (mag, -mag)] for b in range(max_t + 1)]
+    # left, in scan order 0, 1, -1, 2, -2, ..., each as (exponent, its power
+    # of alpha, |exponent|, whether it is not 0); opts[0] holds only 0 and
+    # also serves once s is spent
+    opts = [tuple((e, alpha_pow[e], abs(e), int(e != 0))
+                  for e in [0] + [e for mag in range(1, b + 1) for e in (mag, -mag)])
+            for b in range(max_t + 1)]
     # a row scalar is folded into the operand scalars of its output node, so
     # it scales only its own row if no later node reads that output
     scalable = [not any(o in node for node in tree.nodes) for o in tree.outs]
@@ -443,19 +470,19 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
             if i == k:
                 if mul(det_sq, dprod) != 1:
                     return
-                scaled = [unpack(scale(vecs[o], alpha_pow[f]) if f else vecs[o])
-                          for o, f in zip(tree.outs, fs)]
+                rows = [unpack(scale(scaled[o][1], alpha_pow[f]) if f else scaled[o][1])
+                        for o, f in zip(tree.outs, fs)]
                 for order in permutations(range(k)):
-                    mat = tuple(scaled[order[i2]] for i2 in range(k))
+                    mat = tuple(rows[order[i2]] for i2 in range(k))
                     if squares_to_identity(mat, mrows):
                         hits.append(record(order, t2))
                 return
-            for f in opts[max_t - t2 if s2 < max_s and scalable[i] else 0]:
+            for f, _, mag, nz in opts[max_t - t2 if s2 < max_s and scalable[i] else 0]:
                 dp = dprod if f == 0 else mul(dprod, sq[f])
-                t3 = t2 + abs(f)
+                t3 = t2 + mag
                 if mul(det_sq, dp) in fixable[max_t - t3]:
                     fs[i] = f
-                    scal_rec(i + 1, s2 + (f != 0), t3, dp)
+                    scal_rec(i + 1, s2 + nz, t3, dp)
 
         scal_rec(0, s_used, t_used, 1)
 
@@ -464,18 +491,22 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
             det = tracker.full_det()
             finish(s_used, t_used, mul(det, det))
             return
-        m, n = tree.nodes[p - 1]
-        vm, vn = vecs[m], vecs[n]
-        j = out_row.get(p)
-        for ea in opts[max_t - t_used if s_used < max_s else 0]:
-            sa, ta = s_used + (ea != 0), t_used + abs(ea)
-            va = vm if ea == 0 else scale(vm, alpha_pow[ea])
-            for eb in opts[max_t - ta if sa < max_s else 0]:
-                sb, tb = sa + (eb != 0), ta + abs(eb)
-                row = va ^ (vn if eb == 0 else scale(vn, alpha_pow[eb]))
-                if j is not None and not tracker.add_row(unpack(row), j):
+        m, n, j = plan[p]
+        sm, sn = scaled[m], scaled[n]
+        for ea, a, mag_a, nz_a in opts[max_t - t_used if s_used < max_s else 0]:
+            sa, ta = s_used + nz_a, t_used + mag_a
+            va = sm.get(a)
+            if va is None:
+                va = sm[a] = scale(sm[1], a)
+            for eb, b, mag_b, nz_b in opts[max_t - ta if sa < max_s else 0]:
+                vb = sn.get(b)
+                if vb is None:
+                    vb = sn[b] = scale(sn[1], b)
+                row = va ^ vb
+                if j is not None and not add_row(unpack(row), j):
                     continue
-                vecs[p] = row
+                scaled[p] = {1: row}
+                sb, tb = sa + nz_b, ta + mag_b
                 exps[2 * p - 2] = ea
                 exps[2 * p - 1] = eb
                 rec(p + 1, sb, tb)

@@ -308,7 +308,7 @@ def _mask_plan(k: int, j: int) -> tuple:
     return plan
 
 
-def _accept_masks(k: int, nodes, rows, zs: dict, anc: dict, val, minors: dict) -> dict:
+def _accept_masks(k: int, nodes, rows, zs: dict, anc: dict, val, minors: list) -> dict:
     """The zero masks zs of every term, with the bits of the minors that the
     new row adds; a term's entry bits (its k low bits) stay as they are.
 

@@ -124,6 +124,17 @@ def test_exact_hook_decides_non_unit_minors():
     assert calls == [(0b11, 0b11)]
 
 
+def _current(tracker, k: int, j: int) -> list[int]:
+    """The tracker's minors on rows 0..j, entries included, at every key of
+    the minor plans of those rows: after add_row(row, j) accepts, these are
+    current."""
+    keys = []
+    for i in range(j + 1):
+        entry_keys, minors = _minor_plan(k, i)
+        keys += entry_keys + [key for _, _, key, _ in minors]
+    return [tracker.minors()[key] for key in keys]
+
+
 @st.composite
 def _tracker_writes(draw):
     """(modulus, k, hooked, writes): a degree-8 ring with zero divisors or
@@ -169,9 +180,7 @@ def test_rows_written_in_place_match_a_fresh_tracker():
                 path.pop()
                 continue
             accepted[k, j] += 1
-            below = (1 << j + 1) - 1
-            assert {key: v for key, v in tracker.minors().items()
-                    if not key >> k & ~below} == fresh.minors()
+            assert _current(tracker, k, j) == _current(fresh, k, j)
             if j == k - 1:
                 assert tracker.full_det() == fresh.full_det()
             else:
@@ -263,18 +272,40 @@ def test_row_kernels_match_the_interpreted_reference(k, examples):
             assert calls == ref_calls
             accepted = j + 1 if ok else j
             if ok:
-                below = (1 << j + 1) - 1
-
-                def current(t):
-                    return {key: v for key, v in t.minors().items() if not key >> k & ~below}
-
-                assert current(tracker) == current(ref)
+                assert _current(tracker, k, j) == _current(ref, k, j)
             if ok and j == k - 1:
                 assert tracker.full_det() == ref.full_det()
             elif j != k - 1:
                 for t in (tracker, ref):
                     with pytest.raises(ValueError):
                         t.full_det()
+
+    check()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_no_hook_rejects_as_a_hook_that_always_says_zero(k):
+    # a tracker without a hook rejects every non-unit minor with no call:
+    # the same verdicts, minors and determinant as one whose hook says
+    # every non-unit minor is zero, over depth-first writes as in a search
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["x^8+x^2+1", "x^4+x+1", "x^8+x^4+x^3+x+1"]),
+           st.integers(1, 40), st.randoms(use_true_random=False))
+    def check(modulus, nwrites, rnd):
+        r = ring(modulus)
+        top = (1 << r.n) - 1
+        bare, hooked = MinorTracker(r, k), MinorTracker(r, k, lambda rowmask, colmask: True)
+        accepted = 0
+        for _ in range(nwrites):
+            j = min(accepted if rnd.random() < 0.7 else rnd.randrange(accepted + 1), k - 1)
+            row = tuple(0 if rnd.random() < 0.06 else rnd.randint(1, top) for _ in range(k))
+            ok = bare.add_row(row, j)
+            assert ok == hooked.add_row(row, j)
+            accepted = j + 1 if ok else j
+            if ok:
+                assert _current(bare, k, j) == _current(hooked, k, j)
+                if j == k - 1:
+                    assert bare.full_det() == hooked.full_det()
 
     check()
 

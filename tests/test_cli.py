@@ -193,6 +193,25 @@ def test_search_trees_output_is_pinned(capsys, argv, digest, size):
         assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest), threads
 
 
+@pytest.mark.parametrize("argv, digest, size", [
+    (("involutory", "--ring", "x^8+x^2+1", "--max-t", "5"),
+     "adbd3e5bfbfe4aa1c830405eaccc6213824a95ae6c9fa024b6ad93a3e0372190", 3027),
+    (("assign", "--all-trees", "--ring", "x^8+x^2+1", "--values", "a^-3..a^3",
+      "--cost-bound", "68"),
+     "6d48019d2747e5943c838f49118fa011799f4e1a15dc1f48a5f98208870b1fbc", 337253),
+    (("assign", "--all-trees", "--ring", "x^4+x+1", "--cost-bound", "37", "--depth-bound", "4"),
+     "0b4b5d4ce1fc544b5f98dad5b9dc0414ec8b0014000e84fb4be11132098b13bf", 1306),
+])
+def test_assignment_outputs_are_pinned(capsys, argv, digest, size):
+    # the assignment scans' hits and entries, byte for byte and at any
+    # thread count: SHA-256 and length of the whole stdout, recorded before
+    # the scans kept per-term tables of scaled rows
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, *argv, "-j", threads)
+        data = out.encode()
+        assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest), threads
+
+
 @pytest.mark.parametrize("header", [
     "ring x^8+x^2+1 rep k 4",
     "ring x^8+x^2+1 cost k 4",

@@ -1,12 +1,12 @@
 import random
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from mdsforge import catalogs
 from mdsforge.gf2 import FormatError, ring
-from mdsforge.blockmat import is_mds
+from mdsforge.blockmat import BlockMatrix, is_involutory, is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
 from mdsforge.sympoly import _det, term_vectors
 from mdsforge.treesearch import ImplTree
@@ -220,6 +220,65 @@ def test_involutory_search_threads(trees8, r8):
     assert len(serial) == 18 and pooled == serial
     # rings come back from the workers as the shared instance
     assert all(h.entry.matrix.ring is r8 and h.entry.slp.ring is r8 for h in pooled)
+
+
+def _bounded_vectors(n: int, max_s: int, max_t: int):
+    """Every integer vector of length n with at most max_s nonzero entries
+    whose absolute values sum to at most max_t."""
+    if n == 0:
+        yield ()
+        return
+    for e in range(-max_t, max_t + 1):
+        if e and not max_s:
+            continue
+        for rest in _bounded_vectors(n - 1, max_s - (e != 0), max_t - abs(e)):
+            yield (e,) + rest
+
+
+def _involutory_reference(tree, r, max_s, max_t, ring_pow):
+    """involutory_search([tree], ...) by brute force, as (assignment, row
+    scalars, row order, t, matrix) per hit: every bounded exponent vector over
+    the edges and the scalars of the rows no node reads, every row order,
+    kept if the matrix is an MDS involution."""
+    k, edges = tree.k, tree.scalar_positions()
+    read = {t for node in tree.nodes for t in node}
+    slots = list(range(edges)) + [edges + j for j, o in enumerate(tree.outs) if o not in read]
+    hits = []
+    for vector in _bounded_vectors(len(slots), max_s, max_t):
+        exps = dict(zip(slots, vector))
+        rows = extract_matrix(tree.to_slp(r, {pos: ring_pow(r, 2, exps[pos])
+                                              for pos in range(edges)})).rows
+        fs = tuple(exps.get(edges + j, 0) for j in range(k))
+        scaled = [tuple(r.mul(ring_pow(r, 2, f), x) for x in row) for row, f in zip(rows, fs)]
+        if not is_mds(BlockMatrix(r, scaled)):
+            continue
+        for order in permutations(range(k)):
+            m = BlockMatrix(r, [scaled[i] for i in order])
+            if is_involutory(m):
+                assignment = tuple((pos, exps[pos]) for pos in range(edges) if exps[pos])
+                hits.append((assignment, fs, order, sum(map(abs, vector)), m))
+    return sorted(hits, key=lambda h: h[:3])
+
+
+@pytest.mark.parametrize("tree, modulus, max_s, max_t, count", [
+    # every output scalable, then one output that a later node reads
+    (ImplTree(2, ((-1, 0), (-1, 1)), (1, 2)), "x^8+x^2+1", 2, 4, 4),
+    (ImplTree(2, ((-1, 0), (-1, 1)), (1, 2)), "x^4+x+1", 4, 4, 13),
+    (ImplTree(2, ((-1, 0), (-1, 1), (0, 2)), (1, 3)), "x^4+x+1", 2, 4, 6),
+    # a k=3 capacity-5 tree: hits over x^4+x+1, none over x^8+x^2+1
+    (ImplTree(3, ((-2, -1), (0, 1), (-2, 2), (-1, 2), (0, 2)), (3, 4, 5)), "x^4+x+1", 3, 4, 16),
+    (ImplTree(3, ((-2, -1), (0, 1), (-2, 2), (-1, 2), (0, 2)), (3, 4, 5)), "x^8+x^2+1", 3, 4, 0),
+])
+def test_involutory_search_matches_brute_force(ring_pow, tree, modulus, max_s, max_t, count):
+    # the scan prunes by minors and determinant squares only, which no MDS
+    # involution fails: it finds exactly the hits of the full enumeration
+    r = ring(modulus)
+    hits = involutory_search([tree], r, max_s, max_t)
+    assert all(h.tree_index == 1 and h.entry.mds and h.entry.involutory for h in hits)
+    got = sorted(((h.assignment, h.row_scalars, h.row_order, h.heuristic_t, h.entry.matrix)
+                  for h in hits), key=lambda h: h[:3])
+    assert got == _involutory_reference(tree, r, max_s, max_t, ring_pow)
+    assert len(got) == count
 
 
 def test_square_screen_matches_residue_enumeration(ring_pow):
