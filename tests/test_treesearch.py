@@ -184,6 +184,98 @@ def test_twin_nodes_swapped_keep_one_key():
     assert canonical_tree(t) == canonical_tree(u)
 
 
+def _twin_pairs(nodes) -> list[tuple[int, int]]:
+    """The pairs of inputs that one node reads before any other node reads
+    either."""
+    pairs = []
+    for p, (m, n) in enumerate(nodes):
+        if n <= 0 and not any(x in (m, n) for ops in nodes[:p] for x in ops):
+            pairs.append((m, n))
+    return pairs
+
+
+def _swap_inputs(nodes, pairs) -> tuple:
+    """nodes with the labels of each pair of inputs swapped, pairs sorted."""
+    swap = {}
+    for x, y in pairs:
+        swap[x], swap[y] = y, x
+    return tuple(tuple(sorted((swap.get(m, m), swap.get(n, n)))) for m, n in nodes)
+
+
+@st.composite
+def _twin_swaps(draw):
+    """(a raw survivor, the same tree with a random subset of its twin pairs
+    swapped)."""
+    k, capacity = draw(st.sampled_from([(3, 6), (4, 8)]))
+    raws = _raw_survivors(k, capacity)
+    t = raws[draw(st.integers(0, len(raws) - 1))]
+    pairs = _twin_pairs(t.nodes)
+    chosen = [pair for pair in pairs if draw(st.booleans())]
+    return t, ImplTree(k, _swap_inputs(t.nodes, chosen), t.outs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_twin_swaps())
+# the mirror the generator never emits: nodes 3 and 4 of the swap are unsorted
+@example((ImplTree(3, ((-1, 0), (-2, 1), (-2, -1), (-2, 0), (3, 4), (1, 5)), (2, 5, 6)),
+          ImplTree(3, ((-1, 0), (-2, 1), (-2, 0), (-2, -1), (3, 4), (1, 5)), (2, 5, 6))))
+def test_twin_swaps_keep_the_normal_form_and_the_key(case):
+    t, u = case
+    form = treesearch._twin_normal_form(t.nodes)
+    assert treesearch._twin_normal_form(u.nodes) == form
+    assert treesearch._twin_normal_form(form) == form
+    assert _twin_pairs(form) == _twin_pairs(t.nodes)
+    assert canonical_tree(u) == canonical_tree(t)
+
+
+def test_twin_normal_form_reads_the_higher_label_alone_first():
+    # node 1's twins -1 and 0; node 2 reads -1 alone, so the two swap
+    nodes = ((-1, 0), (-2, -1), (1, 2))
+    assert treesearch._twin_normal_form(nodes) == ((-1, 0), (-2, 0), (1, 2))
+    # node 2 reads 0 alone, the normal order already
+    nodes = ((-1, 0), (-2, 0), (1, 2))
+    assert treesearch._twin_normal_form(nodes) is nodes
+    # twins (-1, 0) and (-3, -2); node 3 reads one of each pair, and each
+    # pair is put in order on its own
+    nodes = ((-1, 0), (-3, -2), (-3, -1), (-2, 3))
+    assert _twin_pairs(nodes) == [(-1, 0), (-3, -2)]
+    assert treesearch._twin_normal_form(nodes) == ((-1, 0), (-3, -2), (-2, 0), (-3, 3))
+    nodes = ((-1, 0), (-3, -2), (-2, -1), (-3, 3))
+    assert treesearch._twin_normal_form(nodes) == ((-1, 0), (-3, -2), (-2, 0), (-3, 3))
+
+
+@pytest.mark.parametrize("k, capacity, max_depth", [
+    (3, 5, None),
+    (3, 6, None),
+    (4, 8, None),
+    (4, 9, 3),
+])
+def test_type_classes_key_every_raw_survivor(k, capacity, max_depth):
+    for tv in enumerate_types(k, capacity):
+        raws = treesearch._generate_type(k, tv, max_depth)
+        assert treesearch._type_classes(k, tv, max_depth) == {
+            canonical_tree(ImplTree(k, nodes, outs)) for nodes, outs in raws}
+
+
+@pytest.mark.parametrize("k, capacity, max_depth, calls, classes", [
+    (3, 6, None, 4694, 2915),
+    (4, 8, None, 33, 8),
+    (4, 9, 3, 986, 171),
+])
+def test_one_canonical_call_per_twin_orbit(monkeypatch, k, capacity, max_depth, calls, classes):
+    # a count of the work, where a wall time would not be reproducible: the
+    # raw survivors are 9,201, 90 and 2,940
+    counted = []
+
+    def counting(t):
+        counted.append(t)
+        return canonical_tree(t)
+
+    monkeypatch.setattr(treesearch, "canonical_tree", counting)
+    assert len(search_at_capacity(k, capacity, max_depth, threads=1)) == classes
+    assert len(counted) == calls
+
+
 def test_canonical_tree_keeps_one_key_for_the_6x6_tree():
     # brute force would take 720 x 720 serializations per call
     t = tree_from_text(open(catalogs.data_path("trees", "6x6_tree.txt")).read())
@@ -340,18 +432,20 @@ def test_search_exact_calls_match_symbolic_determinant(monkeypatch):
 
 # Reference for _generate_type: the generator that checked every candidate
 # output row on a MinorTracker, with a path proof behind each vanishing
-# value.  Verbatim apart from its name and the row index that
-# MinorTracker.add_row takes.
+# value.  Verbatim apart from its name, the row index that
+# MinorTracker.add_row takes and the docstring's symmetry-breaking claim,
+# corrected like the generator's own.
 
 
 def reference_generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     """DFS over normal trees of one type; yields (nodes, outs) survivors.
 
-    Symmetry breaking keeps one representative per orbit of input relabeling
-    and Property-2 swaps: node 1 is (x2, x1), inputs first appear in order,
-    and adjacent incomparable non-output nodes (neither touching fresh
-    inputs) carry sorted operand pairs.  Completeness is restored by the
-    canonical dedup downstream.
+    Symmetry breaking cuts most input relabelings and Property-2 swaps:
+    node 1 is (x2, x1), inputs first appear in order, and adjacent
+    incomparable non-output nodes (neither touching fresh inputs) carry
+    sorted operand pairs.  Twin inputs, two that one node reads first, both
+    at once, are not ordered.  Completeness is restored by the canonical
+    dedup downstream.
     """
     capacity = sum(type_vec)
     out_positions = set(itertools.accumulate(type_vec))
@@ -521,6 +615,36 @@ def test_least_type_orders_are_valid(t):
     least = min(tv for tv, _ in types)
     assert least == min(tv for tv, valid in types if valid)
     assert all(valid for tv, valid in types if tv == least)
+
+
+@st.composite
+def _order_walks(draw):
+    """(a marked tree, how many of its outputs are completed, a type vector
+    near the tree's own)."""
+    t = draw(_marked_trees())
+    done = draw(st.integers(1, t.k))
+    tv = tuple(max(1, s + draw(st.integers(-1, 1))) for s in t.type_vector)
+    return t, done, tv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_order_walks())
+def test_reorder_beats_matches_brute_force(case):
+    # some valid order of the completed outputs has a type vector below tv's prefix
+    t, done, tv = case
+    anc = ancestor_masks(t.nodes)
+    outs = list(t.outs[:done])
+    out_mask = sum(1 << o for o in outs)
+    beats = False
+    for order in itertools.permutations(outs):
+        placed, sizes, valid = 0, [], True
+        for o in order:
+            seg = anc[o] & ~placed
+            valid = valid and not seg & out_mask
+            sizes.append(seg.bit_count() + 1)
+            placed |= seg | 1 << o
+        beats = beats or valid and tuple(sizes) < tv[:done]
+    assert treesearch._reorder_beats(tv, [anc[o] | 1 << o for o in outs]) == beats
 
 
 def _at_points(poly) -> int:
