@@ -15,6 +15,7 @@ most 64 minors per function, and a source made of plan ints only.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .gf2 import (FormatError, QuotientRing, expect_end, line_after,
                   numbered_lines, poly_text, ring as _ring)
@@ -296,12 +297,23 @@ def branch_number(m: BlockMatrix, kind: str = "differential") -> int:
     return best
 
 
+_COLUMN_ORDERS: dict[int, list] = {}
+
+
 def canonical_key(m: BlockMatrix) -> tuple:
-    """Lexicographically least row-major entry encoding over all PMQ orbits."""
-    cols = list(zip(*m.rows))
+    """Lexicographically least row-major entry encoding over all PMQ orbits.
+
+    Each column order is applied to the rows by one `itemgetter`, built
+    once per process and k; the orbit's least encoding under that order is
+    its rows sorted."""
+    rows, k = m.rows, m.k
+    if k == 1:  # a one-column getter returns the bare entry
+        return rows[0]
+    getters = _COLUMN_ORDERS.get(k)
+    if getters is None:
+        getters = _COLUMN_ORDERS[k] = [itemgetter(*c) for c in permutations(range(k))]
     # rows of equal length compare as their row-major flattening does
-    best = min(tuple(sorted(zip(*[cols[c] for c in cperm])))
-               for cperm in permutations(range(m.k)))
+    best = min(sorted(map(g, rows)) for g in getters)
     return tuple(v for row in best for v in row)
 
 

@@ -59,27 +59,6 @@ def poly_deg(a: int) -> int:
     return a.bit_length() - 1
 
 
-def poly_mul(a: int, b: int) -> int:
-    c = 0
-    while b:
-        if b & 1:
-            c ^= a
-        a <<= 1
-        b >>= 1
-    return c
-
-
-def poly_mod(a: int, m: int) -> int:
-    if m == 0:
-        raise ZeroDivisionError("reduction modulo zero polynomial")
-    dm = poly_deg(m)
-    da = poly_deg(a)
-    while da >= dm:
-        a ^= m << (da - dm)
-        da = poly_deg(a)
-    return a
-
-
 def poly_text(a: int, var: str = "x") -> str:
     """Render as monomials joined by '+', highest degree first."""
     if a == 0:

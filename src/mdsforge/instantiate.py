@@ -29,6 +29,14 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A program with its matrix, reuse-rule cost, depth, MDS and
+    involution verdicts and PMQ class key (see `canonical_key`).
+
+    A search's entries carry what the search proved: the output rows it
+    built, the cost it charged, the depth it counted and MDS, since every
+    row passed the all-minors tracker.  Parsed programs recompute every
+    field.  Either way the entry is built by `from_slp`."""
+
     slp: Slp
     matrix: BlockMatrix
     cost: int
@@ -38,14 +46,25 @@ class CatalogEntry:
     canonical: tuple = field(compare=False)
 
     @classmethod
-    def from_slp(cls, p: Slp) -> "CatalogEntry":
-        m = slpmod.extract_matrix(p)
+    def from_slp(cls, p: Slp, _proved: tuple | None = None) -> "CatalogEntry":
+        """The entry of program p.  A search passes _proved = (rows, cost,
+        depth): p's output rows as it built them (entry sequences, in output
+        order), the reuse-rule cost of p and its depth, all proved by the
+        search, whose tracker passed every row, so the matrix is MDS.
+        Without it every field is recomputed from p.  The involution test
+        and the class key are computed either way."""
+        if _proved is None:
+            m = slpmod.extract_matrix(p)
+            cost, depth, mds = slpmod.cost(p), slpmod.depth(p), is_mds(m)
+        else:
+            rows, cost, depth = _proved
+            m, mds = BlockMatrix(p.ring, rows), True
         return cls(
             slp=p,
             matrix=m,
-            cost=slpmod.cost(p),
-            depth=slpmod.depth(p),
-            mds=is_mds(m),
+            cost=cost,
+            depth=depth,
+            mds=mds,
             involutory=is_involutory(m),
             canonical=canonical_key(m),
         )
@@ -139,10 +158,11 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
         value_set = default_value_set(ring)
     value_set = list(dict.fromkeys(value_set))
     check_units(ring, value_set)
-    budget = cost_bound - ring.n * tree.capacity
+    base = ring.n * tree.capacity
+    budget = cost_bound - base
     if budget < 0 or depth_bound is not None and tree.skeleton_depth() > depth_bound:
         return []
-    cap = tree.capacity
+    cap, outs = tree.capacity, tree.outs
     priced = [(v, ring.scalar_xor_count(v)) for v in value_set]
     # no scan charges more than every position its dearest value
     budget = min(budget, 2 * cap * max((c for _, c in priced), default=0))
@@ -188,7 +208,11 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
 
     def rec(p: int, t_used: int):
         if p > cap:
-            entries.append(CatalogEntry.from_slp(tree.to_slp(ring, scalars)))
+            # the scan's own facts: its output rows, each passed by the
+            # tracker, the reuse rule's cost and the depth it counted
+            proved = ([unpack(scaled[o][1]) for o in outs], base + t_used,
+                      max([depths[o] for o in outs]))
+            entries.append(CatalogEntry.from_slp(tree.to_slp(ring, scalars), proved))
             return
         m, n, j = plan[p]
         pa, pb = 2 * p - 2, 2 * p - 1

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
 
-from mdsforge import catalogs
+from mdsforge import catalogs, instantiate
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.blockmat import BlockMatrix, is_involutory, is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
@@ -109,6 +110,55 @@ def test_assign_parameters_matches_brute_force(modulus, tree, extra, depth):
         assert expected
         assert assign_parameters(tree, r, bound, values, depth_bound) == expected
     assert reused
+
+
+def _assert_recomputed_alike(entries):
+    """Each entry equals the one from_slp recomputes from its program alone,
+    the class key (left out of equality) included."""
+    for e in entries:
+        again = CatalogEntry.from_slp(e.slp)
+        assert e == again and e.canonical == again.canonical, e.slp
+
+
+def test_scan_entries_equal_their_recomputation(trees8, r8):
+    # the scan builds each entry from its own rows, charged cost and
+    # counted depth; the <= 68 scan of every paper tree, 1,345 entries
+    values = alpha_powers(r8, -3, 3)
+    entries = [e for t in trees8 for e in assign_parameters(t, r8, 68, values)]
+    assert len(entries) == 1345
+    _assert_recomputed_alike(entries)
+
+
+@pytest.mark.parametrize("modulus", ["x^8+x^2+1", "x^4+x+1"])
+@pytest.mark.parametrize("depth_bound", [None, 4])
+def test_lowest_cost_entries_equal_their_recomputation(trees8, modulus, depth_bound):
+    cat = search_lowest_cost(4, ring(modulus), depth_bound, trees=trees8)
+    assert cat
+    _assert_recomputed_alike(cat)
+
+
+def test_scan_recomputes_nothing_it_proved(monkeypatch, trees8, r8):
+    # counters at the names instantiate calls: a scan's entries take the
+    # matrix, MDS, cost and depth from the scan, and a parsed program's
+    # entry still recomputes each once
+    calls = Counter()
+
+    def count_calls(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count_calls(instantiate, "is_mds")
+    for name in ("extract_matrix", "cost", "depth"):
+        count_calls(instantiate.slpmod, name)
+    entries = assign_parameters(trees8[0], r8, 68, alpha_powers(r8, -3, 3))
+    assert entries and not calls
+    CatalogEntry.from_slp(entries[0].slp)
+    assert calls == {"is_mds": 1, "extract_matrix": 1, "cost": 1, "depth": 1}
 
 
 def test_degree_one_ring_has_no_alpha(trees8):
