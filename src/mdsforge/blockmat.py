@@ -14,6 +14,7 @@ most 64 minors per function, and a source made of plan ints only.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations, permutations
 from operator import itemgetter
 
@@ -66,9 +67,7 @@ class BlockMatrix:
         return BlockMatrix(self.ring, tuple(zip(*self.rows)))
 
 
-_MINOR_PLANS: dict[tuple[int, int], tuple] = {}
-
-
+@functools.cache
 def _minor_plan(k: int, j: int):
     """Static expansion plan for the minors introduced by row j (0-based):
     (entry keys, minors).
@@ -80,27 +79,24 @@ def _minor_plan(k: int, j: int):
     order.  A minor is expanded along row j, so its cofactors are the minors
     on the other rows and colmask less column c, stored before row j comes.
     """
-    plan = _MINOR_PLANS.get((k, j))
-    if plan is None:
-        jbit = 1 << j
-        entry_keys = [jbit << k | 1 << c for c in range(k)]
-        minors = []
-        for r in range(2, j + 2):
-            for rsub in combinations(range(j), r - 1):
-                prm = sum(1 << i for i in rsub)
-                rm = prm | jbit
-                for csub in combinations(range(k), r):
-                    cm = sum(1 << c for c in csub)
-                    minors.append((rm, cm, rm << k | cm,
-                                   [(c, prm << k | cm ^ 1 << c) for c in csub]))
-        plan = _MINOR_PLANS[(k, j)] = (entry_keys, minors)
-    return plan
+    jbit = 1 << j
+    entry_keys = [jbit << k | 1 << c for c in range(k)]
+    minors = []
+    for r in range(2, j + 2):
+        for rsub in combinations(range(j), r - 1):
+            prm = sum(1 << i for i in rsub)
+            rm = prm | jbit
+            for csub in combinations(range(k), r):
+                cm = sum(1 << c for c in csub)
+                minors.append((rm, cm, rm << k | cm,
+                               [(c, prm << k | cm ^ 1 << c) for c in csub]))
+    return entry_keys, minors
 
 
-_ROW_KERNELS: dict[tuple[int, int], object] = {}
 _PIECE = 64  # minors per generated function: one huge function costs compile memory
 
 
+@functools.cache
 def _row_kernel(k: int, j: int):
     """bind(units, mul, bad) -> check(row, dets): `MinorTracker.add_row` for
     row j as straight-line code, generated from `_minor_plan(k, j)` and
@@ -118,36 +114,33 @@ def _row_kernel(k: int, j: int):
     and check calls them in a loop, not a call chain, which would outgrow
     the recursion limit at k = 10.
     """
-    bind = _ROW_KERNELS.get((k, j))
-    if bind is None:
-        entry_keys, minors = _minor_plan(k, j)
-        unpack = ", ".join(f"e{c}" for c in range(k)) + ", = row"
-        zero = "not units[{}] and (bad is None or bad({}, {}))"
-        screen = ["if " + " or ".join(zero.format(f"e{c}", 1 << j, 1 << c) for c in range(k))
-                  + ": return False"]
-        screen += [f"d[{key}] = e{c}" for c, key in enumerate(entry_keys)]
-        muls = (", ".join(f"m{c}" for c in range(k)) + ", = "
-                + ", ".join(f"mul[e{c}]" for c in range(k)))
-        pieces = [minors[i:i + _PIECE] for i in range(0, len(minors), _PIECE)] or [[]]
-        binds = []
-        for i, piece in enumerate(pieces):
-            body = [unpack] + (screen if i == 0 else []) + ([muls] if piece else [])
-            for rm, cm, key, items in piece:
-                body.append(f"d[{key}] = x = " + " ^ ".join(f"m{c}[d[{sub}]]" for c, sub in items))
-                body.append("if " + zero.format("x", rm, cm) + ": return False")
-            src = ["def bind(units, mul, bad):", " def p(row, d):"]
-            src += ["  " + line for line in body] + ["  return True", " return p"]
-            scope: dict = {}
-            exec(compile("\n".join(src), f"<row kernel k={k} j={j} piece {i}>", "exec"), scope)
-            binds.append(scope["bind"])
+    entry_keys, minors = _minor_plan(k, j)
+    unpack = ", ".join(f"e{c}" for c in range(k)) + ", = row"
+    zero = "not units[{}] and (bad is None or bad({}, {}))"
+    screen = ["if " + " or ".join(zero.format(f"e{c}", 1 << j, 1 << c) for c in range(k))
+              + ": return False"]
+    screen += [f"d[{key}] = e{c}" for c, key in enumerate(entry_keys)]
+    muls = (", ".join(f"m{c}" for c in range(k)) + ", = "
+            + ", ".join(f"mul[e{c}]" for c in range(k)))
+    pieces = [minors[i:i + _PIECE] for i in range(0, len(minors), _PIECE)] or [[]]
+    binds = []
+    for i, piece in enumerate(pieces):
+        body = [unpack] + (screen if i == 0 else []) + ([muls] if piece else [])
+        for rm, cm, key, items in piece:
+            body.append(f"d[{key}] = x = " + " ^ ".join(f"m{c}[d[{sub}]]" for c, sub in items))
+            body.append("if " + zero.format("x", rm, cm) + ": return False")
+        src = ["def bind(units, mul, bad):", " def p(row, d):"]
+        src += ["  " + line for line in body] + ["  return True", " return p"]
+        scope: dict = {}
+        exec(compile("\n".join(src), f"<row kernel k={k} j={j} piece {i}>", "exec"), scope)
+        binds.append(scope["bind"])
 
-        def bind(units, mul, bad):
-            checks = [piece_bind(units, mul, bad) for piece_bind in binds]
-            if len(checks) == 1:
-                return checks[0]
-            return lambda row, dets: all(check(row, dets) for check in checks)
+    def bind(units, mul, bad):
+        checks = [piece_bind(units, mul, bad) for piece_bind in binds]
+        if len(checks) == 1:
+            return checks[0]
+        return lambda row, dets: all(check(row, dets) for check in checks)
 
-        _ROW_KERNELS[(k, j)] = bind
     return bind
 
 
@@ -297,7 +290,10 @@ def branch_number(m: BlockMatrix, kind: str = "differential") -> int:
     return best
 
 
-_COLUMN_ORDERS: dict[int, list] = {}
+@functools.cache
+def _column_orders(k: int) -> list:
+    """One `itemgetter` per column order of k columns."""
+    return [itemgetter(*c) for c in permutations(range(k))]
 
 
 def canonical_key(m: BlockMatrix) -> tuple:
@@ -309,11 +305,8 @@ def canonical_key(m: BlockMatrix) -> tuple:
     rows, k = m.rows, m.k
     if k == 1:  # a one-column getter returns the bare entry
         return rows[0]
-    getters = _COLUMN_ORDERS.get(k)
-    if getters is None:
-        getters = _COLUMN_ORDERS[k] = [itemgetter(*c) for c in permutations(range(k))]
     # rows of equal length compare as their row-major flattening does
-    best = min(sorted(map(g, rows)) for g in getters)
+    best = min(sorted(map(g, rows)) for g in _column_orders(k))
     return tuple(v for row in best for v in row)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cache
 
 from .gf2 import QuotientRing, ring
 from .instantiate import CatalogEntry, catalog_from_text
@@ -34,7 +34,7 @@ def higher_order_ring() -> QuotientRing:
     return ring(RING_HIGHER, HIGHER_REP_ROWS, "chained")
 
 
-@lru_cache(maxsize=None)
+@cache
 def simplest_trees_4x4() -> tuple[ImplTree, ...]:
     """Trees 1..8; 1-5 of type (3,3,1,1), 6-8 of type (4,2,1,1).
 
@@ -46,19 +46,19 @@ def simplest_trees_4x4() -> tuple[ImplTree, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def tree_5x5() -> ImplTree:
     return tree_from_text(_read(data_path("trees", "5x5_tree.txt")))
 
 
-@lru_cache(maxsize=None)
+@cache
 def load_catalog(name: str) -> tuple[CatalogEntry, ...]:
     """Bundled catalog by base name, e.g. "cost67_4x4"; parsing re-validates
     every stated header value against recomputation."""
     return tuple(catalog_from_text(_read(data_path("catalogs", name + ".catalog"))))
 
 
-@lru_cache(maxsize=None)
+@cache
 def load_slp(name: str) -> Slp:
     return slp_from_text(_read(data_path("slp", name + ".slp")))
 

@@ -12,6 +12,7 @@ of alpha) from tables, and `ring` is its one, interning constructor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -264,10 +265,6 @@ class QuotientRing:
             while v != 1:
                 self._alpha_period.append(v)
                 v = times_a[v]
-        self._mul_bytes: list[bytes] | None = None
-        self._unit_flags: list[bool] | None = None
-        self._elem_mat_cache: dict[int, BitMatrix] = {}
-        self._xor_cache: dict[int, int] = {}
 
     # -- identity helpers ---------------------------------------------------
 
@@ -311,20 +308,18 @@ class QuotientRing:
         """The multiplication table: mul_rows()[a][b] == mul(a, b)."""
         return self._mul_table
 
+    @functools.cache
     def mul_bytes(self) -> list[bytes]:
-        """mul_rows() as one 256-byte table per element, for bytes.translate;
-        the bytes past 2^n are 0 and never read."""
-        if self._mul_bytes is None:
-            pad = bytes(256 - (1 << self.n))
-            self._mul_bytes = [bytes(row) + pad for row in self._mul_table]
-        return self._mul_bytes
+        """mul_rows() as one 256-byte table per element, for bytes.translate,
+        built once; the bytes past 2^n are 0 and never read."""
+        pad = bytes(256 - (1 << self.n))
+        return [bytes(row) + pad for row in self._mul_table]
 
+    @functools.cache
     def unit_flags(self) -> list[bool]:
         """The unit truth table, built once: unit_flags()[a] iff a is a unit,
         that is, iff a's table row holds 1."""
-        if self._unit_flags is None:
-            self._unit_flags = [1 in row for row in self._mul_table]
-        return self._unit_flags
+        return [1 in row for row in self._mul_table]
 
     def is_unit(self, a: int) -> bool:
         return self.unit_flags()[a]
@@ -358,31 +353,26 @@ class QuotientRing:
         e = period.index(value)
         return e if 2 * e <= len(period) else e - len(period)
 
+    @functools.cache
     def element_matrix_int(self, a: int) -> BitMatrix:
-        m = self._elem_mat_cache.get(a)
-        if m is None:
-            rows = [0] * self.n
-            i = 0
-            v = a
-            while v:
-                if v & 1:
-                    pm = self._pow_mats[i]
-                    rows = [r ^ p for r, p in zip(rows, pm.rows)]
-                v >>= 1
-                i += 1
-            m = BitMatrix(tuple(rows), self.n)
-            self._elem_mat_cache[a] = m
-        return m
+        rows = [0] * self.n
+        i = 0
+        v = a
+        while v:
+            if v & 1:
+                pm = self._pow_mats[i]
+                rows = [r ^ p for r, p in zip(rows, pm.rows)]
+            v >>= 1
+            i += 1
+        return BitMatrix(tuple(rows), self.n)
 
+    @functools.cache
     def scalar_xor_count(self, a: int) -> int:
-        c = self._xor_cache.get(a)
-        if c is None:
-            c = xor_count(self.element_matrix_int(a))
-            if self.scalar_cost_model == "chained":
-                e = self.power_of_alpha(a)
-                if e is not None and abs(e) <= 16:  # the chained model's reach
-                    c = abs(e) * xor_count(self.rep)
-            self._xor_cache[a] = c
+        c = xor_count(self.element_matrix_int(a))
+        if self.scalar_cost_model == "chained":
+            e = self.power_of_alpha(a)
+            if e is not None and abs(e) <= 16:  # the chained model's reach
+                c = abs(e) * xor_count(self.rep)
         return c
 
     # -- element text form ----------------------------------------------------

@@ -10,7 +10,7 @@ format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, count, permutations
 
 from .gf2 import FormatError, QuotientRing, expect_end
@@ -115,23 +115,24 @@ def check_units(ring: QuotientRing, values) -> None:
             raise ValueError(f"value {ring.element_text(v)} is not a unit")
 
 
-def _scan_state(tree: ImplTree, units) -> tuple[list, list]:
-    """(plan, scaled) for a depth-first scan over tree's nodes, with
-    units[c] the packed row of input c.  plan[p] = (m, n, j) for node p:
-    its operand terms and its output row, None if it is no output.
-    scaled[t] maps 1 and each value used on term t since its row was last
-    written to that row scaled by it; term t sits at index t, so input c is
-    at -c.  A scan replaces node p's table whenever it writes p's row: the
-    tables of the nodes past the current one are stale, and each is written
-    again before it is read.  So a scaled row is computed once per (row,
-    value), not once per operand pair, and a table holds at most one row
-    per value."""
+def _scan_state(tree: ImplTree, ring: QuotientRing) -> tuple:
+    """(plan, scaled, scale, unpack) for a depth-first scan over tree's
+    nodes on ring's packed rows, with scale and unpack those of
+    `packed_rows`.  plan[p] = (m, n, j) for node p: its operand terms and
+    its output row, None if it is no output.  scaled[t] maps 1 and each
+    value used on term t since its row was last written to that row scaled
+    by it; term t sits at index t, so input c is at -c.  A scan replaces
+    node p's table whenever it writes p's row: the tables of the nodes past
+    the current one are stale, and each is written again before it is read.
+    So a scaled row is computed once per (row, value), not once per operand
+    pair, and a table holds at most one row per value."""
+    scale, unpack, units = packed_rows(ring, tree.k)
     out_row = {o: j for j, o in enumerate(tree.outs)}
     plan = [None] + [(m, n, out_row.get(p)) for p, (m, n) in enumerate(tree.nodes, start=1)]
     scaled: list = [None] * (tree.capacity + len(units))
     for c, u in enumerate(units):
         scaled[-c] = {1: u}
-    return plan, scaled
+    return plan, scaled, scale, unpack
 
 
 def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
@@ -169,19 +170,16 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     bit = {v: 0 if v == 1 else 1 << i for i, v in enumerate(value_set)}
     # only 1, for an operand that a scalar would put over the depth bound
     unscaled = [tuple((v, c, 0, 0) for v, c in priced if v == 1)] * (budget + 1)
-    menus: dict[int, list] = {}
 
+    @cache
     def menu(held: int) -> list:
         """menu(held)[r]: the options that r of the budget affords, in
         value-set order, at a position whose operand term earlier positions
         scale by the values of the bit set held, which are charged nothing
-        there.  An option is (value, charge, its bit, the level it adds)."""
-        lists = menus.get(held)
-        if lists is None:
-            charged = [(v, 0 if bit[v] & held else c, bit[v], int(v != 1)) for v, c in priced]
-            lists = menus[held] = [tuple(o for o in charged if o[1] <= r)
-                                   for r in range(budget + 1)]
-        return lists
+        there.  An option is (value, charge, its bit, the level it adds);
+        the lists are made once per held set."""
+        charged = [(v, 0 if bit[v] & held else c, bit[v], int(v != 1)) for v, c in priced]
+        return [tuple(o for o in charged if o[1] <= r) for r in range(budget + 1)]
 
     # prev[pos]: the last earlier position on the same operand term, or the
     # slot 2 * cap, which holds no value; held[pos] is the bit set of the
@@ -198,8 +196,7 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                         default=int(p not in tree.outs))
 
     add_row = MinorTracker(ring, tree.k).add_row
-    scale, unpack, units = packed_rows(ring, tree.k)
-    plan, scaled = _scan_state(tree, units)
+    plan, scaled, scale, unpack = _scan_state(tree, ring)
     # per-term depths and per-position scalars, written at their depth like
     # the scaled rows
     depths = [0] * len(scaled)
@@ -361,8 +358,7 @@ def _subset_hit(tree: ImplTree, tracker: MinorTracker, choices) -> bool:
     first complete assignment."""
     cap = tree.capacity
     add_row = tracker.add_row
-    scale, unpack, units = packed_rows(tracker.ring, tree.k)
-    plan, scaled = _scan_state(tree, units)
+    plan, scaled, scale, unpack = _scan_state(tree, tracker.ring)
 
     def rec(p: int) -> bool:
         if p > cap:
@@ -441,8 +437,7 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     alpha_pow = {e: ring.alpha_pow(e) for e in range(-max_t, max_t + 1)}
     tracker = MinorTracker(ring, k)
     add_row = tracker.add_row
-    scale, unpack, units = packed_rows(ring, k)
-    plan, scaled = _scan_state(tree, units)
+    plan, scaled, scale, unpack = _scan_state(tree, ring)
     # the exponents (0: the identity) of each edge position and each row
     # scalar, written at their depth like the scaled rows
     exps = [0] * tree.scalar_positions()
@@ -486,34 +481,30 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     sq = {e: mul(v, v) for e, v in alpha_pow.items()}
     fixable = _fixable_squares(ring, max_t)
 
-    def finish(s_used: int, t_used: int, det_sq: int):
-        if det_sq not in fixable[max_t - t_used]:
-            return
-
-        def scal_rec(i: int, s2: int, t2: int, dprod: int):
-            if i == k:
-                if mul(det_sq, dprod) != 1:
-                    return
-                rows = [unpack(scale(scaled[o][1], alpha_pow[f]) if f else scaled[o][1])
-                        for o, f in zip(tree.outs, fs)]
-                for order in permutations(range(k)):
-                    mat = tuple(rows[order[i2]] for i2 in range(k))
-                    if squares_to_identity(mat, mrows):
-                        hits.append(record(order, t2))
+    def scal_rec(i: int, s2: int, t2: int, dprod: int, det_sq: int):
+        if i == k:
+            if mul(det_sq, dprod) != 1:
                 return
-            for f, _, mag, nz in opts[max_t - t2 if s2 < max_s and scalable[i] else 0]:
-                dp = dprod if f == 0 else mul(dprod, sq[f])
-                t3 = t2 + mag
-                if mul(det_sq, dp) in fixable[max_t - t3]:
-                    fs[i] = f
-                    scal_rec(i + 1, s2 + nz, t3, dp)
-
-        scal_rec(0, s_used, t_used, 1)
+            rows = [unpack(scale(scaled[o][1], alpha_pow[f]) if f else scaled[o][1])
+                    for o, f in zip(tree.outs, fs)]
+            for order in permutations(range(k)):
+                mat = tuple(rows[order[i2]] for i2 in range(k))
+                if squares_to_identity(mat, mrows):
+                    hits.append(record(order, t2))
+            return
+        for f, _, mag, nz in opts[max_t - t2 if s2 < max_s and scalable[i] else 0]:
+            dp = dprod if f == 0 else mul(dprod, sq[f])
+            t3 = t2 + mag
+            if mul(det_sq, dp) in fixable[max_t - t3]:
+                fs[i] = f
+                scal_rec(i + 1, s2 + nz, t3, dp, det_sq)
 
     def rec(p: int, s_used: int, t_used: int):
         if p > cap:
             det = tracker.full_det()
-            finish(s_used, t_used, mul(det, det))
+            det_sq = mul(det, det)
+            if det_sq in fixable[max_t - t_used]:
+                scal_rec(0, s_used, t_used, 1, det_sq)
             return
         m, n, j = plan[p]
         sm, sn = scaled[m], scaled[n]

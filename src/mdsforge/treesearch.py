@@ -288,9 +288,7 @@ def _reorder_beats(type_vec, closures: list[int], i: int = 0, placed: int = 0) -
     return False
 
 
-_MASK_PLANS: dict[tuple[int, int], tuple] = {}
-
-
+@functools.cache
 def _mask_plan(k: int, j: int) -> tuple:
     """Bit layout of the zero masks for the minors that accepting row j adds.
 
@@ -306,20 +304,17 @@ def _mask_plan(k: int, j: int) -> tuple:
     with C inside the column mask x, row_bits[i] those with i in R and
     free_bits[d] those with R disjoint from the row mask d.
     """
-    plan = _MASK_PLANS.get((k, j))
-    if plan is None:
-        bit = 1 << k + sum(len(_mask_plan(k, i)[0]) for i in range(j))
-        minors = []
-        for rm, cm, _, items in _minor_plan(k, j + 1)[1]:
-            rm ^= 1 << j + 1
-            if rm >> j & 1:
-                minors.append((bit, rm, cm, items))
-                bit <<= 1
-        zero_bits = [sum(b for b, _, cm, _ in minors if cm & x == cm) for x in range(1 << k)]
-        row_bits = [sum(b for b, rm, _, _ in minors if rm >> i & 1) for i in range(j + 1)]
-        free_bits = [sum(b for b, rm, _, _ in minors if not rm & d) for d in range(1 << j + 1)]
-        plan = _MASK_PLANS[(k, j)] = (minors, zero_bits, row_bits, free_bits)
-    return plan
+    bit = 1 << k + sum(len(_mask_plan(k, i)[0]) for i in range(j))
+    minors = []
+    for rm, cm, _, items in _minor_plan(k, j + 1)[1]:
+        rm ^= 1 << j + 1
+        if rm >> j & 1:
+            minors.append((bit, rm, cm, items))
+            bit <<= 1
+    zero_bits = [sum(b for b, _, cm, _ in minors if cm & x == cm) for x in range(1 << k)]
+    row_bits = [sum(b for b, rm, _, _ in minors if rm >> i & 1) for i in range(j + 1)]
+    free_bits = [sum(b for b, rm, _, _ in minors if not rm & d) for d in range(1 << j + 1)]
+    return minors, zero_bits, row_bits, free_bits
 
 
 def _accept_masks(k: int, nodes, rows, zs: dict, anc: dict, val, minors: list) -> dict:

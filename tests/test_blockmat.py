@@ -310,21 +310,29 @@ def test_no_hook_rejects_as_a_hook_that_always_says_zero(k):
     check()
 
 
-def test_row_kernels_are_built_on_first_write(monkeypatch):
+def test_row_kernels_are_built_on_first_write():
     # a check that stops at row 0 generates no kernel for the rows above it,
     # so an input of large k rejected early costs no compile
-    kernels = {}
-    monkeypatch.setattr(blockmat, "_ROW_KERNELS", kernels)
+    blockmat._row_kernel.cache_clear()
     r = ring("x^8+x^4+x^3+x+1")
     assert not is_mds(BlockMatrix(r, [[0] + [1] * 8] + [[1] * 9] * 8))
-    assert list(kernels) == [(9, 0)]
+    assert blockmat._row_kernel.cache_info().currsize == 1
+    blockmat._row_kernel(9, 0)
+    assert blockmat._row_kernel.cache_info().hits == 1
 
 
-def test_row_kernels_run_their_pieces_in_a_loop(monkeypatch):
+@pytest.fixture
+def one_minor_pieces(monkeypatch):
+    """Row kernels of one minor per piece, built for this test only."""
+    monkeypatch.setattr(blockmat, "_PIECE", 1)
+    blockmat._row_kernel.cache_clear()
+    yield
+    blockmat._row_kernel.cache_clear()
+
+
+def test_row_kernels_run_their_pieces_in_a_loop(one_minor_pieces):
     # one minor per piece: row 6 of a 7x7 matrix runs 1,716 pieces, more
     # than the recursion limit would allow as a chain of calls
-    monkeypatch.setattr(blockmat, "_PIECE", 1)
-    monkeypatch.setattr(blockmat, "_ROW_KERNELS", {})
     r = ring("x^8+x^4+x^3+x+1")
     cauchy = [[r.inv(i ^ (7 + j)) for j in range(7)] for i in range(7)]
     rng = random.Random(3)

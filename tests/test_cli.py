@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +57,7 @@ def test_verify_bundled_catalogs(capsys):
 
 
 def test_verify_reports_tampering(tmp_path, capsys):
-    text = open(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read()
+    text = Path(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read_text()
     bad = text.replace("\ncost 77", "\ncost 76", 1)
     path = tmp_path / "bad.catalog"
     path.write_text(bad)
@@ -67,7 +68,7 @@ def test_verify_reports_tampering(tmp_path, capsys):
 
 def test_verify_detects_broken_scalar(tmp_path, capsys):
     # swapping a scalar for the zero divisor must surface as an MDS failure
-    text = open(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read()
+    text = Path(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read_text()
     entry = text.split("\n\n")[1]
     tampered = entry.replace("a^7+a*", "a^4+a+1*", 1)
     assert tampered != entry
@@ -92,7 +93,7 @@ def test_missing_file_is_parse_error(capsys):
 
 
 def test_zero_scalar_is_parse_error(tmp_path, capsys):
-    text = open(catalogs.data_path("slp", "demo_cost49.slp")).read()
+    text = Path(catalogs.data_path("slp", "demo_cost49.slp")).read_text()
     path = tmp_path / "zero.slp"
     path.write_text(text.replace("t3 = t1 + a*x2", "t3 = t1 + 0*x2"))
     for cmd in ("cost", "verify"):
@@ -102,7 +103,7 @@ def test_zero_scalar_is_parse_error(tmp_path, capsys):
 
 
 def test_parse_errors_name_the_file_line(tmp_path, capsys):
-    lines = open(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read().splitlines()
+    lines = Path(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read_text().splitlines()
     assert lines[49] == "a^7+a,a,1,a^7+a"
     lines[49] = "zza,1,1,1"
     path = tmp_path / "bad.catalog"
@@ -334,7 +335,7 @@ def test_assign_threads(capsys):
 
 
 def test_trailing_lines_are_parse_errors(tmp_path, capsys):
-    slp_text = open(catalogs.data_path("slp", "demo_cost49.slp")).read()
+    slp_text = Path(catalogs.data_path("slp", "demo_cost49.slp")).read_text()
     n_slp = len(slp_text.splitlines())
     path = tmp_path / "trailing.slp"
     path.write_text(slp_text + "bogus line here\n")
@@ -347,7 +348,7 @@ def test_trailing_lines_are_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 65 and "parse error: line 6: unexpected line after the block: 'bogus'" in err
     # a catalog entry is one blank-line separated block
-    lines = open(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read().splitlines()
+    lines = Path(catalogs.data_path("catalogs", "depth3_4x4.catalog")).read_text().splitlines()
     end = lines.index("", lines.index("out y4 = t9"))
     lines.insert(end, "bogus")
     path = tmp_path / "trailing.catalog"
@@ -366,7 +367,7 @@ def test_bad_value_spec_is_usage_error(capsys, spec):
 
 
 def test_program_missing_an_output_is_parse_error_for_canon(tmp_path, capsys):
-    lines = open(catalogs.data_path("slp", "bitlevel_balanced.slp")).read().splitlines()
+    lines = Path(catalogs.data_path("slp", "bitlevel_balanced.slp")).read_text().splitlines()
     assert lines[-1] == "out y4 = t4"
     path = tmp_path / "three_outputs.slp"
     path.write_text("\n".join(lines[:-1]) + "\n")
@@ -376,7 +377,7 @@ def test_program_missing_an_output_is_parse_error_for_canon(tmp_path, capsys):
 
 
 def test_catalog_entry_missing_an_output_is_parse_error(tmp_path, capsys):
-    lines = open(catalogs.data_path("catalogs", "cost35_4x4.catalog")).read().splitlines()
+    lines = Path(catalogs.data_path("catalogs", "cost35_4x4.catalog")).read_text().splitlines()
     assert lines[9].endswith(" inputs 4") and lines[21] == "out y4 = t8"
     del lines[21]
     path = tmp_path / "three_outputs.catalog"
@@ -408,7 +409,7 @@ def test_block_count_below_one_is_parse_error(tmp_path, capsys, text, message):
 ])
 def test_catalog_header_states_exactly_its_four_keys(tmp_path, capsys, head):
     # the second entry: a file must start with 'cost ' to be read as a catalog
-    lines = open(catalogs.data_path("catalogs", "cost35_4x4.catalog")).read().splitlines()
+    lines = Path(catalogs.data_path("catalogs", "cost35_4x4.catalog")).read_text().splitlines()
     assert lines[24] == "cost 35 depth 8 mds 1 involutory 0"
     lines[24] = head
     path = tmp_path / "header.catalog"

@@ -1,5 +1,7 @@
 """Bit-exact round trips for every text format."""
 
+from pathlib import Path
+
 import pytest
 
 from mdsforge import catalogs
@@ -13,7 +15,7 @@ from mdsforge.treesearch import tree_from_text, tree_to_text
 def test_slp_round_trip_all_bundled():
     import os
     for name in ("demo_cost49", "aes_mixcolumns", "bitlevel_balanced", "bitlevel_sequential"):
-        text = open(catalogs.data_path("slp", name + ".slp")).read()
+        text = Path(catalogs.data_path("slp", name + ".slp")).read_text()
         p = slp_from_text(text)
         emitted = slp_to_text(p)
         assert slp_from_text(emitted) == p
@@ -38,7 +40,7 @@ def test_matrix_with_rep_and_cost_model_round_trip():
 
 def test_tree_round_trip():
     for name in [f"4x4_tree{i}.txt" for i in range(1, 9)] + ["5x5_tree.txt", "6x6_tree.txt"]:
-        text = open(catalogs.data_path("trees", name)).read()
+        text = Path(catalogs.data_path("trees", name)).read_text()
         t = tree_from_text(text)
         assert tree_to_text(t) == text
 

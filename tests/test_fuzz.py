@@ -11,6 +11,7 @@ import contextlib
 import io
 import os
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,7 +39,7 @@ TOKENS = ("0", "1", "-1", "2", "4", "99", "a", "a^-1", "a^2+1", "x1", "x9", "t1"
 
 
 def _inputs() -> dict[str, str]:
-    files = {f"{d}/{name}": open(catalogs.data_path(d, name)).read()
+    files = {f"{d}/{name}": Path(catalogs.data_path(d, name)).read_text()
              for d in ("catalogs", "slp", "trees")
              for name in sorted(os.listdir(catalogs.data_path(d)))}
     files["matrix/cost67_first.matrix"] = matrix_to_text(

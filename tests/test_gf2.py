@@ -255,6 +255,24 @@ def test_rings_pickle_as_their_shared_instance():
     assert r8.key == (poly_parse("x^8+x^2+1"), None, "rowweight")
 
 
+def test_cached_ring_methods_match_a_recomputation():
+    # a ring's method caches are keyed by the ring: one that served a table
+    # or a price of one ring to another, such as the higher-order ring's
+    # other cost model, fails here
+    from mdsforge.catalogs import HIGHER_REP_ROWS, RING_HIGHER
+
+    rings = [ring(m) for m in ("x+1", "x^4+x+1", "x^8+x^2+1", "x^8+x^4+x^3+x+1")]
+    rings += [ring(RING_HIGHER, HIGHER_REP_ROWS, cost) for cost in ("chained", "rowweight")]
+    for r in rings:
+        assert r.mul_bytes() == QuotientRing.mul_bytes.__wrapped__(r)
+        assert r.unit_flags() == QuotientRing.unit_flags.__wrapped__(r)
+        for a in range(1 << r.n):
+            assert r.element_matrix_int(a) == QuotientRing.element_matrix_int.__wrapped__(r, a)
+            assert r.scalar_xor_count(a) == QuotientRing.scalar_xor_count.__wrapped__(r, a)
+    chained, rowweight = rings[-2:]
+    assert any(chained.scalar_xor_count(a) != rowweight.scalar_xor_count(a) for a in range(256))
+
+
 def _poly_mul(a: int, b: int) -> int:
     """Reference: the product of GF(2) polynomials a and b, shift and add."""
     c = 0

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -278,7 +279,7 @@ def test_one_canonical_call_per_twin_orbit(monkeypatch, k, capacity, max_depth, 
 
 def test_canonical_tree_keeps_one_key_for_the_6x6_tree():
     # brute force would take 720 x 720 serializations per call
-    t = tree_from_text(open(catalogs.data_path("trees", "6x6_tree.txt")).read())
+    t = tree_from_text(Path(catalogs.data_path("trees", "6x6_tree.txt")).read_text())
     key = canonical_tree(t)
     rng = random.Random(6)
     for _ in range(5):
