@@ -266,6 +266,9 @@ def cmd_canon(args) -> int:
 
 
 def cmd_involutory(args) -> int:
+    for name, bound in (("--max-s", args.max_s), ("--max-t", args.max_t)):
+        if bound < 0:
+            raise UsageError(f"{name} must be at least 0, got {bound}")
     ring = _parse_ring(args.ring)
     trees = list(catalogs.simplest_trees_4x4()) if not args.tree \
         else [tree_from_text(_read_file(args.tree))]

@@ -257,6 +257,8 @@ class QuotientRing:
         self.scalar_cost_model = scalar_cost_model
         # (modulus, rep rows or None for the companion matrix, cost model)
         self.key = (modulus, None if rep.rows == comp.rows else rep.rows, scalar_cost_model)
+        # every hit on a cached method hashes the ring: hash the key once
+        self._hash = hash(self.key)
         self._build_table()
         # alpha^0, alpha^1, .. up to alpha's order
         self._alpha_period = [1]
@@ -272,7 +274,7 @@ class QuotientRing:
         return isinstance(other, QuotientRing) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __reduce__(self):
         # pickled as its key: unpickling returns the receiving process's

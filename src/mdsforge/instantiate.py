@@ -4,7 +4,9 @@ Covers tree simplification (fewest non-identity positions that admit an MDS
 instance), exhaustive cost-bounded assignment scans with the scalar-reuse
 cost rule, lowest-cost catalog construction with optional depth bounds, the
 involutory search over row orders and row scalings, and the catalog text
-format.
+format.  The involutory search cuts every branch whose parameter support no
+feasible support can complete within its budget, from a table that one
+symbolic walk over the supports builds per tree (`_support_need`).
 """
 
 from __future__ import annotations
@@ -350,6 +352,64 @@ def _symbolic_subset_ok(tree: ImplTree, subset) -> bool:
                         for pos in range(tree.scalar_positions())])
 
 
+def _support_need(tree: ImplTree, most: int) -> list[dict]:
+    """need[p][z] for p = 1..capacity+1: for a support z, a bitmask over
+    the positions below 2p-2 (those of nodes 1..p-1), the fewest further
+    positions that finish it to a support of at most `most` positions that
+    passes `_symbolic_subset_ok`.  A z with no such completion is absent.
+
+    One depth-first walk over the supports of at most `most` positions, two
+    choices per position as in `_symbolic_subset_ok` (1, or the parameter's
+    `point`), on one `minor_tracker`: supports that share a prefix share its
+    rows, and a prefix row with a zero minor cuts all its extensions.  A
+    minor that vanishes at the points is zero only by its exact determinant,
+    read from the symbolic vectors of the current support; each node drops
+    its vector when its choice changes (see `term_vectors`)."""
+    cap = tree.capacity
+    choices = [(1, point(pos + 1)) for pos in range(tree.scalar_positions())]
+    chosen: set = set()
+    vecs: dict = {}
+    vec = term_vectors(tree.k, tree.nodes, chosen, vecs)
+    tracker = minor_tracker(tree.k, lambda i: vec(tree.outs[i]))
+    add_row = tracker.add_row
+    plan, scaled, scale, unpack = _scan_state(tree, tracker.ring)
+    need: list[dict] = [{} for _ in range(cap + 2)]
+
+    def rec(p: int, z: int, size: int) -> int:
+        """The least size of a feasible support that extends z, or most + 1."""
+        if p > cap:
+            need[p][z] = 0
+            return size
+        m, n, j = plan[p]
+        pa, pb = 2 * p - 2, 2 * p - 1
+        sm, sn = scaled[m], scaled[n]
+        best = most + 1
+        for ia, a in enumerate(choices[pa][:1 + (size < most)]):
+            va = sm.get(a)
+            if va is None:
+                va = sm[a] = scale(sm[1], a)
+            (chosen.add if ia else chosen.discard)(pa)
+            sa = size + ia
+            for ib, b in enumerate(choices[pb][:1 + (sa < most)]):
+                vb = sn.get(b)
+                if vb is None:
+                    vb = sn[b] = scale(sn[1], b)
+                (chosen.add if ib else chosen.discard)(pb)
+                vecs.pop(p, None)
+                row = va ^ vb
+                if j is not None and not add_row(unpack(row), j):
+                    continue
+                scaled[p] = {1: row}
+                best = min(best, rec(p + 1, z | ia << pa | ib << pb, sa + ib))
+        if best <= most:
+            need[p][z] = best - size
+        return best
+
+    rec(1, 0, 0)
+    del rec  # it refers to itself: free the walk's state now, not at a full collection
+    return need
+
+
 def _subset_hit(tree: ImplTree, tracker: MinorTracker, choices) -> bool:
     """Whether some assignment of values to tree's positions passes the
     all-minors tracker on every output row; position pos takes the values
@@ -410,10 +470,16 @@ def involutory_search(trees: list[ImplTree], ring: QuotientRing,
     scalars of its output node, so on an output that another node reads it
     would change that node's row too.  The true cost is the reuse rule cost
     of the scaled program.  MDS status is independent of row order and
-    scaling, so it prunes before the permutation scan.  Results are
-    deterministic for any thread count.
+    scaling, so it prunes before the permutation scan.  So does the support
+    prune: if a minor is zero with formal parameters on the support of the
+    nonzero edge exponents and 1 elsewhere, every assignment with that
+    support fails, and a branch is cut before its row reaches the tracker
+    when no feasible support of at most min(max_s, max_t) positions extends
+    its support within the s and t left (see `_support_need`).  A negative
+    max_s or max_t admits nothing.  Results are deterministic for any
+    thread count.
     """
-    if max_t < 0:  # no exponent total is negative
+    if min(max_s, max_t) < 0:  # no count or exponent total is negative
         return []
     jobs = [(tree, i, ring, max_s, max_t) for i, tree in enumerate(trees, start=1)]
     hits = [h for batch in pool_map(_involutory_one_tree, jobs, threads) for h in batch]
@@ -499,7 +565,15 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                 fs[i] = f
                 scal_rec(i + 1, s2 + nz, t3, dp, det_sq)
 
-    def rec(p: int, s_used: int, t_used: int):
+    # the support prune: an assignment whose support of nonzero exponents
+    # has a minor that is zero with formal parameters there and 1 elsewhere
+    # fails, that minor being zero for every specialization.  A support z
+    # of the nodes so far needs need[p][z] more nonzero exponents, each of
+    # which spends 1 of s and at least 1 of t; most + 1 exceeds any budget.
+    most = min(max_s, max_t)
+    need = _support_need(tree, most)
+
+    def rec(p: int, s_used: int, t_used: int, z: int):
         if p > cap:
             det = tracker.full_det()
             det_sq = mul(det, det)
@@ -507,13 +581,21 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                 scal_rec(0, s_used, t_used, 1, det_sq)
             return
         m, n, j = plan[p]
+        pa, pb = 2 * p - 2, 2 * p - 1
         sm, sn = scaled[m], scaled[n]
+        after = need[p + 1]
         for ea, a, mag_a, nz_a in opts[max_t - t_used if s_used < max_s else 0]:
             sa, ta = s_used + nz_a, t_used + mag_a
+            za = z | nz_a << pa
             va = sm.get(a)
             if va is None:
                 va = sm[a] = scale(sm[1], a)
             for eb, b, mag_b, nz_b in opts[max_t - ta if sa < max_s else 0]:
+                sb, tb = sa + nz_b, ta + mag_b
+                z2 = za | nz_b << pb
+                more = after.get(z2, most + 1)
+                if more > max_s - sb or more > max_t - tb:
+                    continue
                 vb = sn.get(b)
                 if vb is None:
                     vb = sn[b] = scale(sn[1], b)
@@ -521,12 +603,12 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                 if j is not None and not add_row(unpack(row), j):
                     continue
                 scaled[p] = {1: row}
-                sb, tb = sa + nz_b, ta + mag_b
-                exps[2 * p - 2] = ea
-                exps[2 * p - 1] = eb
-                rec(p + 1, sb, tb)
+                exps[pa] = ea
+                exps[pb] = eb
+                rec(p + 1, sb, tb, z2)
 
-    rec(1, 0, 0)
+    rec(1, 0, 0, 0)
+    del rec  # it refers to itself: free the scan's state and table now
     return hits
 
 

@@ -14,7 +14,8 @@ GF(2^8) values, each output row written in place at its row index: every
 parameter is evaluated at one fixed nonzero point, `point(pid)`.  Evaluation is a ring homomorphism, so a nonzero value proves
 a minor nonzero.  A minor that evaluates to zero is decided by its exact
 symbolic determinant, `_det`; `minor_tracker` wires the two together.  The
-parameter-subset screen of `instantiate` and tree-file `verify` use it.  The
+parameter-subset screen of `instantiate`, its walk over the supports of the
+involutory search and tree-file `verify` use it.  The
 tree search shares the points but needs no determinant: every edge there
 has a parameter of its own, so it rejects a candidate row by zero-minor
 masks, one AND per row, and decides the minors of the terms below an
@@ -98,14 +99,20 @@ def point(pid: int) -> int:
     return v if v else 1
 
 
-def term_vectors(k: int, nodes, chosen=None):
+def term_vectors(k: int, nodes, chosen=None, cache=None):
     """vec(q): the coefficient vector of term q (input -j or node p =
     nodes[p-1] = (m, n), p >= 1) of a tree on k inputs whose node p
     multiplies its left operand by parameter 2p-1 and its right one by 2p,
     or by 1 where the position (2p-2 left, 2p-1 right) is not in chosen
-    (None: all are).  Vectors are built on first use and kept.
+    (None: all are).  Vectors are built on first use and kept in cache, a
+    dict by term (None: a new one).  chosen is read as each vector is built,
+    so a walk that changes node p's positions in chosen drops cache[p]; the
+    vectors of the nodes above p are stale then, and the walk drops each
+    before it is read again.
     """
-    cache = {-j: tuple(SP_ONE if c == j else SP_ZERO for c in range(k)) for j in range(k)}
+    if cache is None:
+        cache = {}
+    cache.update({-j: tuple(SP_ONE if c == j else SP_ZERO for c in range(k)) for j in range(k)})
 
     def vec(q: int) -> tuple:
         got = cache.get(q)

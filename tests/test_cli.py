@@ -233,6 +233,13 @@ def test_bad_ring_modulus_is_usage_error(capsys):
     assert "usage error" in err and "x^8" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-s", "--max-t"])
+def test_negative_involutory_bound_is_usage_error(capsys, flag):
+    code, out, err = run(capsys, "involutory", "--ring", "x^8+x^2+1", flag, "-1")
+    assert (code, out) == (64, "")
+    assert err == f"usage error: {flag} must be at least 0, got -1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("assign", "--all-trees", "--ring", "x^y", "--cost-bound", "10"),
     ("assign", "--all-trees", "--ring", "x+1", "--cost-bound", "10"),

@@ -5,16 +5,17 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from mdsforge import catalogs, instantiate
+from mdsforge import blockmat, catalogs, instantiate
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.blockmat import BlockMatrix, is_involutory, is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
-from mdsforge.sympoly import _det, term_vectors
+from mdsforge.sympoly import SP_ONE, _det, term_vectors
 from mdsforge.treesearch import ImplTree
 from mdsforge.instantiate import (
     CatalogEntry,
     InfeasibleError,
     _fixable_squares,
+    _support_need,
     _symbolic_subset_ok,
     alpha_powers,
     assign_parameters,
@@ -310,7 +311,12 @@ def _involutory_reference(tree, r, max_s, max_t, ring_pow):
     return sorted(hits, key=lambda h: h[:3])
 
 
-@pytest.mark.parametrize("tree, modulus, max_s, max_t, count", [
+# nodes 1 and 2 both read x1 + x2, and node 3 adds them: with unit weights
+# on nodes 1 and 2, node 3 is a multiple of output node 2 for every weight
+# of its own
+_CANCELLING = ImplTree(2, ((-1, 0), (-1, 0), (1, 2)), (2, 3))
+
+_BRUTE_FORCE_CASES = [
     # every output scalable, then one output that a later node reads
     (ImplTree(2, ((-1, 0), (-1, 1)), (1, 2)), "x^8+x^2+1", 2, 4, 4),
     (ImplTree(2, ((-1, 0), (-1, 1)), (1, 2)), "x^4+x+1", 4, 4, 13),
@@ -318,10 +324,17 @@ def _involutory_reference(tree, r, max_s, max_t, ring_pow):
     # a k=3 capacity-5 tree: hits over x^4+x+1, none over x^8+x^2+1
     (ImplTree(3, ((-2, -1), (0, 1), (-2, 2), (-1, 2), (0, 2)), (3, 4, 5)), "x^4+x+1", 3, 4, 16),
     (ImplTree(3, ((-2, -1), (0, 1), (-2, 2), (-1, 2), (0, 2)), (3, 4, 5)), "x^8+x^2+1", 3, 4, 0),
-])
+    # a support prefix that passes every minor of its rows but that no
+    # feasible support completes (see test_support_table_cuts_...)
+    (_CANCELLING, "x^4+x+1", 3, 4, 4),
+]
+
+
+@pytest.mark.parametrize("tree, modulus, max_s, max_t, count", _BRUTE_FORCE_CASES)
 def test_involutory_search_matches_brute_force(ring_pow, tree, modulus, max_s, max_t, count):
-    # the scan prunes by minors and determinant squares only, which no MDS
-    # involution fails: it finds exactly the hits of the full enumeration
+    # the scan prunes by minors, determinant squares and feasible supports,
+    # none of which an MDS involution fails: it finds exactly the hits of
+    # the full enumeration
     r = ring(modulus)
     hits = involutory_search([tree], r, max_s, max_t)
     assert all(h.tree_index == 1 and h.entry.mds and h.entry.involutory for h in hits)
@@ -329,6 +342,71 @@ def test_involutory_search_matches_brute_force(ring_pow, tree, modulus, max_s, m
                   for h in hits), key=lambda h: h[:3])
     assert got == _involutory_reference(tree, r, max_s, max_t, ring_pow)
     assert len(got) == count
+
+
+def _support_need_reference(tree, most):
+    """_support_need by brute force: need[p][z] is the least |S| - |z| over
+    the supports S of at most most positions that pass _symbolic_subset_ok
+    and agree with z on the positions below 2p-2."""
+    need = [{} for _ in range(tree.capacity + 2)]
+    for size in range(most + 1):
+        for subset in combinations(range(tree.scalar_positions()), size):
+            if not _symbolic_subset_ok(tree, subset):
+                continue
+            mask = sum(1 << pos for pos in subset)
+            for p in range(1, tree.capacity + 2):
+                z = mask & (1 << 2 * p - 2) - 1
+                more = size - z.bit_count()
+                if more < need[p].get(z, most + 1):
+                    need[p][z] = more
+    return need
+
+
+@pytest.mark.parametrize("tree, most", [(None, 3)] + [(case[0], case[2])
+                                                      for case in _BRUTE_FORCE_CASES])
+def test_support_need_matches_brute_force(trees8, tree, most):
+    for t in trees8 if tree is None else [tree]:
+        assert _support_need(t, most) == _support_need_reference(t, most)
+
+
+def test_support_table_cuts_a_prefix_whose_rows_pass():
+    # with no parameter on nodes 1 and 2, output node 2 reads (1, 1), whose
+    # minors (its entries) are nonzero, yet no weight on node 3 makes the
+    # 2x2 determinant nonzero: the table leaves that prefix out, and the
+    # scan cuts it before node 2's row reaches the tracker
+    tree = _CANCELLING
+    assert term_vectors(2, tree.nodes, set())(2) == (SP_ONE, SP_ONE)
+    need = _support_need(tree, 3)
+    assert 0 not in need[3]
+    assert need[1] == {0: 2}
+    assert not _symbolic_subset_ok(tree, (4, 5))
+    assert _symbolic_subset_ok(tree, (0, 4))
+
+
+def test_support_prune_bounds_the_scan_work(monkeypatch, trees8, r8):
+    # a count of the work, where a wall time would not be reproducible:
+    # without the support prune this scan made 143,856 add_row calls
+    calls = Counter()
+    add_row = blockmat.MinorTracker.add_row
+
+    def counting(tracker, row, j):
+        calls[tracker.ring] += 1
+        return add_row(tracker, row, j)
+
+    monkeypatch.setattr(blockmat.MinorTracker, "add_row", counting)
+    assert len(involutory_search([trees8[2]], r8, 6, 5)) == 6
+    assert calls[r8] == 27_740
+
+
+def test_negative_bounds_scan_nothing(monkeypatch, trees8, r8):
+    # a negative max_s admits no assignment, not even the all-identity one,
+    # which has 0 > max_s non-identity positions: no tree is scanned
+    def scan(*job):
+        raise AssertionError("a tree was scanned")
+
+    monkeypatch.setattr(instantiate, "_involutory_one_tree", scan)
+    assert involutory_search(trees8[2:4], r8, -1, 5) == []
+    assert involutory_search(trees8[2:4], r8, 6, -1) == []
 
 
 def test_square_screen_matches_residue_enumeration(ring_pow):
