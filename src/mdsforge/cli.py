@@ -54,6 +54,13 @@ def _threads(args) -> int:
     return n
 
 
+def _at_least_zero(*bounds) -> None:
+    """Raise UsageError at the first (flag, value) with a negative value."""
+    for flag, value in bounds:
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be at least 0, got {value}")
+
+
 def _parse_ring(text: str) -> QuotientRing:
     try:
         r = _ring(poly_parse(text))
@@ -133,6 +140,8 @@ def cmd_search_trees(args) -> int:
     k = args.k
     if not 2 <= k <= 6:
         raise UsageError("--k must be between 2 and 6")
+    _at_least_zero(("--capacity", args.capacity), ("--max-capacity", args.max_capacity),
+                   ("--max-depth", args.max_depth))
     threads = _threads(args)
     if args.capacity is not None:
         if args.max_capacity is not None:
@@ -177,6 +186,7 @@ def _trees_for_assign(args):
 
 
 def cmd_assign(args) -> int:
+    _at_least_zero(("--cost-bound", args.cost_bound), ("--depth-bound", args.depth_bound))
     threads = _threads(args)
     ring = _parse_ring(args.ring)
     values = (_parse_values(ring, args.values) if args.values is not None
@@ -266,9 +276,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_involutory(args) -> int:
-    for name, bound in (("--max-s", args.max_s), ("--max-t", args.max_t)):
-        if bound < 0:
-            raise UsageError(f"{name} must be at least 0, got {bound}")
+    _at_least_zero(("--max-s", args.max_s), ("--max-t", args.max_t))
     ring = _parse_ring(args.ring)
     trees = list(catalogs.simplest_trees_4x4()) if not args.tree \
         else [tree_from_text(_read_file(args.tree))]

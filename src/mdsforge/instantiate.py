@@ -4,16 +4,19 @@ Covers tree simplification (fewest non-identity positions that admit an MDS
 instance), exhaustive cost-bounded assignment scans with the scalar-reuse
 cost rule, lowest-cost catalog construction with optional depth bounds, the
 involutory search over row orders and row scalings, and the catalog text
-format.  The involutory search cuts every branch whose parameter support no
-feasible support can complete within its budget, from a table that one
-symbolic walk over the supports builds per tree (`_support_need`).
+format.  One depth-first walk over the parameter supports,
+`_support_walk`, is the only subset scan.  On formal parameters it finds
+the feasible supports (`_support_need`): tree simplification tries only
+those, each by the same walk over the ring's values, and the involutory
+search cuts every branch whose support no feasible support can complete
+within its budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import combinations, count, permutations
+from itertools import count, permutations
 
 from .gf2 import FormatError, QuotientRing, expect_end
 from . import blockmat
@@ -251,6 +254,7 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
                 rec(p + 1, t_used + ca + cb)
 
     rec(1, 0)
+    del rec  # it refers to itself: free the scan's state now, not at a full collection
     return entries
 
 
@@ -318,21 +322,21 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
     """Smallest s such that assigning s positions (others identity) can give
     an MDS matrix; returns (s, witness position tuples).
 
-    Position subsets are pre-screened symbolically (a zero minor with formal
-    parameters at the chosen positions rules the subset out for every ring),
-    then scanned concretely over value_set^s with early exit.
+    For s = 1, 2, ... the candidates are the supports of s positions that
+    `_support_need(tree, s)` finds feasible, in `combinations` order.  One
+    is a witness if `_support_walk` on ring's tracker, with the values of
+    value_set other than 1 on its positions and 1 elsewhere, passes.
     """
     values = [v for v in value_set if v != 1]
-    limit = max_s if max_s is not None else tree.scalar_positions()
+    npos = tree.scalar_positions()
+    limit = max_s if max_s is not None else npos
     tracker = MinorTracker(ring, tree.k)
     for s in range(1, limit + 1):
         witnesses = []
-        for subset in combinations(range(tree.scalar_positions()), s):
-            if not _symbolic_subset_ok(tree, subset):
-                continue
-            if _subset_hit(tree, tracker,
-                           [values if pos in subset else (1,)
-                            for pos in range(tree.scalar_positions())]):
+        for subset in sorted(tuple(pos for pos in range(npos) if z >> pos & 1)
+                             for z in _support_need(tree, s)[-1] if z.bit_count() == s):
+            choices = [values if pos in subset else (1,) for pos in range(npos)]
+            if _support_walk(tree, tracker, choices, s, set(), {})[1]:
                 witnesses.append(subset)
                 if first_only:
                     return s, witnesses
@@ -343,40 +347,52 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
 
 def _symbolic_subset_ok(tree: ImplTree, subset) -> bool:
     """Whether every minor of the output rows is a nonzero polynomial when
-    the positions in subset carry formal parameters and the others 1: the
-    one assignment of each parameter to its `sympoly.point`, checked with
-    the exact determinant behind every value that vanishes."""
-    sym_vec = term_vectors(tree.k, tree.nodes, set(subset))
-    return _subset_hit(tree, minor_tracker(tree.k, lambda i: sym_vec(tree.outs[i])),
-                       [(point(pos + 1),) if pos in subset else (1,)
-                        for pos in range(tree.scalar_positions())])
+    the positions in subset carry formal parameters and the others 1."""
+    npos = tree.scalar_positions()
+    choices = [(point(pos + 1),) if pos in subset else (1,) for pos in range(npos)]
+    return bool(_symbolic_walk(tree, choices, npos)[1])
 
 
 def _support_need(tree: ImplTree, most: int) -> list[dict]:
-    """need[p][z] for p = 1..capacity+1: for a support z, a bitmask over
-    the positions below 2p-2 (those of nodes 1..p-1), the fewest further
-    positions that finish it to a support of at most `most` positions that
-    passes `_symbolic_subset_ok`.  A z with no such completion is absent.
+    """`_support_walk`'s table on formal parameters, each position at 1 or
+    at its parameter's `point`: need[p][z] is the fewest further positions
+    that finish z to a support of at most `most` positions that passes
+    `_symbolic_subset_ok`, and a z that none extends is absent."""
+    return _symbolic_walk(tree, [(1, point(pos + 1)) for pos in range(tree.scalar_positions())],
+                          most)
 
-    One depth-first walk over the supports of at most `most` positions, two
-    choices per position as in `_symbolic_subset_ok` (1, or the parameter's
-    `point`), on one `minor_tracker`: supports that share a prefix share its
-    rows, and a prefix row with a zero minor cuts all its extensions.  A
-    minor that vanishes at the points is zero only by its exact determinant,
-    read from the symbolic vectors of the current support; each node drops
-    its vector when its choice changes (see `term_vectors`)."""
-    cap = tree.capacity
-    choices = [(1, point(pos + 1)) for pos in range(tree.scalar_positions())]
+
+def _symbolic_walk(tree: ImplTree, choices, most: int) -> list[dict]:
+    """`_support_walk` on one `minor_tracker`, whose exact determinants read
+    the symbolic vectors of the current support (see `term_vectors`)."""
     chosen: set = set()
     vecs: dict = {}
     vec = term_vectors(tree.k, tree.nodes, chosen, vecs)
     tracker = minor_tracker(tree.k, lambda i: vec(tree.outs[i]))
+    return _support_walk(tree, tracker, choices, most, chosen, vecs)
+
+
+def _support_walk(tree: ImplTree, tracker: MinorTracker, choices, most: int,
+                  chosen: set, vecs: dict) -> list[dict]:
+    """need[p][z] for p = 1..capacity+1: for a support z, a bitmask over
+    the positions below 2p-2 (those of nodes 1..p-1), the fewest further
+    positions that finish it to a support of at most `most` positions whose
+    assignment passes tracker.  A z with no such completion is absent.
+
+    One depth-first walk: position pos takes the values choices[pos], in
+    order, and is in the support iff its value is not 1.  Output j is the
+    tracker's row j, written in place, so a rejected prefix row cuts all its
+    extensions.  chosen tracks the support, and a node's entry in vecs is
+    dropped when its choice changes, for a symbolic tracker's exact hook."""
+    cap = tree.capacity
+    # menus[pos][size < most]: pos's choices once the support is full, or all
+    menus = [(tuple(v for v in vals if v == 1), tuple(vals)) for vals in choices]
     add_row = tracker.add_row
     plan, scaled, scale, unpack = _scan_state(tree, tracker.ring)
     need: list[dict] = [{} for _ in range(cap + 2)]
 
     def rec(p: int, z: int, size: int) -> int:
-        """The least size of a feasible support that extends z, or most + 1."""
+        """The least size of a passing support that extends z, or most + 1."""
         if p > cap:
             need[p][z] = 0
             return size
@@ -384,16 +400,18 @@ def _support_need(tree: ImplTree, most: int) -> list[dict]:
         pa, pb = 2 * p - 2, 2 * p - 1
         sm, sn = scaled[m], scaled[n]
         best = most + 1
-        for ia, a in enumerate(choices[pa][:1 + (size < most)]):
+        for a in menus[pa][size < most]:
             va = sm.get(a)
             if va is None:
                 va = sm[a] = scale(sm[1], a)
+            ia = a != 1
             (chosen.add if ia else chosen.discard)(pa)
             sa = size + ia
-            for ib, b in enumerate(choices[pb][:1 + (sa < most)]):
+            for b in menus[pb][sa < most]:
                 vb = sn.get(b)
                 if vb is None:
                     vb = sn[b] = scale(sn[1], b)
+                ib = b != 1
                 (chosen.add if ib else chosen.discard)(pb)
                 vecs.pop(p, None)
                 row = va ^ vb
@@ -408,40 +426,6 @@ def _support_need(tree: ImplTree, most: int) -> list[dict]:
     rec(1, 0, 0)
     del rec  # it refers to itself: free the walk's state now, not at a full collection
     return need
-
-
-def _subset_hit(tree: ImplTree, tracker: MinorTracker, choices) -> bool:
-    """Whether some assignment of values to tree's positions passes the
-    all-minors tracker on every output row; position pos takes the values
-    choices[pos] of the tracker's ring, in order (1: the identity).  Depth
-    first, writing output j as the tracker's row j in place, stopping at the
-    first complete assignment."""
-    cap = tree.capacity
-    add_row = tracker.add_row
-    plan, scaled, scale, unpack = _scan_state(tree, tracker.ring)
-
-    def rec(p: int) -> bool:
-        if p > cap:
-            return True
-        m, n, j = plan[p]
-        sm, sn = scaled[m], scaled[n]
-        for a in choices[2 * p - 2]:
-            va = sm.get(a)
-            if va is None:
-                va = sm[a] = scale(sm[1], a)
-            for b in choices[2 * p - 1]:
-                vb = sn.get(b)
-                if vb is None:
-                    vb = sn[b] = scale(sn[1], b)
-                row = va ^ vb
-                if j is not None and not add_row(unpack(row), j):
-                    continue
-                scaled[p] = {1: row}
-                if rec(p + 1):
-                    return True
-        return False
-
-    return rec(1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ GF(2^8) values, each output row written in place at its row index: every
 parameter is evaluated at one fixed nonzero point, `point(pid)`.  Evaluation is a ring homomorphism, so a nonzero value proves
 a minor nonzero.  A minor that evaluates to zero is decided by its exact
 symbolic determinant, `_det`; `minor_tracker` wires the two together.  The
-parameter-subset screen of `instantiate`, its walk over the supports of the
-involutory search and tree-file `verify` use it.  The
+walk over the parameter supports in `instantiate`, which serves tree
+simplification and the involutory search, and tree-file `verify` use it.  The
 tree search shares the points but needs no determinant: every edge there
 has a parameter of its own, so it rejects a candidate row by zero-minor
 masks, one AND per row, and decides the minors of the terms below an
@@ -88,7 +88,9 @@ def _det(rows, ridx: tuple, cidx: tuple, memo: dict) -> Poly:
 
 
 def point(pid: int) -> int:
-    """The evaluation point of parameter pid, a nonzero element of GF(2^8).
+    """The evaluation point of parameter pid, an element of GF(2^8) other
+    than 0 and 1.  Never 1, so a walk reads a position's support from its
+    value: a parameter at 1 would look like a position left at identity.
 
     One point per parameter: a second one would double the tracker's work
     for every minor to save the few minors that vanish at the first point
@@ -96,7 +98,7 @@ def point(pid: int) -> int:
     search).
     """
     v = ((pid * 0x9E3779B1) ^ (pid >> 3)) & 0xFF
-    return v if v else 1
+    return v if v > 1 else v + 2
 
 
 def term_vectors(k: int, nodes, chosen=None, cache=None):

@@ -240,6 +240,21 @@ def test_negative_involutory_bound_is_usage_error(capsys, flag):
     assert err == f"usage error: {flag} must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("search-trees", "--k", "3", "--capacity", "-2"), "--capacity"),
+    (("search-trees", "--k", "3", "--max-capacity", "-1"), "--max-capacity"),
+    (("search-trees", "--k", "3", "--capacity", "5", "--max-depth", "-1"), "--max-depth"),
+    (("assign", "--all-trees", "--ring", "x^8+x^2+1", "--cost-bound", "-5"), "--cost-bound"),
+    (("assign", "--all-trees", "--ring", "x^8+x^2+1", "--cost-bound", "70",
+      "--depth-bound", "-1"), "--depth-bound"),
+])
+def test_negative_bound_is_usage_error(capsys, argv, flag):
+    # a negative count, cost or depth is a usage error, not "not found"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err == f"usage error: {flag} must be at least 0, got {argv[argv.index(flag) + 1]}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("assign", "--all-trees", "--ring", "x^y", "--cost-bound", "10"),
     ("assign", "--all-trees", "--ring", "x+1", "--cost-bound", "10"),

@@ -9,7 +9,7 @@ from mdsforge import blockmat, catalogs, instantiate
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.blockmat import BlockMatrix, is_involutory, is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
-from mdsforge.sympoly import SP_ONE, _det, term_vectors
+from mdsforge.sympoly import EVAL_MODULUS, SP_ONE, _det, term_vectors
 from mdsforge.treesearch import ImplTree
 from mdsforge.instantiate import (
     CatalogEntry,
@@ -346,12 +346,13 @@ def test_involutory_search_matches_brute_force(ring_pow, tree, modulus, max_s, m
 
 def _support_need_reference(tree, most):
     """_support_need by brute force: need[p][z] is the least |S| - |z| over
-    the supports S of at most most positions that pass _symbolic_subset_ok
-    and agree with z on the positions below 2p-2."""
+    the supports S of at most most positions whose minors are all nonzero
+    polynomials (by determinant, independent of the walk) and that agree
+    with z on the positions below 2p-2."""
     need = [{} for _ in range(tree.capacity + 2)]
     for size in range(most + 1):
         for subset in combinations(range(tree.scalar_positions()), size):
-            if not _symbolic_subset_ok(tree, subset):
+            if not _every_minor_nonzero(tree, subset):
                 continue
             mask = sum(1 << pos for pos in subset)
             for p in range(1, tree.capacity + 2):
@@ -367,6 +368,74 @@ def _support_need_reference(tree, most):
 def test_support_need_matches_brute_force(trees8, tree, most):
     for t in trees8 if tree is None else [tree]:
         assert _support_need(t, most) == _support_need_reference(t, most)
+
+
+def _simplify_reference(tree, r, values):
+    """simplify_tree by brute force: the least s for which some s positions,
+    each at a value of values other than 1, and 1 elsewhere give an MDS
+    matrix, and every such position tuple in combinations order."""
+    values = [v for v in values if v != 1]
+    for s in range(1, tree.scalar_positions() + 1):
+        witnesses = [subset for subset in combinations(range(tree.scalar_positions()), s)
+                     if any(is_mds(extract_matrix(tree.to_slp(r, dict(zip(subset, vals)))))
+                            for vals in product(values, repeat=s))]
+        if witnesses:
+            return s, witnesses
+
+
+@pytest.mark.parametrize("modulus", ["x^4+x+1", "x^8+x^2+1"])
+@pytest.mark.parametrize("tree", list(dict.fromkeys(case[0] for case in _BRUTE_FORCE_CASES)))
+def test_simplify_tree_matches_brute_force(tree, modulus):
+    r = ring(modulus)
+    values = default_value_set(r)
+    s, witnesses = _simplify_reference(tree, r, values)
+    assert simplify_tree(tree, r, values) == (s, witnesses)
+    assert simplify_tree(tree, r, values, first_only=True) == (s, witnesses[:1])
+
+
+def test_simplify_tree_bundled_witnesses(trees8, r8):
+    # every bundled tree needs three non-identity positions
+    expect = [
+        [(3, 7, 9), (3, 7, 13), (3, 9, 13), (7, 9, 12), (7, 9, 13)],
+        [(3, 9, 12), (3, 9, 13), (6, 9, 12), (6, 9, 13)],
+        [(3, 7, 9), (3, 7, 13), (3, 9, 13), (7, 9, 12), (7, 9, 13)],
+        [(4, 7, 9), (4, 7, 11), (4, 9, 11), (5, 9, 10), (5, 9, 11), (7, 9, 10), (7, 9, 11)],
+        [(3, 9, 12), (3, 9, 13), (7, 9, 12), (7, 9, 13)],
+        [(5, 6, 11), (7, 9, 10)],
+        [(3, 5, 12), (3, 5, 13), (5, 8, 12), (5, 8, 13)],
+        [(5, 9, 12)],
+    ]
+    values = default_value_set(r8)
+    assert [simplify_tree(t, r8, values) for t in trees8] == [(3, w) for w in expect]
+
+
+def test_simplify_tree_bounds_the_walk_work(monkeypatch, r56):
+    # a count of the work, where a wall time would not be reproducible.  A
+    # symbolic screen per subset made 37,869 add_row calls on the evaluation
+    # ring; a concrete scan that stopped at the first passing assignment
+    # made 100 on r56, where the walk finishes each candidate support
+    calls = Counter()
+    add_row = blockmat.MinorTracker.add_row
+
+    def counting(tracker, row, j):
+        calls[tracker.ring] += 1
+        return add_row(tracker, row, j)
+
+    monkeypatch.setattr(blockmat.MinorTracker, "add_row", counting)
+    values = [1] + [r56.alpha_pow(e) for e in (1, -1, 2, -2, 3, -3, 4, -4)]
+    got = simplify_tree(catalogs.tree_5x5(), r56, values, max_s=5, first_only=True)
+    assert got == (5, [(0, 4, 5, 13, 17)])
+    assert calls == {ring(EVAL_MODULUS): 23_141, r56: 36_093}
+
+
+def test_a_parameter_is_never_read_as_the_identity():
+    # position 54 carries parameter 55; the walks read a position's support
+    # from its value, so were point(55) = 1 they would take the parameter
+    # for the identity and judge det [[1, 1], [a55, 1]] = 1 + a55 zero
+    tree = ImplTree(2, ((-1, 0),) * 28, (27, 28))
+    assert _every_minor_nonzero(tree, (54,))
+    assert _symbolic_subset_ok(tree, (54,))
+    assert 1 << 54 in _support_need(tree, 1)[-1]
 
 
 def test_support_table_cuts_a_prefix_whose_rows_pass():
