@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import count, permutations
+from math import inf
 
 from .gf2 import FormatError, QuotientRing, expect_end
 from . import blockmat
@@ -156,8 +157,9 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     its operand term added at no charge.  Completed output rows prune
     through the all-minors-are-units tracker.  With depth_bound, node p is
     cut as soon as its depth d has d + height[p] > depth_bound, where
-    height[p] is the longest path from p to a node that reads it: each step
-    of such a path adds a level.  A tree whose skeleton is deeper than
+    height[p] is the longest path from p to an output that reads it: each
+    step of such a path adds a level; a node that no output reads, even
+    indirectly, is not bounded.  A tree whose skeleton is deeper than
     depth_bound has no assignment.  Deterministic order.
     """
     if value_set is None:
@@ -193,12 +195,14 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     prev = [max((q for q in range(i) if terms[q] == t), default=2 * cap)
             for i, t in enumerate(terms)]
     held = [0] * (2 * cap + 1)
-    # height[p], as above; a node that is no output counts one level even
-    # if nothing reads it
-    height = {}
+    # lim[p]: the most levels an operand of node p may reach, one more if
+    # its scalar is not 1, so depth_bound - height[p] - 1; inf for a node
+    # that no output reads and for every node without depth_bound
+    top = inf if depth_bound is None else depth_bound - 1
+    lim = [inf] * (cap + 1)
     for p in range(cap, 0, -1):
-        height[p] = max((height[q] + 1 for q in range(p + 1, cap + 1) if p in tree.nodes[q - 1]),
-                        default=int(p not in tree.outs))
+        lim[p] = min([lim[q] - 1 for q in range(p + 1, cap + 1) if p in tree.nodes[q - 1]]
+                     + [top] * (p in outs), default=inf)
 
     add_row = MinorTracker(ring, tree.k).add_row
     plan, scaled, scale, unpack = _scan_state(tree, ring)
@@ -218,18 +222,12 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
             return
         m, n, j = plan[p]
         pa, pb = 2 * p - 2, 2 * p - 1
-        dm, dn = depths[m], depths[n]
+        dm, dn, lp = depths[m], depths[n], lim[p]
         ha, hb = held[prev[pa]], held[prev[pb]]
-        menu_a, menu_b = menu(ha), menu(hb)
-        if depth_bound is not None:
-            # an operand's level, one more if its scalar is not 1, is at most lim
-            lim = depth_bound - height[p] - 1
-            if dm > lim or dn > lim:
-                return
-            if dm == lim:
-                menu_a = unscaled
-            if dn == lim:
-                menu_b = unscaled
+        # neither operand is above lim[p]: an input is at level 0, which the
+        # skeleton check allows, and a node kept to its own, lower limit
+        menu_a = unscaled if dm == lp else menu(ha)
+        menu_b = unscaled if dn == lp else menu(hb)
         sm, sn = scaled[m], scaled[n]
         left = budget - t_used
         for a, ca, bit_a, level_a in menu_a[left]:

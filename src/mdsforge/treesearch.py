@@ -146,7 +146,8 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     """DFS over normal trees of one type; yields (nodes, outs) survivors.
 
     Symmetry breaking cuts most input relabelings and Property-2 swaps:
-    node 1 is (x2, x1), inputs first appear in order, and adjacent
+    inputs first appear in order, so those read are 0..nxt-1 and the
+    search keeps their count nxt (node 1 is then (x2, x1)); adjacent
     incomparable non-output nodes (neither touching fresh inputs) carry
     sorted operand pairs.  It does not order twin inputs, two inputs that
     one node reads first, both at once (node 1's always): a tree and its
@@ -190,10 +191,13 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     anc: dict[int, int] = {}
     results: list[tuple[tuple, tuple]] = []
     # the operand pairs (m, n) of node p, in the order they are tried
-    pairs = [None, [(-1, 0)]] + [[(m, n) for m in range(lo, p - 1) for n in range(m + 1, p)]
-                                 for p in range(2, capacity + 1)]
+    pairs = [None] + [[(m, n) for m in range(lo, p - 1) for n in range(m + 1, p)]
+                      for p in range(1, capacity + 1)]
+    # the deepest node p may be: an interior one needs a level above it
+    deepest = [capacity if max_depth is None else max_depth - (out_row[p] is None)
+               for p in range(capacity + 1)]
 
-    def rec(p: int, zs: dict, used_inputs: int, cur_roots: int, prev_fresh: bool):
+    def rec(p: int, zs: dict, nxt: int, cur_roots: int, prev_fresh: bool):
         if p > capacity:
             results.append((tuple(nodes), tuple(seg_end)))
             return
@@ -209,11 +213,11 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
         prev_pair = nodes[-1] if orderable else None
         pa, pb = point(2 * p - 1), point(2 * p)
         for m, n in cand:
-            fresh = [-t for t in (m, n) if t <= 0 and not (used_inputs >> -t) & 1]
-            if fresh:
-                nxt = used_inputs.bit_count()
-                if sorted(fresh) != list(range(nxt, nxt + len(fresh))):
-                    continue
+            # inputs 0..nxt-1 are read: m may read input nxt, or nxt+1 with n
+            # reading nxt
+            if m < -nxt and (m, n) != (-nxt - 1, -nxt):
+                continue
+            fresh = m < 1 - nxt
             a_mask = 0
             if m >= 1:
                 a_mask |= anc[m] | (1 << m)
@@ -223,9 +227,8 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                     and not (a_mask >> (p - 1)) & 1):
                 continue
             new_depth = 1 + max(depths[m], depths[n])
-            if max_depth is not None:
-                if new_depth > max_depth or (not is_out and new_depth >= max_depth):
-                    continue
+            if new_depth > deepest[p]:
+                continue
             roots = cur_roots & ~a_mask
             anc[p] = a_mask
             if is_out:
@@ -239,19 +242,17 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
             nodes.append((m, n))
             pvecs[p] = scale(pvecs[m], pa) ^ scale(pvecs[n], pb)
             depths[p] = new_depth
-            nu = used_inputs
-            for j in fresh:
-                nu |= 1 << j
+            read = 1 - m if fresh else nxt
             if is_out and p < capacity:
                 tracker.add_row(unpack(pvecs[p]), row)
                 zs[p] = 0
                 rec(p + 1,
                     _accept_masks(k, nodes, seg_end[:row + 1], zs, anc,
                                   lambda t: unpack(pvecs[t]), tracker.minors()),
-                    nu, 0, bool(fresh))
+                    read, 0, fresh)
             else:
                 zs[p] = zs[m] & zs[n]
-                rec(p + 1, zs, nu, 0 if is_out else (roots | (1 << p)), bool(fresh))
+                rec(p + 1, zs, read, 0 if is_out else (roots | (1 << p)), fresh)
             nodes.pop()
 
     rec(1, {i: ((1 << k) - 1) ^ 1 << -i for i in inputs}, 0, 0, False)  # -c misses all but c

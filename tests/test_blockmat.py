@@ -37,6 +37,17 @@ def test_aes_mixcolumns_is_mds():
     assert is_mds(matrix_from_text(AES_TEXT))
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([], "must be square and nonempty"),
+    ([[1, 0], [0]], "must be square and nonempty"),
+    ([[1, 0, 1], [0, 1, 1]], "must be square and nonempty"),
+    ([[1, 0], [0, 16]], "entry exceeds ring residue width"),
+])
+def test_block_matrix_refuses_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        BlockMatrix(ring("x^4+x+1"), rows)
+
+
 def test_identity_is_not_mds():
     r = ring("x^4+x+1")
     assert not is_mds(BlockMatrix.identity(r, 2))

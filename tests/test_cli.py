@@ -9,6 +9,7 @@ import pytest
 
 from mdsforge import catalogs
 from mdsforge.cli import main
+from mdsforge.treesearch import tree_from_text, tree_to_text
 
 
 def run(capsys, *argv):
@@ -34,6 +35,24 @@ def test_search_trees_usage(capsys):
     assert code == 64 and "usage error" in err
 
 
+def test_missing_subcommand_or_tree_is_usage_error(capsys):
+    code, out, err = run(capsys)
+    assert code == 64 and out.startswith("usage: mdsforge") and err == ""
+    code, out, err = run(capsys, "assign", "--ring", "x^4+x+1", "--cost-bound", "40")
+    assert (code, out, err) == (64, "", "usage error: need --tree FILE or --all-trees\n")
+
+
+def test_search_trees_out_writes_the_listed_trees(tmp_path, capsys):
+    listing = run(capsys, "search-trees", "--k", "3")[1]
+    head, _, body = listing.partition("\n")
+    code, out, _ = run(capsys, "search-trees", "--k", "3", "--out", str(tmp_path))
+    assert (code, out) == (0, f"{head}\nwrote 33 tree files to {tmp_path}\n")
+    assert len(os.listdir(tmp_path)) == 33
+    files = [(tmp_path / f"3x3_cap5_tree{i}.txt").read_text() for i in range(1, 34)]
+    assert body == "".join("\n" + text for text in files)
+    assert all(tree_to_text(tree_from_text(text)) == text for text in files)
+
+
 def test_cost_depth_canon(capsys):
     demo = catalogs.data_path("slp", "demo_cost49.slp")
     assert run(capsys, "cost", demo)[:2] == (0, "49\n")
@@ -54,6 +73,17 @@ def test_verify_bundled_catalogs(capsys):
         code, out, _ = run(capsys, "verify", catalogs.data_path("catalogs", name + ".catalog"))
         assert code == 0, name
         assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("name, line", [
+    ("aes_mixcolumns", "slp: cost 108 depth 4 mds 1 involutory 0"),
+    ("bitlevel_balanced", "slp: cost 4 depth 2 mds 0 involutory 0"),
+    ("bitlevel_sequential", "slp: cost 3 depth 3 mds 0 involutory 0"),
+    ("demo_cost49", "slp: cost 49 depth 2 mds 0 involutory 0"),
+])
+def test_verify_bundled_programs(capsys, name, line):
+    path = catalogs.data_path("slp", name + ".slp")
+    assert run(capsys, "verify", path) == (0, line + "\n", "")
 
 
 def test_verify_reports_tampering(tmp_path, capsys):
@@ -240,6 +270,12 @@ def test_negative_involutory_bound_is_usage_error(capsys, flag):
     assert err == f"usage error: {flag} must be at least 0, got -1\n"
 
 
+def test_involutory_with_no_scalar_finds_nothing(capsys):
+    # with every scalar 1 no tree is MDS
+    argv = ("involutory", "--ring", "x^8+x^2+1", "--max-s", "0", "--max-t", "0")
+    assert run(capsys, *argv) == (2, "no involutory MDS matrix found\n", "")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("search-trees", "--k", "3", "--capacity", "-2"), "--capacity"),
     (("search-trees", "--k", "3", "--max-capacity", "-1"), "--max-capacity"),
@@ -302,7 +338,7 @@ def test_degree_one_ring_is_parse_error_where_alpha_is_needed(tmp_path, capsys):
     assert "parse error: line 2: no alpha in a ring of degree 1: 'a'" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
 def test_threads_below_one_is_usage_error(capsys, monkeypatch, value):
     code, _, err = run(capsys, "search-trees", "--k", "2", "-j", value)
     assert code == 64 and "usage error" in err
@@ -489,6 +525,15 @@ def test_value_range_keeps_its_bounds(capsys):
                        "--values", "a^2..a^3", "--cost-bound", "40")
     assert code == 0 and "mds 1" in out
     assert set(re.findall(r"([^ ]+)\*", out)) == {"a^2", "a^3"}
+
+
+def test_value_range_reads_1_and_a_as_powers(capsys):
+    tree = catalogs.data_path("trees", "4x4_tree1.txt")
+    argv = ("assign", "--tree", tree, "--ring", "x^4+x+1", "--cost-bound", "40", "--values")
+    for spec, powers in (("1..a^2", "a^0..a^2"), ("a..a^2", "a^1..a^2")):
+        result = run(capsys, *argv, spec)
+        assert result[0] == 0 and result == run(capsys, *argv, powers)
+    assert run(capsys, *argv, "a^3..a^-3") == (64, "", "usage error: empty value range\n")
 
 
 def test_repeated_values_are_scanned_once(capsys):

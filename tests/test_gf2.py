@@ -80,6 +80,20 @@ def test_degree_above_limit_is_refused():
     assert ring(poly_parse("x^8+x^4+x^3+x+1")).n == 8
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: BitMatrix((), 1), "dimensions must be positive"),
+    (lambda: BitMatrix((1,), 0), "dimensions must be positive"),
+    (lambda: BitMatrix((1, 2), 2) * BitMatrix((1,), 1), "shape mismatch"),
+    (lambda: QuotientRing(1), "modulus must have degree >= 1"),
+    (lambda: QuotientRing(0x13, rep=BitMatrix.identity(3)), "representation matrix has wrong"),
+    (lambda: QuotientRing(0x13, scalar_cost_model="bitsliced"), "unknown scalar cost model"),
+    (lambda: poly_parse("x^4+x^-1+1"), "negative exponent in 'x\\^-1'"),
+])
+def test_bad_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_companion_satisfies_modulus():
     p = poly_parse("x^4+x+1")
     C = companion(p)

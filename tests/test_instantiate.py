@@ -89,6 +89,8 @@ def test_assign_parameters_respects_bound(trees8, r8):
     (ImplTree(2, ((-1, 0), (-1, 1)), (1, 2)), 2, 3),
     (ImplTree(2, ((-1, 0), (-1, 1), (0, 2)), (1, 3)), 3, 4),
     (ImplTree(3, ((-2, -1), (0, 1), (-2, 0), (-1, 3), (1, 4)), (2, 4, 5)), 3, 4),
+    # node 2 is read by no output, so no depth bound limits its scalars
+    (ImplTree(2, ((-1, 0), (-1, 0), (-1, 1)), (1, 3)), 4, 3),
 ])
 def test_assign_parameters_matches_brute_force(modulus, tree, extra, depth):
     # every assignment, in the walk's order: a product (scalar, operand
@@ -192,6 +194,15 @@ def test_conjugation_reaches_every_power_of_alpha():
     c = conjugate_slp(p)
     assert c.steps[0].a == r.alpha_pow(-20) and c.steps[1].b == r.alpha_pow(100)
     assert conjugate_slp(c) == p
+
+
+@pytest.mark.parametrize("step", [Step(-1, 0, 3, 1), Step(-1, 0, 1, 3)])
+def test_conjugation_refuses_a_scalar_off_the_powers_of_alpha(step):
+    # alpha has order 5 over x^4+x^3+x^2+x+1, and a+1 is none of its powers
+    r = ring("x^4+x^3+x^2+x+1")
+    p = Slp(r, 2, (step, Step(-1, 1, 1, 1)), (1, 2))
+    with pytest.raises(ValueError, match="scalar a\\+1 is not a power of alpha"):
+        conjugate_slp(p)
 
 
 def test_pmq_classes_keep_first_of_least_sort_key():

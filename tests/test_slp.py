@@ -109,6 +109,21 @@ out y4 = t6
     assert normalize(q) == q
 
 
+@pytest.mark.parametrize("k, steps, outs, message", [
+    (0, (), (), "need at least one input"),
+    (2, (Step(-1, 1, 1, 1),), (1,), "step 1 references an unavailable term"),
+    (2, (Step(-2, 0, 1, 1),), (1,), "step 1 references an unavailable term"),
+    (2, (Step(-1, 0, 1, 0),), (1,), "step 1 has a zero scalar"),
+    (2, (Step(-1, 0, 1, 1),), (1, 2), "output references unknown term 2"),
+    (2, (Step(-1, 0, 1, 1),), (1, 1), "duplicate output term"),
+    (2, (Step(-1, 0, 1, 1), Step(-1, 1, 1, 1)), (2, 1),
+     "output term 1 precedes an earlier-labelled output"),
+])
+def test_malformed_programs_are_refused(k, steps, outs, message):
+    with pytest.raises(ValueError, match=message):
+        normalize(Slp(ring("x^4+x+1"), k, steps, outs))
+
+
 def test_normalize_rejects_dead_terms():
     r = ring("x^4+x+1")
     p = Slp(r, 2, (Step(-1, 0, 1, 1), Step(-1, 0, 2, 1), Step(-1, 1, 1, 1)), (1, 3))

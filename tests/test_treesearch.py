@@ -309,6 +309,16 @@ def test_search_simplest_k3():
     cap, trees = search_simplest(3)
     assert cap == 5
     assert set(t.type_vector for t in trees) == {(2, 2, 1), (3, 1, 1)}
+    assert search_simplest(3, max_capacity=4) == (-1, [])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ImplTree(2, ((-1, 0),), (1, 2)), "output mark beyond last node"),
+    (lambda: search_at_capacity(1, 1), "k must be at least 2"),
+])
+def test_bad_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_search_determinism_with_threads():
