@@ -5,13 +5,13 @@ Library layout:
 - ``gf2``         polynomials, bit matrices, quotient rings F2[x]/(p) of
                   degree at most 8 with elements as plain int residues;
                   ``ring`` is the one shared, interned ring constructor
-- ``sympoly``     multivariate GF(2) polynomials and the symbolic MDS pre-check:
-                  rows evaluated at one GF(2^8) point per parameter, with an
-                  exact determinant for every minor that vanishes there
+- ``sympoly``     multivariate GF(2) polynomials, the exact reference for the
+                  symbolic MDS pre-check, and the GF(2^8) evaluation points
 - ``blockmat``    k x k matrices over a ring: MDS test, branch number,
                   equivalence, involution test; ``MinorTracker`` is the one
                   all-minors tracker and ``packed_rows`` the one row
-                  encoding of every search and of matrix extraction
+                  encoding of every search and of matrix extraction, on a
+                  quotient ring or on the Boolean cube's truth tables
 - ``slp``         word-level linear straight-line programs, cost and depth
 - ``treesearch``  exhaustive search for simplest implementation trees; a
                   minor that vanishes at the points is decided there by

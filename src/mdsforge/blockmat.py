@@ -5,18 +5,20 @@ zero divisors, so no elimination) through `MinorTracker`, the one
 incremental all-minors tracker that every search shares, the packed-row
 helper the searches scale rows with, a brute-force branch-number oracle for
 small total bit widths, PMQ-equivalence canonical forms and the involution
-test on raw rows.  Entries are raw residues (ints), as in `gf2`.
+test on raw rows.  Entries are raw residues (ints), as in `gf2`, or the
+truth tables of a `Cube`, on which the tracker decides exactly which minors
+of multilinear GF(2) polynomials are zero.
 
 The tracker checks a row with straight-line code generated from the minor
-plan and compiled once per process and (k, row): two lines per minor, at
-most 64 minors per function, and a source made of plan ints only.
+plan and compiled once per process, (k, row) and ring kind: two lines per
+minor, at most 64 minors per function, and a source made of plan ints only.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import combinations, permutations
-from operator import itemgetter
+from operator import and_, itemgetter
 
 from .gf2 import (FormatError, QuotientRing, expect_end, line_after,
                   numbered_lines, poly_text, ring as _ring)
@@ -95,39 +97,46 @@ def _minor_plan(k: int, j: int):
 
 _PIECE = 64  # minors per generated function: one huge function costs compile memory
 
+# a kernel kind: what a piece binds per entry c, the product of entry c and
+# minor d[{key}], and the test that rejects value {0} on rows {1}, columns {2}
+_RING = ("m{c} = mul[e{c}]", "m{c}[d[{key}]]", "not units[{0}] and (bad is None or bad({1}, {2}))")
+_CUBE = (None, "e{c} & d[{key}]", "not {0}")
+
 
 @functools.cache
-def _row_kernel(k: int, j: int):
+def _row_kernel(k: int, j: int, kind: tuple = _RING):
     """bind(units, mul, bad) -> check(row, dets): `MinorTracker.add_row` for
-    row j as straight-line code, generated from `_minor_plan(k, j)` and
-    compiled once per process.
+    row j as straight-line code, generated from `_minor_plan(k, j)` in the
+    arithmetic of kind and compiled once per process.
 
     check unpacks the row, screens its entries, writes their keys, and then
     per minor, in plan order, one line stores its cofactor expansion and one
-    rejects it if it is not a unit and either there is no hook (bad is None)
-    or bad(rowmask, colmask) says it is zero; one kernel serves trackers
-    with and without a hook.  The store d is the tracker's list, indexed by
-    the plan's keys.  The source holds only names and ints of the plan.
-    Each piece of at most _PIECE minors is compiled on its own, so neither
-    a function nor a compile grows large; every piece is called as
-    piece(row, d) and unpacks the row and its multiplication rows itself,
-    and check calls them in a loop, not a call chain, which would outgrow
-    the recursion limit at k = 10.
+    rejects it if it is zero: on a ring (`_RING`), if it is not a unit and
+    either there is no hook (bad is None) or bad(rowmask, colmask) says it
+    is zero, so one kernel serves trackers with and without a hook; on a
+    `Cube` (`_CUBE`, AND for product), if it is 0.  The store d is the
+    tracker's list, indexed by the plan's keys.  The source holds only names
+    and ints of the plan.  Each piece of at most _PIECE minors is compiled
+    on its own, so neither a function nor a compile grows large; every piece
+    is called as piece(row, d) and unpacks the row and binds its entries
+    itself, and check calls them in a loop, not a call chain, which would
+    outgrow the recursion limit at k = 10.
     """
+    hoist, product, zero = kind
     entry_keys, minors = _minor_plan(k, j)
     unpack = ", ".join(f"e{c}" for c in range(k)) + ", = row"
-    zero = "not units[{}] and (bad is None or bad({}, {}))"
     screen = ["if " + " or ".join(zero.format(f"e{c}", 1 << j, 1 << c) for c in range(k))
               + ": return False"]
     screen += [f"d[{key}] = e{c}" for c, key in enumerate(entry_keys)]
-    muls = (", ".join(f"m{c}" for c in range(k)) + ", = "
-            + ", ".join(f"mul[e{c}]" for c in range(k)))
     pieces = [minors[i:i + _PIECE] for i in range(0, len(minors), _PIECE)] or [[]]
     binds = []
     for i, piece in enumerate(pieces):
-        body = [unpack] + (screen if i == 0 else []) + ([muls] if piece else [])
+        body = [unpack] + (screen if i == 0 else [])
+        if piece and hoist:
+            body += [hoist.format(c=c) for c in range(k)]
         for rm, cm, key, items in piece:
-            body.append(f"d[{key}] = x = " + " ^ ".join(f"m{c}[d[{sub}]]" for c, sub in items))
+            body.append(f"d[{key}] = x = " + " ^ ".join(product.format(c=c, key=sub)
+                                                        for c, sub in items))
             body.append("if " + zero.format("x", rm, cm) + ": return False")
         src = ["def bind(units, mul, bad):", " def p(row, d):"]
         src += ["  " + line for line in body] + ["  return True", " return p"]
@@ -142,6 +151,25 @@ def _row_kernel(k: int, j: int):
         return lambda row, dets: all(check(row, dets) for check in checks)
 
     return bind
+
+
+class Cube:
+    """The ring of truth tables on the Boolean cube {0,1}^most: an element is
+    an int of 2^most bits, bit b its value where coordinate i is bit i of b;
+    a product is AND, a sum XOR.  A multilinear GF(2) polynomial is zero iff
+    its table is 0.  Each step in most doubles every element's width."""
+
+    __slots__ = ("most",)
+
+    def __init__(self, most: int):
+        self.most = most
+
+    def coordinates(self, k: int) -> list[int]:
+        """The tables of x_0..x_{most-1}, each spread over the k entries of a
+        packed row (see `packed_rows`)."""
+        w = 1 << self.most
+        spread = sum(1 << c * w for c in range(k))
+        return [sum(1 << b for b in range(w) if b >> i & 1) * spread for i in range(self.most)]
 
 
 class MinorTracker:
@@ -163,26 +191,27 @@ class MinorTracker:
     1 included: `exact(rowmask, colmask)` says whether that minor is truly
     zero.  The row is rejected only if it is; otherwise the value is kept
     and the check goes on.  Without it the kernels reject every non-unit
-    minor at once, with no call.  The symbolic pre-check tracks evaluations
-    of formal-parameter rows this way, with a symbolic determinant behind
-    each vanishing value (see sympoly).  The tree search decides its rows by
-    zero-minor masks instead (see treesearch), with a hook that never
-    rejects: it adds only accepted rows, and reads their stored minors
-    through `minors` to build the masks.
+    minor at once, with no call.  The tree search decides its rows by
+    zero-minor masks (see treesearch), with a hook that never rejects: it
+    adds only accepted rows, and reads their stored minors through `minors`
+    to build the masks.  On a `Cube` a minor is rejected iff its table is
+    0, which needs no hook: the support walk in instantiate runs there.
     """
 
     __slots__ = ("ring", "k", "nrows", "_dets", "_rows")
 
-    def __init__(self, ring: QuotientRing, k: int, exact=None):
+    def __init__(self, ring: QuotientRing | Cube, k: int, exact=None):
         self.ring = ring
         self.k = k
         self.nrows = 0
         self._dets = [0] * (1 << 2 * k)
-        units, mul = ring.unit_flags(), ring.mul_rows()
+        cube = isinstance(ring, Cube)
+        kernel = functools.partial(_row_kernel, kind=_CUBE) if cube else _row_kernel
+        units, mul = (None, None) if cube else (ring.unit_flags(), ring.mul_rows())
 
         def on_first_call(j: int):
             def first_call(row, dets):
-                rows[j] = _row_kernel(k, j)(units, mul, exact)
+                rows[j] = kernel(k, j)(units, mul, exact)
                 return rows[j](row, dets)
             return first_call
 
@@ -224,16 +253,22 @@ class MinorTracker:
         return self._dets[full << self.k | full]
 
 
-def packed_rows(ring: QuotientRing, k: int):
+def packed_rows(ring: QuotientRing | Cube, k: int):
     """(scale, unpack, units) for rows of k ring entries packed into one
     int: scale(v, s) multiplies every entry by s, unpack(v) returns the
-    entries as `bytes` (entry c is unpack(v)[c]; `MinorTracker.add_row`
-    takes them as they are), and units[c], a power of two, is input c's
-    row, so a row packs as sum(e * units[c]).
+    entries as a sequence (entry c is unpack(v)[c]; `MinorTracker.add_row`
+    takes them as they are), and units[c] is input c's row, entry c at 1.
 
-    This is the one place the layout is spelled out: entry c is byte c (a
-    residue has at most 8 bits), and scaling is one byte translation.
+    This is the one place the layout is spelled out.  On a ring entry c is
+    byte c (a residue has at most 8 bits), unpack gives `bytes`, and scaling
+    is one byte translation.  On a `Cube` entry c takes bits [c*w, (c+1)*w)
+    of width w = 2^most, a scalar is a coordinate already spread over the k
+    entries (`Cube.coordinates`), and scaling is one AND.
     """
+    if isinstance(ring, Cube):
+        w = 1 << ring.most
+        one, shifts = (1 << w) - 1, range(0, k * w, w)
+        return and_, lambda v: [v >> s & one for s in shifts], [one << s for s in shifts]
     tables = ring.mul_bytes()
 
     def scale(v: int, s: int) -> int:

@@ -226,7 +226,7 @@ def cmd_verify(args) -> int:
             failures += bool(probs)
     elif kind == "tree":
         t = tree_from_text(text)
-        ok = instantiate._symbolic_subset_ok(t, range(t.scalar_positions()))
+        ok = treesearch.symbolic_mds(t)
         tv = ",".join(map(str, t.type_vector))
         print(f"tree k {t.k}: capacity {t.capacity} type ({tv}) depth {t.skeleton_depth()} "
               f"symbolic mds {int(ok)} .. {'ok' if ok else 'FAIL some minor is identically zero'}")
@@ -308,7 +308,7 @@ def cmd_catalog(args) -> int:
 def build_parser() -> _Parser:
     ap = _Parser(prog="mdsforge",
                  description="search, instantiate and verify lightweight MDS matrices")
-    sub = ap.add_subparsers(dest="command", metavar="COMMAND")
+    sub = ap.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def add_threads(p):
         p.add_argument("--threads", "-j", type=int, default=None,
@@ -365,9 +365,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if not getattr(args, "command", None):
-            ap.print_help()
-            return EX_USAGE
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -5,8 +5,10 @@ instance), exhaustive cost-bounded assignment scans with the scalar-reuse
 cost rule, lowest-cost catalog construction with optional depth bounds, the
 involutory search over row orders and row scalings, and the catalog text
 format.  One depth-first walk over the parameter supports,
-`_support_walk`, is the only subset scan.  On formal parameters it finds
-the feasible supports (`_support_need`): tree simplification tries only
+`_support_walk`, is the only subset scan.  On the truth tables of the
+Boolean cube (`blockmat.Cube`), where each minor of formal parameters is
+decided exactly, it finds the feasible supports (`_support_need`): tree
+simplification tries only
 those, each by the same walk over the ring's values, and the involutory
 search cuts every branch whose support no feasible support can complete
 within its budget.
@@ -21,11 +23,10 @@ from math import inf
 
 from .gf2 import FormatError, QuotientRing, expect_end
 from . import blockmat
-from .blockmat import (BlockMatrix, MinorTracker, canonical_key, is_involutory, is_mds,
+from .blockmat import (BlockMatrix, Cube, MinorTracker, canonical_key, is_involutory, is_mds,
                        packed_rows, squares_to_identity)
 from . import slp as slpmod
 from .slp import Slp, Step
-from .sympoly import minor_tracker, point, term_vectors
 from .treesearch import ImplTree, min_capacity, pool_map, search_at_capacity
 
 
@@ -333,8 +334,8 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
         witnesses = []
         for subset in sorted(tuple(pos for pos in range(npos) if z >> pos & 1)
                              for z in _support_need(tree, s)[-1] if z.bit_count() == s):
-            choices = [values if pos in subset else (1,) for pos in range(npos)]
-            if _support_walk(tree, tracker, choices, s, set(), {})[1]:
+            menus = [(values if pos in subset else (1,),) * (s + 1) for pos in range(npos)]
+            if _support_walk(tree, tracker, menus, s)[1]:
                 witnesses.append(subset)
                 if first_only:
                     return s, witnesses
@@ -343,48 +344,32 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
     raise InfeasibleError(f"no MDS assignment with up to {limit} non-identity positions")
 
 
-def _symbolic_subset_ok(tree: ImplTree, subset) -> bool:
-    """Whether every minor of the output rows is a nonzero polynomial when
-    the positions in subset carry formal parameters and the others 1."""
-    npos = tree.scalar_positions()
-    choices = [(point(pos + 1),) if pos in subset else (1,) for pos in range(npos)]
-    return bool(_symbolic_walk(tree, choices, npos)[1])
-
-
 def _support_need(tree: ImplTree, most: int) -> list[dict]:
-    """`_support_walk`'s table on formal parameters, each position at 1 or
-    at its parameter's `point`: need[p][z] is the fewest further positions
-    that finish z to a support of at most `most` positions that passes
-    `_symbolic_subset_ok`, and a z that none extends is absent."""
-    return _symbolic_walk(tree, [(1, point(pos + 1)) for pos in range(tree.scalar_positions())],
-                          most)
+    """`_support_walk`'s table on formal parameters: need[p][z] is the
+    fewest further positions that finish z to a support S of at most `most`
+    positions where every minor of the output rows, with parameters on S
+    and 1 elsewhere, is a nonzero polynomial; a z that none extends is absent.
+
+    By the Lindstrom-Gessel-Viennot lemma a minor has one product per family
+    of vertex-disjoint paths, which uses each edge at most once, so it is
+    multilinear and zero iff it vanishes on {0,1}^|S|: the walk runs on a
+    `Cube`, a branch's i-th support position at coordinate i."""
+    cube = Cube(most)
+    menu = [(1, x) for x in cube.coordinates(tree.k)] + [(1,)]
+    return _support_walk(tree, MinorTracker(cube, tree.k), [menu] * tree.scalar_positions(), most)
 
 
-def _symbolic_walk(tree: ImplTree, choices, most: int) -> list[dict]:
-    """`_support_walk` on one `minor_tracker`, whose exact determinants read
-    the symbolic vectors of the current support (see `term_vectors`)."""
-    chosen: set = set()
-    vecs: dict = {}
-    vec = term_vectors(tree.k, tree.nodes, chosen, vecs)
-    tracker = minor_tracker(tree.k, lambda i: vec(tree.outs[i]))
-    return _support_walk(tree, tracker, choices, most, chosen, vecs)
-
-
-def _support_walk(tree: ImplTree, tracker: MinorTracker, choices, most: int,
-                  chosen: set, vecs: dict) -> list[dict]:
+def _support_walk(tree: ImplTree, tracker: MinorTracker, menus, most: int) -> list[dict]:
     """need[p][z] for p = 1..capacity+1: for a support z, a bitmask over
     the positions below 2p-2 (those of nodes 1..p-1), the fewest further
     positions that finish it to a support of at most `most` positions whose
     assignment passes tracker.  A z with no such completion is absent.
 
-    One depth-first walk: position pos takes the values choices[pos], in
-    order, and is in the support iff its value is not 1.  Output j is the
-    tracker's row j, written in place, so a rejected prefix row cuts all its
-    extensions.  chosen tracks the support, and a node's entry in vecs is
-    dropped when its choice changes, for a symbolic tracker's exact hook."""
+    One depth-first walk: position pos takes the values menus[pos][size],
+    in order, where size is the support's size below pos, and is in the
+    support iff its value is not 1.  Output j is the tracker's row j,
+    written in place, so a rejected prefix row cuts all its extensions."""
     cap = tree.capacity
-    # menus[pos][size < most]: pos's choices once the support is full, or all
-    menus = [(tuple(v for v in vals if v == 1), tuple(vals)) for vals in choices]
     add_row = tracker.add_row
     plan, scaled, scale, unpack = _scan_state(tree, tracker.ring)
     need: list[dict] = [{} for _ in range(cap + 2)]
@@ -398,20 +383,17 @@ def _support_walk(tree: ImplTree, tracker: MinorTracker, choices, most: int,
         pa, pb = 2 * p - 2, 2 * p - 1
         sm, sn = scaled[m], scaled[n]
         best = most + 1
-        for a in menus[pa][size < most]:
+        for a in menus[pa][size]:
             va = sm.get(a)
             if va is None:
                 va = sm[a] = scale(sm[1], a)
             ia = a != 1
-            (chosen.add if ia else chosen.discard)(pa)
             sa = size + ia
-            for b in menus[pb][sa < most]:
+            for b in menus[pb][sa]:
                 vb = sn.get(b)
                 if vb is None:
                     vb = sn[b] = scale(sn[1], b)
                 ib = b != 1
-                (chosen.add if ib else chosen.discard)(pb)
-                vecs.pop(p, None)
                 row = va ^ vb
                 if j is not None and not add_row(unpack(row), j):
                     continue
@@ -469,13 +451,6 @@ def involutory_search(trees: list[ImplTree], ring: QuotientRing,
     return hits
 
 
-def _fixable_squares(ring: QuotientRing, max_t: int) -> list[frozenset]:
-    """fixable[b] = {a^(2g) : |g| <= b} for b = 0..max_t.  Squaring is a
-    ring homomorphism in characteristic 2, so x * a^-g squares to 1 for some
-    |g| <= b iff x^2 is in fixable[b]: no residue of the ring is listed."""
-    return [frozenset(ring.alpha_pow(2 * g) for g in range(-b, b + 1)) for b in range(max_t + 1)]
-
-
 def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                          max_s: int, max_t: int) -> list[InvolutoryHit]:
     k = tree.k
@@ -523,11 +498,9 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
         )
 
     # det(M)^2 = 1 is necessary for M^2 = I, and det(P D R) = prod(d) *
-    # det(R) does not depend on the row order.  The screens compare squares,
-    # det(R)^2 * prod a^(2f) with sq[f] = a^(2f): fixable[b] holds those that
-    # some remaining alpha-power budget b can repair.
+    # det(R) does not depend on the row order.  The leaf screen compares
+    # squares, det(R)^2 * prod a^(2f) with sq[f] = a^(2f).
     sq = {e: mul(v, v) for e, v in alpha_pow.items()}
-    fixable = _fixable_squares(ring, max_t)
 
     def scal_rec(i: int, s2: int, t2: int, dprod: int, det_sq: int):
         if i == k:
@@ -541,11 +514,8 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                     hits.append(record(order, t2))
             return
         for f, _, mag, nz in opts[max_t - t2 if s2 < max_s and scalable[i] else 0]:
-            dp = dprod if f == 0 else mul(dprod, sq[f])
-            t3 = t2 + mag
-            if mul(det_sq, dp) in fixable[max_t - t3]:
-                fs[i] = f
-                scal_rec(i + 1, s2 + nz, t3, dp, det_sq)
+            fs[i] = f
+            scal_rec(i + 1, s2 + nz, t2 + mag, dprod if f == 0 else mul(dprod, sq[f]), det_sq)
 
     # the support prune: an assignment whose support of nonzero exponents
     # has a minor that is zero with formal parameters there and 1 elsewhere
@@ -558,9 +528,7 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     def rec(p: int, s_used: int, t_used: int, z: int):
         if p > cap:
             det = tracker.full_det()
-            det_sq = mul(det, det)
-            if det_sq in fixable[max_t - t_used]:
-                scal_rec(0, s_used, t_used, 1, det_sq)
+            scal_rec(0, s_used, t_used, 1, mul(det, det))
             return
         m, n, j = plan[p]
         pa, pb = 2 * p - 2, 2 * p - 1

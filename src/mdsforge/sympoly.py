@@ -5,23 +5,17 @@ exponents (parameters range over a ring, so a*a is not reduced to a).  A
 polynomial is a frozenset of monomials: coefficients live in GF(2), so
 addition is symmetric difference and a repeated monomial cancels.
 
-These polynomials carry the symbolic MDS pre-check: if some minor of a
-parameterized matrix is identically zero mod 2, no parameter assignment over
-any ring can make the corresponding rows part of an MDS matrix.
-
-The check runs on the one all-minors tracker, `blockmat.MinorTracker`, over
-GF(2^8) values, each output row written in place at its row index: every
-parameter is evaluated at one fixed nonzero point, `point(pid)`.  Evaluation is a ring homomorphism, so a nonzero value proves
-a minor nonzero.  A minor that evaluates to zero is decided by its exact
-symbolic determinant, `_det`; `minor_tracker` wires the two together.  The
-walk over the parameter supports in `instantiate`, which serves tree
-simplification and the involutory search, and tree-file `verify` use it.  The
-tree search shares the points but needs no determinant: every edge there
-has a parameter of its own, so it rejects a candidate row by zero-minor
-masks, one AND per row, and decides the minors of the terms below an
-accepted row by vertex-disjoint paths (`treesearch.no_disjoint_paths`).
-Both rest on the parameter per edge; with some edges fixed to 1, path
-products can cancel, and only the determinant decides.
+These polynomials are the exact reference for the symbolic MDS pre-check:
+if some minor of a parameterized matrix is identically zero mod 2, no
+parameter assignment over any ring can make the corresponding rows part of
+an MDS matrix.  No search computes them.  With a parameter on every edge a
+minor is decided by vertex-disjoint paths (`treesearch.no_disjoint_paths`),
+which the tree search and tree-file `verify` use; the search also evaluates
+parameters at one point of GF(2^8) each, `point(pid)`.  With some edges
+fixed to 1 path products can cancel, and the support walk in `instantiate`
+decides each minor on the Boolean cube (`blockmat.Cube`).  The tests compare
+both with `_det` on the vectors of `term_vectors`; `minor_tracker` is the
+reference tracker, with `_det` behind each minor that vanishes at the points.
 """
 
 from __future__ import annotations
@@ -89,8 +83,7 @@ def _det(rows, ridx: tuple, cidx: tuple, memo: dict) -> Poly:
 
 def point(pid: int) -> int:
     """The evaluation point of parameter pid, an element of GF(2^8) other
-    than 0 and 1.  Never 1, so a walk reads a position's support from its
-    value: a parameter at 1 would look like a position left at identity.
+    than 0 and 1.
 
     One point per parameter: a second one would double the tracker's work
     for every minor to save the few minors that vanish at the first point
@@ -101,20 +94,13 @@ def point(pid: int) -> int:
     return v if v > 1 else v + 2
 
 
-def term_vectors(k: int, nodes, chosen=None, cache=None):
+def term_vectors(k: int, nodes, chosen=None):
     """vec(q): the coefficient vector of term q (input -j or node p =
     nodes[p-1] = (m, n), p >= 1) of a tree on k inputs whose node p
     multiplies its left operand by parameter 2p-1 and its right one by 2p,
     or by 1 where the position (2p-2 left, 2p-1 right) is not in chosen
-    (None: all are).  Vectors are built on first use and kept in cache, a
-    dict by term (None: a new one).  chosen is read as each vector is built,
-    so a walk that changes node p's positions in chosen drops cache[p]; the
-    vectors of the nodes above p are stale then, and the walk drops each
-    before it is read again.
-    """
-    if cache is None:
-        cache = {}
-    cache.update({-j: tuple(SP_ONE if c == j else SP_ZERO for c in range(k)) for j in range(k)})
+    (None: all are).  Vectors are built on first use and kept."""
+    cache = {-j: tuple(SP_ONE if c == j else SP_ZERO for c in range(k)) for j in range(k)}
 
     def vec(q: int) -> tuple:
         got = cache.get(q)

@@ -448,6 +448,20 @@ def no_disjoint_paths(nodes, sinks, colmask: int) -> bool:
     return False
 
 
+def symbolic_mds(t: ImplTree) -> bool:
+    """Whether every minor of t's output rows is a nonzero polynomial when
+    every edge carries a parameter of its own, by the search's rule: the
+    rows at `sympoly.point` on one tracker, and vertex-disjoint paths
+    (`no_disjoint_paths`) behind each minor that vanishes there."""
+    tracker = MinorTracker(_ring(EVAL_MODULUS), t.k, lambda rowmask, colmask: no_disjoint_paths(
+        t.nodes, [o for i, o in enumerate(t.outs) if rowmask >> i & 1], colmask))
+    scale, unpack, units = packed_rows(tracker.ring, t.k)
+    vals = {-c: u for c, u in enumerate(units)}
+    for p, (m, n) in enumerate(t.nodes, start=1):
+        vals[p] = scale(vals[m], point(2 * p - 1)) ^ scale(vals[n], point(2 * p))
+    return all(tracker.add_row(unpack(vals[o]), i) for i, o in enumerate(t.outs))
+
+
 # ---------------------------------------------------------------------------
 # canonical encoding and dedup
 

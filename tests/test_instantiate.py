@@ -1,22 +1,20 @@
-import random
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdsforge import blockmat, catalogs, instantiate
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.blockmat import BlockMatrix, is_involutory, is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
-from mdsforge.sympoly import EVAL_MODULUS, SP_ONE, _det, term_vectors
-from mdsforge.treesearch import ImplTree
+from mdsforge.sympoly import SP_ONE, _det, term_vectors
+from mdsforge.treesearch import ImplTree, symbolic_mds
 from mdsforge.instantiate import (
     CatalogEntry,
     InfeasibleError,
-    _fixable_squares,
     _support_need,
-    _symbolic_subset_ok,
     alpha_powers,
     assign_parameters,
     catalog_from_text,
@@ -240,9 +238,9 @@ def test_simplify_tree_infeasible():
 
 
 def _every_minor_nonzero(tree, subset) -> bool:
-    """Reference for _symbolic_subset_ok: every minor of the output rows,
-    parameters at the positions in subset and 1 elsewhere, is a nonzero
-    polynomial."""
+    """Reference for the support tables and the tree-file path rule: every
+    minor of the output rows, parameters at the positions in subset and 1
+    elsewhere, is a nonzero polynomial."""
     vec = term_vectors(tree.k, tree.nodes, set(subset))
     rows = {i: vec(o) for i, o in enumerate(tree.outs)}
     memo: dict = {}
@@ -250,19 +248,6 @@ def _every_minor_nonzero(tree, subset) -> bool:
                for r in range(1, tree.k + 1)
                for ridx in combinations(range(tree.k), r)
                for cidx in combinations(range(tree.k), r))
-
-
-def test_symbolic_subset_screen_matches_determinants(trees8):
-    rng = random.Random(2024)
-    verdicts = []
-    for t in trees8 + [catalogs.tree_5x5()]:
-        positions = range(t.scalar_positions())
-        for _ in range(12):
-            subset = tuple(sorted(rng.sample(positions, rng.randint(0, len(positions)))))
-            got = _symbolic_subset_ok(t, subset)
-            assert got == _every_minor_nonzero(t, subset), (t, subset)
-            verdicts.append(got)
-    assert True in verdicts and False in verdicts
 
 
 def test_involutory_search_small_budget(trees8, r8):
@@ -381,6 +366,39 @@ def test_support_need_matches_brute_force(trees8, tree, most):
         assert _support_need(t, most) == _support_need_reference(t, most)
 
 
+@st.composite
+def _cancelling_trees(draw, extra: int):
+    """ImplTrees on k = 2..4 inputs with k to k + extra nodes, where a node
+    often repeats an earlier node's operands: with unit weights on both,
+    their rows are equal and minors that read them cancel (see _CANCELLING)."""
+    k = draw(st.integers(2, 4))
+    nodes: list = []
+    for p in range(1, draw(st.integers(k, k + extra)) + 1):
+        if nodes and draw(st.booleans()):
+            nodes.append(draw(st.sampled_from(nodes)))
+        else:
+            m = draw(st.integers(-(k - 1), p - 2))
+            nodes.append((m, draw(st.integers(m + 1, p - 1))))
+    outs = sorted(draw(st.sets(st.integers(1, len(nodes)), min_size=k, max_size=k)))
+    return ImplTree(k, tuple(nodes), tuple(outs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cancelling_trees(3), st.integers(0, 4))
+def test_cube_support_need_matches_determinants(tree, most):
+    # each minor decided on the truth tables of {0,1}^most, against its
+    # symbolic determinant
+    assert _support_need(tree, most) == _support_need_reference(tree, most)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cancelling_trees(5))
+def test_tree_file_path_rule_matches_determinants(tree):
+    # verify on a tree file: a parameter on every edge, so vertex-disjoint
+    # paths decide each minor
+    assert symbolic_mds(tree) == _every_minor_nonzero(tree, range(tree.scalar_positions()))
+
+
 def _simplify_reference(tree, r, values):
     """simplify_tree by brute force: the least s for which some s positions,
     each at a value of values other than 1, and 1 elsewhere give an MDS
@@ -421,31 +439,32 @@ def test_simplify_tree_bundled_witnesses(trees8, r8):
 
 
 def test_simplify_tree_bounds_the_walk_work(monkeypatch, r56):
-    # a count of the work, where a wall time would not be reproducible.  A
-    # symbolic screen per subset made 37,869 add_row calls on the evaluation
-    # ring; a concrete scan that stopped at the first passing assignment
-    # made 100 on r56, where the walk finishes each candidate support
+    # a count of the work, where a wall time would not be reproducible.  The
+    # support tables' walks, one cube per table, count together: as many
+    # calls as on the GF(2^8) tracker with a determinant hook before.  A
+    # symbolic screen per subset made 37,869 add_row calls; a concrete scan
+    # that stopped at the first passing assignment made 100 on r56, where
+    # the walk finishes each candidate support
     calls = Counter()
     add_row = blockmat.MinorTracker.add_row
 
     def counting(tracker, row, j):
-        calls[tracker.ring] += 1
+        calls["cube" if isinstance(tracker.ring, blockmat.Cube) else tracker.ring] += 1
         return add_row(tracker, row, j)
 
     monkeypatch.setattr(blockmat.MinorTracker, "add_row", counting)
     values = [1] + [r56.alpha_pow(e) for e in (1, -1, 2, -2, 3, -3, 4, -4)]
     got = simplify_tree(catalogs.tree_5x5(), r56, values, max_s=5, first_only=True)
     assert got == (5, [(0, 4, 5, 13, 17)])
-    assert calls == {ring(EVAL_MODULUS): 23_141, r56: 36_093}
+    assert calls == {"cube": 23_141, r56: 36_093}
 
 
 def test_a_parameter_is_never_read_as_the_identity():
-    # position 54 carries parameter 55; the walks read a position's support
-    # from its value, so were point(55) = 1 they would take the parameter
-    # for the identity and judge det [[1, 1], [a55, 1]] = 1 + a55 zero
+    # the walk reads a position's support from its value, so were position
+    # 54's coordinate 1 it would take the parameter for the identity and
+    # judge det [[1, 1], [a55, 1]] = 1 + a55 zero
     tree = ImplTree(2, ((-1, 0),) * 28, (27, 28))
     assert _every_minor_nonzero(tree, (54,))
-    assert _symbolic_subset_ok(tree, (54,))
     assert 1 << 54 in _support_need(tree, 1)[-1]
 
 
@@ -459,8 +478,8 @@ def test_support_table_cuts_a_prefix_whose_rows_pass():
     need = _support_need(tree, 3)
     assert 0 not in need[3]
     assert need[1] == {0: 2}
-    assert not _symbolic_subset_ok(tree, (4, 5))
-    assert _symbolic_subset_ok(tree, (0, 4))
+    assert 1 << 4 | 1 << 5 not in need[-1]
+    assert 1 << 0 | 1 << 4 in need[-1]
 
 
 def test_support_prune_bounds_the_scan_work(monkeypatch, trees8, r8):
@@ -487,17 +506,6 @@ def test_negative_bounds_scan_nothing(monkeypatch, trees8, r8):
     monkeypatch.setattr(instantiate, "_involutory_one_tree", scan)
     assert involutory_search(trees8[2:4], r8, -1, 5) == []
     assert involutory_search(trees8[2:4], r8, 6, -1) == []
-
-
-def test_square_screen_matches_residue_enumeration(ring_pow):
-    # x is repairable by a budget b iff x = u * a^g with u^2 = 1, |g| <= b;
-    # the search tests x^2 against fixable[b] instead of listing every u
-    r = ring("x^8+x^2+1")
-    sqrt_one = [u for u in range(1 << r.n) if r.mul(u, u) == 1]
-    fixable = _fixable_squares(r, 8)
-    for b in range(9):
-        expected = {r.mul(u, ring_pow(r, 2, g)) for u in sqrt_one for g in range(-b, b + 1)}
-        assert {x for x in range(1 << r.n) if r.mul(x, x) in fixable[b]} == expected
 
 
 def test_catalog_round_trip():

@@ -11,7 +11,7 @@ from mdsforge import catalogs, treesearch
 from mdsforge.blockmat import MinorTracker, packed_rows
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.gf2 import ring as _ring
-from mdsforge.instantiate import _symbolic_subset_ok
+from mdsforge.instantiate import _support_need
 from mdsforge.slp import ancestor_masks, extract_matrix, is_normal
 from mdsforge.sympoly import EVAL_MODULUS, _det, minor_tracker, point, term_vectors
 from mdsforge.treesearch import (
@@ -22,6 +22,7 @@ from mdsforge.treesearch import (
     enumerate_types,
     no_disjoint_paths,
     search_at_capacity,
+    symbolic_mds,
     search_simplest,
     tree_from_encoding,
     tree_from_text,
@@ -378,7 +379,7 @@ def test_returned_trees_pass_symbolic_precheck():
     _, trees = search_simplest(3)
     for t in trees:
         # every position carries its own parameter, 2p-1 and 2p at node p
-        assert _symbolic_subset_ok(t, range(t.scalar_positions()))
+        assert symbolic_mds(t)
 
 
 # Reference for no_disjoint_paths: the exact symbolic determinant of the
@@ -770,11 +771,12 @@ def test_mask_verdicts_accept_every_row_of_the_paper_trees(trees8):
 def test_unit_weights_can_cancel_where_disjoint_paths_exist():
     # both outputs read x1 + x2: with a parameter per edge the 2x2 minor is
     # p1*p4 + p2*p3, one product per pair of disjoint paths; with unit
-    # weights it is 1 + 1 = 0, so _symbolic_subset_ok needs the determinant
+    # weights it is 1 + 1 = 0, so the support walk cannot use the paths
     t = ImplTree(2, ((-1, 0), (-1, 0)), (1, 2))
     assert not no_disjoint_paths(t.nodes, t.outs, 0b11)
-    assert _symbolic_subset_ok(t, range(t.scalar_positions()))
-    assert not _symbolic_subset_ok(t, ())
+    assert symbolic_mds(t)
+    assert 0b1111 in _support_need(t, 4)[-1]
+    assert 0 not in _support_need(t, 0)[-1]
 
 
 def test_canonical_tree_identifies_relabelings(trees8):
