@@ -27,7 +27,7 @@ from .blockmat import (BlockMatrix, Cube, MinorTracker, canonical_key, is_involu
                        packed_rows, squares_to_identity)
 from . import slp as slpmod
 from .slp import Slp, Step
-from .treesearch import ImplTree, min_capacity, pool_map, search_at_capacity
+from .treesearch import ImplTree, min_capacity, pool_map, search_at_capacity, symbolic_mds
 
 
 class InfeasibleError(ValueError):
@@ -325,7 +325,12 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
     `_support_need(tree, s)` finds feasible, in `combinations` order.  One
     is a witness if `_support_walk` on ring's tracker, with the values of
     value_set other than 1 on its positions and 1 elsewhere, passes.
+
+    A tree that `symbolic_mds` rejects fails at once: a minor that vanishes
+    with a parameter on every edge vanishes under every specialization.
     """
+    if not symbolic_mds(tree):
+        raise InfeasibleError("no support can make the tree MDS: a minor vanishes identically")
     values = [v for v in value_set if v != 1]
     npos = tree.scalar_positions()
     limit = max_s if max_s is not None else npos

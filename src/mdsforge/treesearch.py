@@ -12,7 +12,7 @@ segment, e.g. type (5,1,1,1), canonicalizes back to its minimal type.
 Survivors that differ only by a swap of twin inputs (two inputs one node
 reads first, both at once) share an encoding, so each type canonicalizes one
 survivor per such orbit (`_twin_normal_form`): at k=3 capacity 6 that is
-4,694 of the 9,201 survivors.  The orbits are merged after generation, not
+4,291 of the 4,547 survivors.  The orbits are merged after generation, not
 cut in it: the generator's operand-pair order is not symmetric under a twin
 swap, and emits only one side of some orbits.
 
@@ -24,6 +24,25 @@ sense (1978).  Any valid order of the completed outputs extends to a full
 one, every class has a serialization of its least type, and the generator's
 symmetry breaking (input order, operand-pair order inside a segment) never
 changes a type, so no class is lost.
+
+The generator also extends one prefix per isomorphism class at each
+completed output but the last, a step from Read's orderly generation towards
+McKay's canonical augmentation (1998).  The prefix's key is `_least_tokens`
+over its segments in generation order: the least serialization under input
+relabelings and the Property-2 reorderings inside each segment.  A prefix
+whose key was already extended at the same output row is cut.  Every
+accepted output reads all k inputs, so past the first one only node numbers
+tell isomorphic prefixes apart, and no rule that cuts a continuation (type
+order, depth, operand-pair order, which some order of each later segment
+meets) depends on them.  Isomorphic prefixes at row j extend the one prefix
+kept at row j-1, so the keys of row j are those of the current row j-1
+prefix's children only, and are dropped when it changes.  Prefixes with twin
+nodes (two nodes on the same operands) are never cut.  There the tie rule of
+`_least_tokens` makes a key depend on node numbers, as it makes
+`canonical_tree` give some isomorphic whole trees two keys, so which of
+their serializations survive must not hang on the order in which the
+generator meets them.  The raw survivors fall from 9,201 to 4,547 at k=3
+capacity 6 and from 90 to 24 at k=4 capacity 8.
 
 The pre-check is exact and runs on zero-minor masks.  Each term t keeps one
 bitmask Z(t): a bit per minor (R, C) of completed output rows R on |R| + 1
@@ -159,6 +178,12 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     tie type_vec, and Property-2 swaps past fresh inputs) by the canonical
     dedup.
 
+    When output row j < k-1 passes, the prefix is keyed by `_least_tokens`
+    with its segments in generation order, and cut if seen[j] holds the key
+    (see the module docstring).  Else the key joins seen[j] and the sets of
+    the later rows, keyed under the previous row j prefix, are cleared.  A
+    prefix with twin nodes is neither keyed nor cut.
+
     A candidate output row (m, n) passes iff zs[m] & zs[n] == 0: none of
     its entries (the k low bits) and none of its minors with the accepted
     rows vanish.  An accepted row gets the mask 0.
@@ -196,6 +221,11 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     # the deepest node p may be: an interior one needs a level above it
     deepest = [capacity if max_depth is None else max_depth - (out_row[p] is None)
                for p in range(capacity + 1)]
+    # per row j < k-1: the segments up to row j, in generation order, and the
+    # keys of the prefixes extended there since the current row j-1 prefix
+    plans = [tuple(tuple(range(s + 1, e + 1)) for s, e in zip([0] + seg_end, seg_end[:j + 1]))
+             for j in range(k - 1)]
+    seen: list[set] = [set() for _ in range(k - 1)]
 
     def rec(p: int, zs: dict, nxt: int, cur_roots: int, prev_fresh: bool):
         if p > capacity:
@@ -237,6 +267,16 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
                 if row and _reorder_beats(type_vec,
                                           [anc[o] | 1 << o for o in seg_end[:row + 1]]):
                     continue  # the class has a serialization of smaller type
+                if p < capacity:
+                    prefix = (*nodes, (m, n))
+                    if len(set(prefix)) == p:  # no twin nodes: the key is a class invariant
+                        key = _least_tokens(prefix, plans[row], 0, list(plans[row][0]),
+                                            [None] * (p + k), 1 - k, {}, [], False, None)
+                        if key in seen[row]:
+                            continue  # an isomorphic prefix has been extended
+                        seen[row].add(key)
+                        for later in seen[row + 1:]:
+                            later.clear()
             elif roots.bit_count() + 1 > slots_left + 1:
                 continue  # cannot reconnect all dangling interiors in time
             nodes.append((m, n))

@@ -1,8 +1,8 @@
 """Acceptance suite: one criterion per test, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to watch the verdicts.
-The k=5 extended search only runs when MDSFORGE_EXTENDED_K5=1 (multi-hour
-budget); it reports instead of failing when disabled.
+The k=5 extended search only runs when MDSFORGE_EXTENDED_K5=1 (about 20
+minutes at -j 2 on two cores); it reports instead of failing when disabled.
 """
 
 import os
@@ -97,7 +97,7 @@ def test_criterion_2_search_k4(cap7_classes, cap8_classes, trees8):
 def test_criterion_2_search_k5_extended():
     if os.environ.get("MDSFORGE_EXTENDED_K5") != "1":
         report(2, "k=5 extended search SKIPPED (set MDSFORGE_EXTENDED_K5=1, "
-                  "multi-hour budget)")
+                  "about 20 min at -j 2)")
         pytest.skip("k=5 extended search disabled")
     t0 = time.time()
     cap, trees = search_simplest(5, threads=2)

@@ -9,7 +9,7 @@ from mdsforge import blockmat, catalogs, instantiate
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.blockmat import BlockMatrix, is_involutory, is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
-from mdsforge.sympoly import SP_ONE, _det, term_vectors
+from mdsforge.sympoly import EVAL_MODULUS, SP_ONE, _det, term_vectors
 from mdsforge.treesearch import ImplTree, symbolic_mds
 from mdsforge.instantiate import (
     CatalogEntry,
@@ -237,6 +237,25 @@ def test_simplify_tree_infeasible():
         simplify_tree(tree, r, [1, 1], max_s=2)  # no non-identity values offered
 
 
+def test_simplify_tree_refuses_at_once_a_tree_no_support_makes_mds(monkeypatch, trees8, r4):
+    # node 8 reads node 7's operands, so outputs y3 and y4 span one plane:
+    # a minor vanishes with a parameter on every edge, hence for every
+    # support, and no support table is built.  Without the check the walk
+    # ran s up to 2 * capacity on ever wider cubes
+    t = trees8[0]
+    tree = ImplTree(4, t.nodes[:7] + ((1, 5),), t.outs)
+    assert tree.nodes[6] == (1, 5) and not symbolic_mds(tree)
+    calls = []
+    need = instantiate._support_need
+    monkeypatch.setattr(instantiate, "_support_need", lambda *args: calls.append(args) or need(*args))
+    with pytest.raises(InfeasibleError, match="vanishes identically"):
+        simplify_tree(tree, r4, default_value_set(r4))
+    assert calls == []
+    # the counter sees the walk on a tree that passes
+    simplify_tree(t, r4, default_value_set(r4), max_s=3, first_only=True)
+    assert calls
+
+
 def _every_minor_nonzero(tree, subset) -> bool:
     """Reference for the support tables and the tree-file path rule: every
     minor of the output rows, parameters at the positions in subset and 1
@@ -444,7 +463,8 @@ def test_simplify_tree_bounds_the_walk_work(monkeypatch, r56):
     # calls as on the GF(2^8) tracker with a determinant hook before.  A
     # symbolic screen per subset made 37,869 add_row calls; a concrete scan
     # that stopped at the first passing assignment made 100 on r56, where
-    # the walk finishes each candidate support
+    # the walk finishes each candidate support.  The symbolic_mds check
+    # ahead of the walk adds one row per output on the evaluation field
     calls = Counter()
     add_row = blockmat.MinorTracker.add_row
 
@@ -456,7 +476,7 @@ def test_simplify_tree_bounds_the_walk_work(monkeypatch, r56):
     values = [1] + [r56.alpha_pow(e) for e in (1, -1, 2, -2, 3, -3, 4, -4)]
     got = simplify_tree(catalogs.tree_5x5(), r56, values, max_s=5, first_only=True)
     assert got == (5, [(0, 4, 5, 13, 17)])
-    assert calls == {"cube": 23_141, r56: 36_093}
+    assert calls == {"cube": 23_141, r56: 36_093, ring(EVAL_MODULUS): 5}
 
 
 def test_a_parameter_is_never_read_as_the_identity():

@@ -260,13 +260,13 @@ def test_type_classes_key_every_raw_survivor(k, capacity, max_depth):
 
 
 @pytest.mark.parametrize("k, capacity, max_depth, calls, classes", [
-    (3, 6, None, 4694, 2915),
-    (4, 8, None, 33, 8),
-    (4, 9, 3, 986, 171),
+    (3, 6, None, 4291, 2915),
+    (4, 8, None, 24, 8),
+    (4, 9, 3, 533, 171),
 ])
 def test_one_canonical_call_per_twin_orbit(monkeypatch, k, capacity, max_depth, calls, classes):
     # a count of the work, where a wall time would not be reproducible: the
-    # raw survivors are 9,201, 90 and 2,940
+    # raw survivors are 4,547, 24 and 628
     counted = []
 
     def counting(t):
@@ -311,6 +311,20 @@ def test_search_simplest_k3():
     assert cap == 5
     assert set(t.type_vector for t in trees) == {(2, 2, 1), (3, 1, 1)}
     assert search_simplest(3, max_capacity=4) == (-1, [])
+
+
+def test_search_k5_capacity_10_has_no_class(monkeypatch):
+    # the k=5 search's guard in tier-1: no class below capacity 12.  Every
+    # candidate dies before its last output, so the accepted output rows
+    # count the generator's work and pin the prefix cut: 6,379 without it
+    rows = []
+    add_row = MinorTracker.add_row
+    monkeypatch.setattr(MinorTracker, "add_row",
+                        lambda tracker, row, j: rows.append(j) or add_row(tracker, row, j))
+    assert [raw for tv in enumerate_types(5, 10) for raw in _generate_type(5, tv, None)] == []
+    assert len(rows) == 1135
+    monkeypatch.undo()
+    assert search_at_capacity(5, 10) == []
 
 
 @pytest.mark.parametrize("call, message", [
@@ -428,7 +442,8 @@ def test_path_verdict_matches_symbolic_determinant(tree):
 def test_search_exact_calls_match_symbolic_determinant(monkeypatch):
     # the path proofs run on accepted rows only, for the few bits that the
     # zero masks' cheaper rules leave open
-    for k, capacity, classes, floor in ((3, 6, 2915, 600), (4, 8, 8, 10_000)):
+    for k, capacity, max_depth, classes, floor in ((3, 6, None, 2915, 250), (4, 8, None, 8, 2900),
+                                                   (4, 9, 3, 171, 5800)):
         calls = []
 
         def checked(nodes, sinks, colmask, k=k):
@@ -437,7 +452,7 @@ def test_search_exact_calls_match_symbolic_determinant(monkeypatch):
             return got
 
         monkeypatch.setattr(treesearch, "no_disjoint_paths", checked)
-        assert len(search_at_capacity(k, capacity)) == classes
+        assert len(search_at_capacity(k, capacity, max_depth)) == classes
         assert len(calls) > floor and all(agrees for _, agrees in calls)
         assert {got for got, _ in calls} == {True, False}
 
@@ -574,11 +589,74 @@ def reference_generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | 
 ])
 def test_generate_type_matches_tracker_reference(k, capacity, max_depth, types):
     # the reference keeps every normal serialization; the generator keeps
-    # those whose own type is the least over all valid output orders
+    # those whose own type is the least over all valid output orders, and
+    # extends only the first of the isomorphic prefixes at a completed output
     for tv in types or enumerate_types(k, capacity):
-        expected = [raw for raw in reference_generate_type(k, tv, max_depth)
-                    if canonical_tree(ImplTree(k, *raw))[0] == tv]
-        assert _generate_type(k, tv, max_depth) == expected
+        expected = {}
+        for raw in reference_generate_type(k, tv, max_depth):
+            key = canonical_tree(ImplTree(k, *raw))
+            if key[0] == tv:
+                expected[raw] = key
+        got = _generate_type(k, tv, max_depth)
+        rest = iter(expected)
+        assert all(raw in rest for raw in got)  # no new tree, in the reference's order
+        assert {expected[raw] for raw in got} == set(expected.values())  # no class lost
+
+
+def _prefix_key(k: int, nodes: tuple, ends: tuple) -> tuple:
+    """The generator's key of a prefix whose outputs sit at ends: its least
+    tokens, with its segments in generation order."""
+    plan = tuple(tuple(range(s + 1, e + 1)) for s, e in zip((0,) + ends, ends))
+    return treesearch._least_tokens(nodes, plan, 0, list(plan[0]), [None] * (len(nodes) + k),
+                                    1 - k, {}, [], False, None)
+
+
+@functools.lru_cache(maxsize=None)
+def _twin_free_prefixes() -> list[tuple]:
+    """(k, nodes, ends) of every prefix of a raw survivor up to an output
+    row j < k-1, where no two nodes share both operands: the prefixes the
+    generator keys."""
+    prefixes = set()
+    for k, capacity in ((3, 6), (4, 8)):
+        for t in _raw_survivors(k, capacity):
+            for j in range(k - 1):
+                nodes = t.nodes[:t.outs[j]]
+                if len(set(nodes)) == len(nodes):
+                    prefixes.add((k, nodes, t.outs[:j + 1]))
+    return sorted(prefixes)
+
+
+@st.composite
+def _prefix_variants(draw):
+    """(k, a twin-free prefix, its output positions, the prefix with its
+    inputs relabeled and each segment's interior nodes in another valid
+    order)."""
+    prefixes = _twin_free_prefixes()
+    k, nodes, ends = prefixes[draw(st.integers(0, len(prefixes) - 1))]
+    sigma = draw(st.permutations(range(k)))
+    new = {-c: -sigma[c] for c in range(k)}  # old term -> new term
+    start = 1
+    for e in ends:
+        pending = list(range(start, e))
+        while pending:
+            q = draw(st.sampled_from([q for q in pending if all(x in new for x in nodes[q - 1])]))
+            pending.remove(q)
+            new[q] = len(new) - k + 1
+        new[e] = e
+        start = e + 1
+    moved = [None] * len(nodes)
+    for q, (m, n) in enumerate(nodes, start=1):
+        moved[new[q] - 1] = tuple(sorted((new[m], new[n])))
+    return k, nodes, ends, tuple(moved)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prefix_variants())
+def test_prefix_key_is_a_class_invariant(case):
+    # the generator cuts a prefix whose key it has met at the same output
+    # row: relabeled inputs and reordered segments keep a twin-free key
+    k, nodes, ends, moved = case
+    assert _prefix_key(k, moved, ends) == _prefix_key(k, nodes, ends)
 
 
 @pytest.mark.parametrize("k, capacity, max_depth", [
