@@ -327,13 +327,15 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
     value_set other than 1 on its positions and 1 elsewhere, passes.
 
     A tree that `symbolic_mds` rejects fails at once: a minor that vanishes
-    with a parameter on every edge vanishes under every specialization.
+    with a parameter on every edge vanishes under every specialization.  No
+    support has more than the tree's 2*capacity positions, so s stops at
+    min(max_s, 2*capacity).
     """
     if not symbolic_mds(tree):
         raise InfeasibleError("no support can make the tree MDS: a minor vanishes identically")
     values = [v for v in value_set if v != 1]
     npos = tree.scalar_positions()
-    limit = max_s if max_s is not None else npos
+    limit = npos if max_s is None else min(max_s, npos)
     tracker = MinorTracker(ring, tree.k)
     for s in range(1, limit + 1):
         witnesses = []
@@ -358,10 +360,15 @@ def _support_need(tree: ImplTree, most: int) -> list[dict]:
     By the Lindstrom-Gessel-Viennot lemma a minor has one product per family
     of vertex-disjoint paths, which uses each edge at most once, so it is
     multilinear and zero iff it vanishes on {0,1}^|S|: the walk runs on a
-    `Cube`, a branch's i-th support position at coordinate i."""
+    `Cube`, a branch's i-th support position at coordinate i.  No support
+    has more positions than the tree, so the cube stops at
+    min(most, `scalar_positions`) coordinates: each one more would double
+    every entry's width and leave the table as it is."""
+    npos = tree.scalar_positions()
+    most = min(most, npos)
     cube = Cube(most)
     menu = [(1, x) for x in cube.coordinates(tree.k)] + [(1,)]
-    return _support_walk(tree, MinorTracker(cube, tree.k), [menu] * tree.scalar_positions(), most)
+    return _support_walk(tree, MinorTracker(cube, tree.k), [menu] * npos, most)
 
 
 def _support_walk(tree: ImplTree, tracker: MinorTracker, menus, most: int) -> list[dict]:
@@ -526,7 +533,8 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     # has a minor that is zero with formal parameters there and 1 elsewhere
     # fails, that minor being zero for every specialization.  A support z
     # of the nodes so far needs need[p][z] more nonzero exponents, each of
-    # which spends 1 of s and at least 1 of t; most + 1 exceeds any budget.
+    # which spends 1 of s and at least 1 of t; most + 1 exceeds any budget
+    # (most itself, not the cube width that `_support_need` caps it to).
     most = min(max_s, max_t)
     need = _support_need(tree, most)
 

@@ -9,12 +9,6 @@ encoding minimized over input relabelings and over every normal
 re-serialization (any output order).  That quotient is what makes the
 reported feasible-type sets reproducible: a tree serialized with a fat first
 segment, e.g. type (5,1,1,1), canonicalizes back to its minimal type.
-Survivors that differ only by a swap of twin inputs (two inputs one node
-reads first, both at once) share an encoding, so each type canonicalizes one
-survivor per such orbit (`_twin_normal_form`): at k=3 capacity 6 that is
-4,291 of the 4,547 survivors.  The orbits are merged after generation, not
-cut in it: the generator's operand-pair order is not symmetric under a twin
-swap, and emits only one side of some orbits.
 
 Each class is named by its least type vector over all valid output orders,
 so the generator keeps only type-minimal trees.  When an output completes it
@@ -171,12 +165,12 @@ def _generate_type(k: int, type_vec: tuple[int, ...], max_depth: int | None):
     sorted operand pairs.  It does not order twin inputs, two inputs that
     one node reads first, both at once (node 1's always): a tree and its
     mirror with the twins swapped both survive, unless the operand-pair
-    order cuts the mirror.  A tree is cut as soon as another order of its
-    completed outputs has a smaller type vector, so every survivor has
-    type_vec as its least type; what is left is merged downstream, twin
-    swaps by `_type_classes` and the rest (trees whose other output orders
-    tie type_vec, and Property-2 swaps past fresh inputs) by the canonical
-    dedup.
+    order or the prefix cut removes the mirror.  A tree is cut as soon as
+    another order of its completed outputs has a smaller type vector, so
+    every survivor has type_vec as its least type; what is left (the
+    twin-input mirrors the prefix cut leaves, trees whose other output
+    orders tie type_vec, and Property-2 swaps past fresh inputs) is merged
+    by the canonical key in `_type_classes`.
 
     When output row j < k-1 passes, the prefix is keyed by `_least_tokens`
     with its segments in generation order, and cut if seen[j] holds the key
@@ -699,64 +693,15 @@ def tree_from_encoding(k: int, enc: tuple) -> ImplTree:
 # search drivers
 
 
-def _twin_normal_form(nodes: tuple) -> tuple:
-    """nodes with the labels of each pair of twin inputs in their normal order.
-
-    Two inputs are twins when one node reads both before any other node
-    reads either.  Swapping their labels (and sorting the pairs again)
-    gives a tree that `canonical_tree` encodes the same: it reads inputs
-    only through the labels it gives them on first read, and it gives twins
-    one label until a node reads one of them alone.  The normal order puts
-    the higher label on the twin that is read alone first.  Node numbers
-    are kept, and nodes comes back unchanged when no pair is swapped.
-    """
-    read = set()  # the inputs read so far
-    twin = {}  # input -> its twin, while neither has been read alone
-    swap = {}
-    for m, n in nodes:
-        if n <= 0 and m not in read and n not in read:
-            read.add(m)
-            read.add(n)
-            twin[m], twin[n] = n, m
-            continue
-        if twin:
-            for x, y in ((m, n), (n, m)):
-                z = twin.get(x)
-                if z is not None and z != y:
-                    del twin[x], twin[z]
-                    if x < z:
-                        swap[x], swap[z] = z, x
-        if m <= 0:
-            read.add(m)
-            if n <= 0:
-                read.add(n)
-    if not swap:
-        return nodes
-    out = []
-    for m, n in nodes:
-        m, n = swap.get(m, m), swap.get(n, n)
-        out.append((m, n) if m < n else (n, m))
-    return tuple(out)
-
-
 def _type_classes(k: int, type_vec: tuple[int, ...], max_depth: int | None) -> set:
-    """canonical_tree keys of one type's raw survivors, one survivor per
-    orbit of twin-input swaps (`_twin_normal_form`).
+    """canonical_tree keys of one type's raw survivors.
 
-    The generator emits some orbits whole and some in part (its operand-pair
-    order is not symmetric under a twin swap), so the orbits are merged
-    here, after generation, where none can be lost.
+    The twin-input mirrors that the prefix cut leaves are merged here, by
+    the key.  canonical_tree is looked up by its module-level name, so a
+    wrapper set on the module attribute (perfbench's tracer) sees every call.
     """
-    seen = set()
-    keys = set()
-    # canonical_tree is looked up by its module-level name, so a wrapper set
-    # on the module attribute (perfbench's tracer) sees every call
-    for nodes, outs in _generate_type(k, type_vec, max_depth):
-        twin_form = _twin_normal_form(nodes)
-        if twin_form not in seen:  # one type's outs are fixed
-            seen.add(twin_form)
-            keys.add(canonical_tree(ImplTree(k, nodes, outs)))
-    return keys
+    return {canonical_tree(ImplTree(k, nodes, outs))
+            for nodes, outs in _generate_type(k, type_vec, max_depth)}
 
 
 def pool_map(fn, jobs: list[tuple], threads: int) -> list:

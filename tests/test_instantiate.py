@@ -10,7 +10,7 @@ from mdsforge.gf2 import FormatError, ring
 from mdsforge.blockmat import BlockMatrix, is_involutory, is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
 from mdsforge.sympoly import EVAL_MODULUS, SP_ONE, _det, term_vectors
-from mdsforge.treesearch import ImplTree, symbolic_mds
+from mdsforge.treesearch import ImplTree, search_at_capacity, symbolic_mds
 from mdsforge.instantiate import (
     CatalogEntry,
     InfeasibleError,
@@ -254,6 +254,42 @@ def test_simplify_tree_refuses_at_once_a_tree_no_support_makes_mds(monkeypatch, 
     # the counter sees the walk on a tree that passes
     simplify_tree(t, r4, default_value_set(r4), max_s=3, first_only=True)
     assert calls
+
+
+def _spy_cube_widths(monkeypatch) -> list:
+    """The widths of the cubes that `instantiate` builds from now on."""
+    widths = []
+
+    class Spy(blockmat.Cube):
+        def __init__(self, most):
+            widths.append(most)
+            super().__init__(most)
+
+    monkeypatch.setattr(instantiate, "Cube", Spy)
+    return widths
+
+
+def test_simplify_tree_stops_at_the_tree_positions(monkeypatch):
+    # no non-identity value is offered, so every s fails; no support has
+    # more than the tree's 4 positions, so s stops there, where the cubes
+    # once went on to max_s, each twice as wide as the last
+    widths = _spy_cube_widths(monkeypatch)
+    tree = ImplTree(2, ((-1, 0), (-1, 0)), (1, 2))
+    with pytest.raises(InfeasibleError):
+        simplify_tree(tree, ring("x^4+x+1"), [1], max_s=10)
+    assert widths == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("max_s, max_t, hits", [(6, 6, 2023), (5, 7, 4438), (8, 5, 780)])
+def test_involutory_support_cube_stops_at_the_tree_positions(monkeypatch, max_s, max_t, hits):
+    # the table is the same on a cube capped at the tree's positions, and
+    # the scan's cut keeps its sentinel above min(max_s, max_t): the hits
+    # are those of the uncapped cube
+    widths = _spy_cube_widths(monkeypatch)
+    trees = search_at_capacity(2, 2) + search_at_capacity(2, 3)
+    assert len(involutory_search(trees, ring("x^4+x+1"), max_s, max_t)) == hits
+    assert len(widths) == len(trees)
+    assert all(w == min(max_s, max_t, t.scalar_positions()) for w, t in zip(widths, trees))
 
 
 def _every_minor_nonzero(tree, subset) -> bool:
