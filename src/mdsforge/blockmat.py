@@ -253,6 +253,13 @@ class MinorTracker:
         return self._dets[full << self.k | full]
 
 
+def row_checks(ring: QuotientRing, k: int) -> list:
+    """check(row, dets) for rows 0..k-1: `MinorTracker.add_row` for row j
+    without the tracker, its row kernel bound to ring with no hook, for a
+    scan that keeps its own dets list of 1 << 2k slots."""
+    return [_row_kernel(k, j)(ring.unit_flags(), ring.mul_rows(), None) for j in range(k)]
+
+
 def packed_rows(ring: QuotientRing | Cube, k: int):
     """(scale, unpack, units) for rows of k ring entries packed into one
     int: scale(v, s) multiplies every entry by s, unpack(v) returns the

@@ -4,27 +4,31 @@ Covers tree simplification (fewest non-identity positions that admit an MDS
 instance), exhaustive cost-bounded assignment scans with the scalar-reuse
 cost rule, lowest-cost catalog construction with optional depth bounds, the
 involutory search over row orders and row scalings, and the catalog text
-format.  One depth-first walk over the parameter supports,
-`_support_walk`, is the only subset scan.  On the truth tables of the
-Boolean cube (`blockmat.Cube`), where each minor of formal parameters is
-decided exactly, it finds the feasible supports (`_support_need`): tree
-simplification tries only
-those, each by the same walk over the ring's values, and the involutory
-search cuts every branch whose support no feasible support can complete
-within its budget.
+format.  The assignment scan runs as loops generated for each tree shape
+and compiled (`_scan_code`).  One depth-first walk over the parameter
+supports, `_support_walk`, is the only subset scan.  On the truth tables of
+the Boolean cube (`blockmat.Cube`), where each minor of formal parameters
+is decided exactly, it finds the feasible supports (`_support_need`): tree
+simplification tries only those, each by the same walk over the ring's
+values, and the involutory search cuts every branch whose support no
+feasible support can complete within its budget.  Under the reuse rule it
+counts the charged terms a support still needs (`_charged_table`), and the
+assignment scan cuts every operand pair whose closed support no feasible
+support can finish within the budget left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from collections import Counter
+from functools import cache, lru_cache, partial
 from itertools import count, permutations
 from math import inf
 
 from .gf2 import FormatError, QuotientRing, expect_end
 from . import blockmat
 from .blockmat import (BlockMatrix, Cube, MinorTracker, canonical_key, is_involutory, is_mds,
-                       packed_rows, squares_to_identity)
+                       packed_rows, row_checks, squares_to_identity)
 from . import slp as slpmod
 from .slp import Slp, Step
 from .treesearch import ImplTree, min_capacity, pool_map, search_at_capacity, symbolic_mds
@@ -156,12 +160,23 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     only the values its remaining budget affords, from lists made once per
     budget in value-set order, with the values an earlier position holds on
     its operand term added at no charge.  Completed output rows prune
-    through the all-minors-are-units tracker.  With depth_bound, node p is
+    through the all-minors-are-units check.  With depth_bound, node p is
     cut as soon as its depth d has d + height[p] > depth_bound, where
     height[p] is the longest path from p to an output that reads it: each
     step of such a path adds a level; a node that no output reads, even
     indirectly, is not bounded.  A tree whose skeleton is deeper than
     depth_bound has no assignment.  Deterministic order.
+
+    The scan runs as loops generated for the tree's shape and compiled
+    once (`_scan_code`); each output row goes straight to its row kernel.
+    Before an operand pair's row is built, the pair is cut when cmin * need
+    exceeds the budget left: cmin is the cheapest charge of a value other
+    than 1, and need the fewest further charged terms that finish the
+    pair's support, closed under the reuse rule, to a feasible one
+    (`_charged_table`).  Each such term costs at least cmin, so no branch
+    cut has an assignment within the bound.  Where the table's cube holds
+    fewer terms than the budget affords (`_charged_need`), a support it did
+    not decide is not cut.
     """
     if value_set is None:
         value_set = default_value_set(ring)
@@ -171,7 +186,7 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     budget = cost_bound - base
     if budget < 0 or depth_bound is not None and tree.skeleton_depth() > depth_bound:
         return []
-    cap, outs = tree.capacity, tree.outs
+    k, cap, outs = tree.k, tree.capacity, tree.outs
     priced = [(v, ring.scalar_xor_count(v)) for v in value_set]
     # no scan charges more than every position its dearest value
     budget = min(budget, 2 * cap * max((c for _, c in priced), default=0))
@@ -189,13 +204,6 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
         charged = [(v, 0 if bit[v] & held else c, bit[v], int(v != 1)) for v, c in priced]
         return [tuple(o for o in charged if o[1] <= r) for r in range(budget + 1)]
 
-    # prev[pos]: the last earlier position on the same operand term, or the
-    # slot 2 * cap, which holds no value; held[pos] is the bit set of the
-    # values at pos and at the earlier positions on its term
-    terms = [t for node in tree.nodes for t in node]
-    prev = [max((q for q in range(i) if terms[q] == t), default=2 * cap)
-            for i, t in enumerate(terms)]
-    held = [0] * (2 * cap + 1)
     # lim[p]: the most levels an operand of node p may reach, one more if
     # its scalar is not 1, so depth_bound - height[p] - 1; inf for a node
     # that no output reads and for every node without depth_bound
@@ -204,57 +212,170 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     for p in range(cap, 0, -1):
         lim[p] = min([lim[q] - 1 for q in range(p + 1, cap + 1) if p in tree.nodes[q - 1]]
                      + [top] * (p in outs), default=inf)
+    # fixed: the positions that every assignment holds at 1, an operand
+    # whose skeleton depth, its least, is already its node's limit
+    skeleton, fixed = dict.fromkeys(range(1 - k, 1), 0), 0
+    for p, (m, n) in enumerate(tree.nodes, start=1):
+        skeleton[p] = 1 + max(skeleton[m], skeleton[n])
+        fixed |= (skeleton[m] == lim[p]) << 2 * p - 2 | (skeleton[n] == lim[p]) << 2 * p - 1
 
-    add_row = MinorTracker(ring, tree.k).add_row
-    plan, scaled, scale, unpack = _scan_state(tree, ring)
-    # per-term depths and per-position scalars, written at their depth like
-    # the scaled rows
-    depths = [0] * len(scaled)
-    scalars: dict[int, int] = {}
+    # the support cut: cut[p][z] = cmin * need[p][z].  A z absent from a
+    # complete table has no feasible completion within the budget, so the
+    # default cuts it; an incomplete table's default cuts nothing.  With no
+    # value other than 1, cmin = budget + 1 affords no charged term; when
+    # one costs nothing, cmin is 0, no term count bounds the cost and
+    # nothing is cut
+    cmin = min((c for v, c in priced if v != 1), default=budget + 1)
+    cut, default = [{}] * (cap + 2), 0
+    if cmin:
+        need, complete = _charged_need(tree, budget // cmin, fixed)
+        cut = need if cmin == 1 else [{z: cmin * d for z, d in t.items()} for t in need]
+        default = budget + 1 if complete else 0
+
     entries: list[CatalogEntry] = []
 
-    def rec(p: int, t_used: int):
-        if p > cap:
-            # the scan's own facts: its output rows, each passed by the
-            # tracker, the reuse rule's cost and the depth it counted
-            proved = ([unpack(scaled[o][1]) for o in outs], base + t_used,
-                      max([depths[o] for o in outs]))
-            entries.append(CatalogEntry.from_slp(tree.to_slp(ring, scalars), proved))
-            return
-        m, n, j = plan[p]
-        pa, pb = 2 * p - 2, 2 * p - 1
-        dm, dn, lp = depths[m], depths[n], lim[p]
-        ha, hb = held[prev[pa]], held[prev[pb]]
-        # neither operand is above lim[p]: an input is at level 0, which the
-        # skeleton check allows, and a node kept to its own, lower limit
-        menu_a = unscaled if dm == lp else menu(ha)
-        menu_b = unscaled if dn == lp else menu(hb)
-        sm, sn = scaled[m], scaled[n]
-        left = budget - t_used
-        for a, ca, bit_a, level_a in menu_a[left]:
-            va = sm.get(a)
-            if va is None:
-                va = sm[a] = scale(sm[1], a)
-            da = dm + level_a
-            held[pa] = ha | bit_a
-            for b, cb, bit_b, level_b in menu_b[left - ca]:
-                vb = sn.get(b)
-                if vb is None:
-                    vb = sn[b] = scale(sn[1], b)
-                row = va ^ vb
-                if j is not None and not add_row(unpack(row), j):
-                    continue
-                scaled[p] = {1: row}
-                db = dn + level_b
-                depths[p] = 1 + (da if da > db else db)
-                held[pb] = hb | bit_b
-                scalars[pa] = a
-                scalars[pb] = b
-                rec(p + 1, t_used + ca + cb)
+    def emit(values, rows, left, depths):
+        # the scan's own facts: its output rows, each passed by the row
+        # checks, the reuse rule's cost and the depth it counted
+        proved = ([r.to_bytes(k, "little") for r in rows], base + budget - left, max(depths))
+        entries.append(CatalogEntry.from_slp(tree.to_slp(ring, dict(enumerate(values))), proved))
 
-    rec(1, 0)
-    del rec  # it refers to itself: free the scan's state now, not at a full collection
+    scan = _scan_code(k, tree.nodes, outs, tuple(lim[1:]), fixed)(
+        int.from_bytes, ring.mul_bytes(), row_checks(ring, k), [0] * (1 << 2 * k),
+        cut, default, menu, unscaled, [{1: u} for u in packed_rows(ring, k)[2]], emit)
+    scan(budget)
     return entries
+
+
+# CPython compiles at most 20 statically nested blocks in one function, and
+# the scan nests two loops per node
+_NODES_PER_FUNCTION = 10
+
+
+@lru_cache(maxsize=256)
+def _scan_code(k: int, nodes: tuple, outs: tuple, lims: tuple, fixed: int):
+    """bind(from_bytes, tables, checks, dets, cut, default, menu, unscaled,
+    inputs, emit) -> scan(budget): `assign_parameters`' scan for a tree of
+    k inputs, these nodes and outputs, per-node depth limits (inf for
+    none) and the bit set fixed of positions held at 1, as source
+    generated for the shape and compiled once per process.
+
+    Node p is one loop over its first operand's options and one over its
+    second's, each from menu(held)[left] (or unscaled, at the depth limit),
+    held being the values earlier positions put on the operand term.  Rows,
+    scaled-row tables, held sets, depths, the budget left and the closed
+    support z (which no fixed position joins) live in locals named by node
+    and position.  A pair is cut when cut[p + 1].get(z, default) exceeds
+    the budget left; an output row is checked by checks[j](row bytes,
+    dets), the ring's row kernel (`blockmat.row_checks`).  Each complete
+    assignment calls emit(values, output rows, budget left, output depths).
+    The nodes are split into chained functions of at most
+    `_NODES_PER_FUNCTION` nodes, each called with the locals that later
+    nodes read."""
+    cap = len(nodes)
+    terms = [t for node in nodes for t in node]
+    prev = [max((q for q in range(pos) if terms[q] == t), default=None)
+            for pos, t in enumerate(terms)]
+    reheld = {q for q in prev if q is not None}
+    read = set(terms)
+    out_row = {o: j for j, o in enumerate(outs)}
+    depth_read = read | set(outs)
+
+    def table(t):
+        return f"s{t}" if t > 0 else f"i{-t}"
+
+    def depth(t):
+        return f"d{t}" if t > 0 else "0"
+
+    def scaled(v, t, x):
+        return [f"{v} = {table(t)}.get({x})", f"if {v} is None:",
+                f" {v} = {table(t)}[{x}] = fb({table(t)}[1].to_bytes({k}, 'little')"
+                f".translate(T[{x}]), 'little')"]
+
+    body, uses, defs = [], [], []  # per node: (indent, line)s, names read, names written
+    for p, (m, n) in enumerate(nodes, start=1):
+        pa, pb, lp = 2 * p - 2, 2 * p - 1, lims[p - 1]
+        used = {f"u{p - 1}", f"z{p - 1}"} | {name for t in (m, n) if t > 0
+                                             for name in (table(t), depth(t))}
+        used |= {f"h{prev[pos]}" for pos in (pa, pb) if prev[pos] is not None}
+        lines = []
+
+        def menu(pos, t):
+            base = "M0" if prev[pos] is None else f"menu(h{prev[pos]})"
+            if fixed >> pos & 1:
+                return "U"
+            return base if lp == inf or t <= 0 else f"U if d{t} == {lp} else {base}"
+
+        def held(pos, b, was, z):
+            """The lines that write pos's held set, under its own name if a
+            later position reads it, and z, the closed support through pos,
+            from was, the one before it"""
+            h = b if prev[pos] is None else f"h{prev[pos]} | {b}"
+            named = [f"h{pos} = {h}"] * (pos in reheld)
+            if fixed >> pos & 1:
+                return named + [f"{z} = {was}"]
+            h = f"h{pos}" if pos in reheld else f"({h})"
+            return named + [f"{z} = {was} | {1 << pos} if {h} else {was}"]
+
+        lines += [(0, f"MA{p} = {menu(pa, m)}"), (0, f"MB{p} = {menu(pb, n)}"),
+                  (0, f"for a{p}, ca{p}, ba{p}, la{p} in MA{p}[u{p - 1}]:")]
+        lines += [(1, s) for s in scaled(f"va{p}", m, f"a{p}")]
+        lines += [(1, s) for s in held(pa, f"ba{p}", f"z{p - 1}", f"za{p}")]
+        lines += [(1, f"ua{p} = u{p - 1} - ca{p}"),
+                  (1, f"da{p} = {depth(m)} + la{p}"),
+                  (1, f"for b{p}, cb{p}, bb{p}, lb{p} in MB{p}[ua{p}]:"),
+                  (2, f"u{p} = ua{p} - cb{p}")]
+        lines += [(2, s) for s in held(pb, f"bb{p}", f"za{p}", f"z{p}")]
+        lines += [(2, f"if N{p + 1}.get(z{p}, DF) > u{p}:"), (3, "continue")]
+        lines += [(2, s) for s in scaled(f"vb{p}", n, f"b{p}")]
+        lines.append((2, f"r{p} = va{p} ^ vb{p}"))
+        if p in out_row:
+            lines += [(2, f"if not C{out_row[p]}(r{p}.to_bytes({k}, 'little'), D):"),
+                      (3, "continue")]
+        wrote = {f"a{p}", f"b{p}", f"u{p}", f"z{p}", f"r{p}"}
+        wrote |= {f"h{pos}" for pos in (pa, pb) if pos in reheld}
+        if p in read:
+            lines.append((2, f"s{p} = {{1: r{p}}}"))
+            wrote.add(f"s{p}")
+        if p in depth_read:
+            lines += [(2, f"db{p} = {depth(n)} + lb{p}"),
+                      (2, f"d{p} = 1 + (da{p} if da{p} > db{p} else db{p})")]
+            wrote.add(f"d{p}")
+        body.append(lines)
+        uses.append(used)
+        defs.append(wrote)
+
+    values = ", ".join(f"a{p}, b{p}" for p in range(1, cap + 1))
+    emit = (f"emit(({values},), ({', '.join(f'r{o}' for o in outs)},), u{cap}, "
+            f"({', '.join(f'd{o}' for o in outs)},))")
+    last_uses = {f"a{p}" for p in range(1, cap + 1)} | {f"b{p}" for p in range(1, cap + 1)}
+    last_uses |= {f"r{o}" for o in outs} | {f"d{o}" for o in outs} | {f"u{cap}"}
+    src = ["def bind(fb, T, C, D, N, DF, menu, U, I, emit):",
+           f" {''.join(f'C{j}, ' for j in range(k))}= C",
+           f" {''.join(f'i{c}, ' for c in range(k))}= I",
+           f" {''.join(f'N{p}, ' for p in range(2, cap + 2))}= N[2:]",
+           " M0 = menu(0)"]
+    # live[s]: what a function starting at node s is called with, the
+    # names that nodes before s write and nodes from s on (or emit) read
+    live = {s: ", ".join(sorted(set().union({"u0"}, *defs[:s - 1])
+                                & set().union(last_uses, *uses[s - 1:])))
+            for s in range(1, cap + 2, _NODES_PER_FUNCTION)}
+    for s in live:
+        if s > cap:
+            break
+        src.append(f" def f{s}({live[s]}):")
+        if s == 1:
+            src.append("  z0 = 0")
+        indent = 2
+        for p in range(s, min(s + _NODES_PER_FUNCTION, cap + 1)):
+            src += [" " * (indent + extra) + line for extra, line in body[p - 1]]
+            indent += 2
+        nxt = s + _NODES_PER_FUNCTION
+        src.append(" " * indent + (emit if nxt > cap else f"f{nxt}({live[nxt]})"))
+    src.append(" return f1")
+    scope: dict = {}
+    exec(compile("\n".join(src), f"<assignment scan k={k} nodes={nodes}>", "exec"), scope)
+    return scope["bind"]
 
 
 def search_lowest_cost(k: int, ring: QuotientRing,
@@ -371,37 +492,111 @@ def _support_need(tree: ImplTree, most: int) -> list[dict]:
     return _support_walk(tree, MinorTracker(cube, tree.k), [menu] * npos, most)
 
 
-def _support_walk(tree: ImplTree, tracker: MinorTracker, menus, most: int) -> list[dict]:
+# the most coordinates of the charged-term table's cube: each one more
+# doubles every entry's width, and on the 5x5 tree the walk grows about
+# tenfold per charged term past this
+_CUBE_WIDTH = 13
+
+
+def _fanouts(tree: ImplTree, fixed: int) -> list[int]:
+    """How many positions outside the bit set fixed read each term, most
+    first."""
+    terms = [t for node in tree.nodes for t in node]
+    return sorted(Counter(t for pos, t in enumerate(terms) if not fixed >> pos & 1).values(),
+                  reverse=True)
+
+
+def _charged_need(tree: ImplTree, afford: int, fixed: int) -> tuple[list[dict], bool]:
+    """(need, complete): `_charged_table` at the most charged terms, up to
+    afford, that a cube of at most _CUBE_WIDTH coordinates holds, and
+    whether that is every support of at most afford charged terms.  If it
+    is, a z absent from need[p] has no feasible completion within afford;
+    if not, an absent z is undecided."""
+    fanout = _fanouts(tree, fixed)
+    most = afford = min(afford, len(fanout))
+    while sum(fanout[:most]) > _CUBE_WIDTH:
+        most -= 1
+    return _charged_table(tree, most, fixed), most == afford
+
+
+@lru_cache(maxsize=128)
+def _charged_table(tree: ImplTree, most: int, fixed: int) -> list[dict]:
+    """`_support_walk`'s table under the reuse rule, on formal parameters:
+    need[p][z] is the fewest further charged terms that finish z to a
+    support S of at most `most` charged terms where every minor of the
+    output rows, with parameters on S and 1 elsewhere, is a nonzero
+    polynomial.  The positions in the bit set fixed stay 1.  Any other
+    position whose operand term has an earlier support position is forced
+    into S at no charge, so every support the walk reaches is closed under
+    that rule, and a term is charged at its first support position.
+
+    This bounds the assignment scan's cost: an assignment with support S
+    charges at least one value other than 1 per term of S.  Its closure
+    adds parameters only on those terms, and is feasible if S is, since
+    setting a new parameter to 1 gives back the old minor: adding a
+    parameter never makes a nonzero multilinear minor vanish.  The walk
+    runs on a `Cube` (see `_support_need`) with one coordinate per support
+    position, charged ones at 0..most-1 and forced ones after: at most the
+    sum of the `most` largest term fanouts.  The table depends only on the
+    tree, most and fixed, so both rings share it.  Of the depth rule it
+    keeps only fixed, the positions that every assignment within the bound
+    holds at 1, a relaxation; without a depth bound fixed is 0."""
+    npos = tree.scalar_positions()
+    cube = Cube(min(sum(_fanouts(tree, fixed)[:most]), npos))
+    coordinates = cube.coordinates(tree.k)
+    menu = [(1, x) for x in coordinates[:most]] + [(1,)]
+    forced = [(x,) for x in coordinates[most:]]
+    menus = [[(1,)] * (most + 1) if fixed >> pos & 1 else menu for pos in range(npos)]
+    return _support_walk(tree, MinorTracker(cube, tree.k), menus, most, forced, fixed)
+
+
+def _support_walk(tree: ImplTree, tracker: MinorTracker, menus, most: int,
+                  forced: list | None = None, fixed: int = 0) -> list[dict]:
     """need[p][z] for p = 1..capacity+1: for a support z, a bitmask over
     the positions below 2p-2 (those of nodes 1..p-1), the fewest further
-    positions that finish it to a support of at most `most` positions whose
-    assignment passes tracker.  A z with no such completion is absent.
+    charged positions that finish it to a support of at most `most` charged
+    positions whose assignment passes tracker.  A z with no such completion
+    is absent.
 
-    One depth-first walk: position pos takes the values menus[pos][size],
-    in order, where size is the support's size below pos, and is in the
-    support iff its value is not 1.  Output j is the tracker's row j,
-    written in place, so a rejected prefix row cuts all its extensions."""
+    One depth-first walk: position pos takes the values menus[pos][used],
+    in order, where used counts the charged positions below pos, and is in
+    the support iff its value is not 1.  Without forced every support
+    position is charged.  With forced, the reuse rule of the assignment
+    scan: a position outside the bit set fixed whose operand term has an
+    earlier support position is in the support at no charge, with the one
+    value forced[f], f the count of such positions below it.  Output j is
+    the tracker's row j, written in place, so a rejected prefix row cuts
+    all its extensions."""
     cap = tree.capacity
     add_row = tracker.add_row
     plan, scaled, scale, unpack = _scan_state(tree, tracker.ring)
     need: list[dict] = [{} for _ in range(cap + 2)]
+    # earlier[pos]: the earlier positions on pos's operand term under the
+    # reuse rule; a support position among them forces pos
+    terms = [t for node in tree.nodes for t in node]
+    earlier = [0 if forced is None or fixed >> pos & 1
+               else sum(1 << q for q in range(pos) if terms[q] == t)
+               for pos, t in enumerate(terms)]
 
-    def rec(p: int, z: int, size: int) -> int:
-        """The least size of a passing support that extends z, or most + 1."""
+    def rec(p: int, z: int, used: int, f: int) -> int:
+        """The least charged count of a passing support that extends z, or
+        most + 1."""
         if p > cap:
             need[p][z] = 0
-            return size
+            return used
         m, n, j = plan[p]
         pa, pb = 2 * p - 2, 2 * p - 1
         sm, sn = scaled[m], scaled[n]
         best = most + 1
-        for a in menus[pa][size]:
+        ga = 1 if z & earlier[pa] else 0
+        gb = 1 if z & earlier[pb] else 0  # pb's term is not pa's
+        for a in forced[f] if ga else menus[pa][used]:
             va = sm.get(a)
             if va is None:
                 va = sm[a] = scale(sm[1], a)
             ia = a != 1
-            sa = size + ia
-            for b in menus[pb][sa]:
+            za, ua, fa = z | ia << pa, used + ia - ga, f + ga
+            for b in forced[fa] if gb else menus[pb][ua]:
                 vb = sn.get(b)
                 if vb is None:
                     vb = sn[b] = scale(sn[1], b)
@@ -410,12 +605,12 @@ def _support_walk(tree: ImplTree, tracker: MinorTracker, menus, most: int) -> li
                 if j is not None and not add_row(unpack(row), j):
                     continue
                 scaled[p] = {1: row}
-                best = min(best, rec(p + 1, z | ia << pa | ib << pb, sa + ib))
+                best = min(best, rec(p + 1, za | ib << pb, ua + ib - gb, fa + gb))
         if best <= most:
-            need[p][z] = best - size
+            need[p][z] = best - used
         return best
 
-    rec(1, 0, 0)
+    rec(1, 0, 0, 0)
     del rec  # it refers to itself: free the walk's state now, not at a full collection
     return need
 

@@ -1,19 +1,22 @@
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scan_reference import assign_parameters_reference
 
 from mdsforge import blockmat, catalogs, instantiate
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.blockmat import BlockMatrix, is_involutory, is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
 from mdsforge.sympoly import EVAL_MODULUS, SP_ONE, _det, term_vectors
-from mdsforge.treesearch import ImplTree, search_at_capacity, symbolic_mds
+from mdsforge.treesearch import ImplTree, search_at_capacity, symbolic_mds, tree_from_text
 from mdsforge.instantiate import (
     CatalogEntry,
     InfeasibleError,
+    _charged_need,
     _support_need,
     alpha_powers,
     assign_parameters,
@@ -160,6 +163,141 @@ def test_scan_recomputes_nothing_it_proved(monkeypatch, trees8, r8):
     assert entries and not calls
     CatalogEntry.from_slp(entries[0].slp)
     assert calls == {"is_mds": 1, "extract_matrix": 1, "cost": 1, "depth": 1}
+
+
+def _assert_same_scan(got, want):
+    """Entry for entry, in order, the class keys included."""
+    assert got == want
+    assert [e.canonical for e in got] == [e.canonical for e in want]
+
+
+@pytest.fixture(scope="session")
+def scan_trees(trees8):
+    return [search_at_capacity(2, 2), search_at_capacity(2, 3), search_at_capacity(2, 4),
+            search_at_capacity(3, 5), trees8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_assign_parameters_matches_the_recursive_reference(scan_trees, data):
+    # the generated scan with its support cut against the plain recursion,
+    # which walks every branch the budget, depth and row checks leave
+    tree = data.draw(st.sampled_from(data.draw(st.sampled_from(scan_trees))), label="tree")
+    r = ring(data.draw(st.sampled_from(["x^4+x+1", "x^8+x^2+1"])))
+    values = alpha_powers(r, data.draw(st.integers(-3, 0)), data.draw(st.integers(0, 3)))
+    bound = r.n * tree.capacity + data.draw(st.integers(0, 5))
+    skeleton = tree.skeleton_depth()
+    depth = data.draw(st.sampled_from([None, skeleton, skeleton + 1]))
+    _assert_same_scan(assign_parameters(tree, r, bound, values, depth),
+                      assign_parameters_reference(tree, r, bound, values, depth))
+
+
+@pytest.mark.parametrize("name", ["5x5_tree", "6x6_tree"])
+def test_scan_past_the_nesting_limit_matches_the_reference(r56, name):
+    # capacities 12 and 16 take two chained functions each: one function
+    # compiles at most 20 nested loops, 10 nodes.  Neither tree has an
+    # entry this cheap (the 5x5 minimum is 112); the next test checks the
+    # hand-over between functions on scans with entries
+    tree = tree_from_text(Path(catalogs.data_path("trees", name + ".txt")).read_text())
+    values = alpha_powers(r56, -4, 4)
+    for extra, depth in ((6, None), (8, tree.skeleton_depth() + 1)):
+        bound = r56.n * tree.capacity + extra
+        _assert_same_scan(assign_parameters(tree, r56, bound, values, depth),
+                          assign_parameters_reference(tree, r56, bound, values, depth))
+
+
+def test_scan_chained_every_few_nodes_matches_the_reference(monkeypatch, trees8, r8):
+    # the bundled trees at capacity 8 fit one function; chained every 3
+    # nodes, the <= 68 scan hands its locals on twice per entry
+    monkeypatch.setattr(instantiate, "_NODES_PER_FUNCTION", 3)
+    instantiate._scan_code.cache_clear()
+    try:
+        values = alpha_powers(r8, -3, 3)
+        for tree in trees8[:2]:
+            for depth in (None, 5):
+                _assert_same_scan(assign_parameters(tree, r8, 68, values, depth),
+                                  assign_parameters_reference(tree, r8, 68, values, depth))
+    finally:
+        instantiate._scan_code.cache_clear()
+
+
+def test_charged_need_pins_the_fewest_charged_terms(trees8):
+    # need[1][0]: the fewest charged terms of any feasible support closed
+    # under the reuse rule.  Every bundled 4x4 tree needs 2, where
+    # simplify_tree needs 3 positions (two share a term), and the 5x5 3
+    for tree in trees8:
+        need, complete = _charged_need(tree, 5, 0)
+        assert complete and need[1] == {0: 2}
+    need, complete = _charged_need(catalogs.tree_5x5(), 5, 0)
+    assert complete and need[1] == {0: 3}
+
+
+def test_depth_bound_narrows_the_charged_tables(monkeypatch, cap9_depth3_classes, r8):
+    # a count of the work, where a wall time would not be reproducible.
+    # At depth 3 most positions of E2's trees stay 1 in every assignment,
+    # and the tables leave them out: depth-blind tables for budgets 1-5
+    # made 1,470,911 add_row calls on the cube, and the search took 18 s
+    # instead of 0.7
+    calls = Counter()
+    add_row = blockmat.MinorTracker.add_row
+
+    def counting(tracker, row, j):
+        calls["cube" if isinstance(tracker.ring, blockmat.Cube) else tracker.ring] += 1
+        return add_row(tracker, row, j)
+
+    monkeypatch.setattr(blockmat.MinorTracker, "add_row", counting)
+    instantiate._charged_table.cache_clear()
+    cat = search_lowest_cost(4, r8, 3, trees=cap9_depth3_classes)
+    assert [e.cost for e in cat] == [77, 77]
+    assert calls == {"cube": 15_556}
+
+
+def _counting_row_checks(monkeypatch) -> Counter:
+    """Counts of the generated scan's row checks, by row, from now on."""
+    calls = Counter()
+    row_checks = instantiate.row_checks
+
+    def counting(ring, k):
+        def count(j, check):
+            def counted(row, dets):
+                calls[j] += 1
+                return check(row, dets)
+            return counted
+        return [count(j, check) for j, check in enumerate(row_checks(ring, k))]
+
+    monkeypatch.setattr(instantiate, "row_checks", counting)
+    return calls
+
+
+def test_scan_of_a_tree_no_support_makes_mds_checks_no_row(monkeypatch, trees8, r8):
+    # bundled tree 1 with node 8 = (1, 5): outputs 7 and 8 span one plane,
+    # so no support is feasible and the table has no entry at node 1
+    tree = replace(trees8[0], nodes=trees8[0].nodes[:7] + ((1, 5),))
+    need, complete = _charged_need(tree, 3, 0)
+    assert complete and need[1] == {}
+    calls = _counting_row_checks(monkeypatch)
+    assert assign_parameters(tree, r8, 67) == []
+    assert not calls
+    assert assign_parameters(trees8[0], r8, 67) and calls
+
+
+def test_charged_table_cube_stays_within_its_width(monkeypatch, trees8, r8):
+    # the 5x5 tree at <= 113 affords 8 charged terms, whose supports need
+    # 17 coordinates: the table stops at the most terms a cube of
+    # _CUBE_WIDTH holds, here narrowed to 9 (4 terms), and cuts nothing it
+    # did not decide
+    widths = _spy_cube_widths(monkeypatch)
+    monkeypatch.setattr(instantiate, "_CUBE_WIDTH", 9)
+    instantiate._charged_table.cache_clear()
+    need, complete = _charged_need(catalogs.tree_5x5(), 8, 0)
+    assert not complete and widths == [9] and need[1] == {0: 3}
+    # so narrow a cube that the <= 68 scan's tables are all incomplete
+    monkeypatch.setattr(instantiate, "_CUBE_WIDTH", 3)
+    values = alpha_powers(r8, -3, 3)
+    for tree in trees8[:3]:
+        assert not _charged_need(tree, 4, 0)[1]
+        _assert_same_scan(assign_parameters(tree, r8, 68, values),
+                          assign_parameters_reference(tree, r8, 68, values))
 
 
 def test_degree_one_ring_has_no_alpha(trees8):
