@@ -9,9 +9,10 @@ Library layout:
                   symbolic MDS pre-check, and the GF(2^8) evaluation points
 - ``blockmat``    k x k matrices over a ring: MDS test, branch number,
                   equivalence, involution test; ``MinorTracker`` is the one
-                  all-minors tracker and ``packed_rows`` the one row
-                  encoding of every search and of matrix extraction, on a
-                  quotient ring or on the Boolean cube's truth tables
+                  all-minors tracker, whose row kernels every search runs,
+                  on a quotient ring or on the Boolean cube's truth tables,
+                  and ``packed_rows`` the one ring row encoding of every
+                  search and of matrix extraction
 - ``slp``         word-level linear straight-line programs, cost and depth
 - ``treesearch``  exhaustive search for simplest implementation trees; a
                   minor that vanishes at the points is decided there by

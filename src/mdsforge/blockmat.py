@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations, permutations
-from operator import and_, itemgetter
+from operator import itemgetter
 
 from .gf2 import (FormatError, QuotientRing, expect_end, line_after,
                   numbered_lines, poly_text, ring as _ring)
@@ -157,7 +157,10 @@ class Cube:
     """The ring of truth tables on the Boolean cube {0,1}^most: an element is
     an int of 2^most bits, bit b its value where coordinate i is bit i of b;
     a product is AND, a sum XOR.  A multilinear GF(2) polynomial is zero iff
-    its table is 0.  Each step in most doubles every element's width."""
+    its table is 0.  Each step in most doubles every element's width.  A
+    row of k entries packs into one int with entry c at bits [c*w, (c+1)*w),
+    w = 2^most, so a coordinate spread over the entries scales it by one
+    AND."""
 
     __slots__ = ("most",)
 
@@ -166,7 +169,7 @@ class Cube:
 
     def coordinates(self, k: int) -> list[int]:
         """The tables of x_0..x_{most-1}, each spread over the k entries of a
-        packed row (see `packed_rows`)."""
+        packed row."""
         w = 1 << self.most
         spread = sum(1 << c * w for c in range(k))
         return [sum(1 << b for b in range(w) if b >> i & 1) * spread for i in range(self.most)]
@@ -253,29 +256,26 @@ class MinorTracker:
         return self._dets[full << self.k | full]
 
 
-def row_checks(ring: QuotientRing, k: int) -> list:
+def row_checks(ring: QuotientRing | Cube, k: int) -> list:
     """check(row, dets) for rows 0..k-1: `MinorTracker.add_row` for row j
-    without the tracker, its row kernel bound to ring with no hook, for a
-    scan that keeps its own dets list of 1 << 2k slots."""
+    without the tracker, its row kernel bound to ring with no hook (on a
+    `Cube`, the cube kernel), for a scan that keeps its own dets list of
+    1 << 2k slots."""
+    if isinstance(ring, Cube):
+        return [_row_kernel(k, j, _CUBE)(None, None, None) for j in range(k)]
     return [_row_kernel(k, j)(ring.unit_flags(), ring.mul_rows(), None) for j in range(k)]
 
 
-def packed_rows(ring: QuotientRing | Cube, k: int):
+def packed_rows(ring: QuotientRing, k: int):
     """(scale, unpack, units) for rows of k ring entries packed into one
     int: scale(v, s) multiplies every entry by s, unpack(v) returns the
     entries as a sequence (entry c is unpack(v)[c]; `MinorTracker.add_row`
     takes them as they are), and units[c] is input c's row, entry c at 1.
 
-    This is the one place the layout is spelled out.  On a ring entry c is
-    byte c (a residue has at most 8 bits), unpack gives `bytes`, and scaling
-    is one byte translation.  On a `Cube` entry c takes bits [c*w, (c+1)*w)
-    of width w = 2^most, a scalar is a coordinate already spread over the k
-    entries (`Cube.coordinates`), and scaling is one AND.
+    This is the one place the layout is spelled out: entry c is byte c (a
+    residue has at most 8 bits), unpack gives `bytes`, and scaling is one
+    byte translation.  (A `Cube` packs its own way.)
     """
-    if isinstance(ring, Cube):
-        w = 1 << ring.most
-        one, shifts = (1 << w) - 1, range(0, k * w, w)
-        return and_, lambda v: [v >> s & one for s in shifts], [one << s for s in shifts]
     tables = ring.mul_bytes()
 
     def scale(v: int, s: int) -> int:

@@ -4,17 +4,31 @@ Covers tree simplification (fewest non-identity positions that admit an MDS
 instance), exhaustive cost-bounded assignment scans with the scalar-reuse
 cost rule, lowest-cost catalog construction with optional depth bounds, the
 involutory search over row orders and row scalings, and the catalog text
-format.  The assignment scan runs as loops generated for each tree shape
-and compiled (`_scan_code`).  One depth-first walk over the parameter
-supports, `_support_walk`, is the only subset scan.  On the truth tables of
-the Boolean cube (`blockmat.Cube`), where each minor of formal parameters
-is decided exactly, it finds the feasible supports (`_support_need`): tree
-simplification tries only those, each by the same walk over the ring's
-values, and the involutory search cuts every branch whose support no
-feasible support can complete within its budget.  Under the reuse rule it
-counts the charged terms a support still needs (`_charged_table`), and the
-assignment scan cuts every operand pair whose closed support no feasible
-support can finish within the budget left.
+format.  Every scan over a tree's nodes runs as loops generated for the
+tree's shape and compiled once (`_chained`): the assignment scan
+(`_scan_code`), the involutory scan (`_involutory_code`) and the support
+walk (`_walk_code`), each calling the row kernels directly.  One
+depth-first walk over the parameter supports, `_support_walk`, is the only
+subset scan.  On the truth tables of the Boolean cube (`blockmat.Cube`),
+where each minor of formal parameters is decided exactly, it finds the
+feasible supports (`_support_need`): tree simplification tries only those,
+each by the same walk over the ring's values, and the involutory search
+cuts every branch whose support no feasible support can complete within
+its budget.  Under the reuse rule it counts the charged terms a support
+still needs (`_charged_table`), and the assignment scan cuts every operand
+pair whose closed support no feasible support can finish within the budget
+left.
+
+The involutory scan also tests det(M)^2 = 1, which M^2 = I implies, ahead
+of the last rows' kernels; it is exact, since each hit passes the same
+test at the leaf.  Row scalars a^f and a row order change det(R) by
+a^(sum f) only, so the last row is cut unless det(R)^2 * a^(2g) = 1 for
+some g within the t left (0 when no output row takes a scalar or s is
+spent), det(R) being the last row's cofactor expansion on the stored
+minors.  Where the last output node adds a term v, set before row k-2, to
+an earlier output row, det(R) = a^e * det(rows 0..k-2, v's row) with the
+exponent e still free, and the same test, with g + e within the t left,
+cuts row k-2's candidates.
 """
 
 from __future__ import annotations
@@ -24,10 +38,11 @@ from collections import Counter
 from functools import cache, lru_cache, partial
 from itertools import count, permutations
 from math import inf
+from typing import NamedTuple
 
 from .gf2 import FormatError, QuotientRing, expect_end
 from . import blockmat
-from .blockmat import (BlockMatrix, Cube, MinorTracker, canonical_key, is_involutory, is_mds,
+from .blockmat import (BlockMatrix, Cube, canonical_key, is_involutory, is_mds,
                        packed_rows, row_checks, squares_to_identity)
 from . import slp as slpmod
 from .slp import Slp, Step
@@ -45,7 +60,7 @@ class CatalogEntry:
 
     A search's entries carry what the search proved: the output rows it
     built, the cost it charged, the depth it counted and MDS, since every
-    row passed the all-minors tracker.  Parsed programs recompute every
+    row passed the all-minors check.  Parsed programs recompute every
     field.  Either way the entry is built by `from_slp`."""
 
     slp: Slp
@@ -61,7 +76,7 @@ class CatalogEntry:
         """The entry of program p.  A search passes _proved = (rows, cost,
         depth): p's output rows as it built them (entry sequences, in output
         order), the reuse-rule cost of p and its depth, all proved by the
-        search, whose tracker passed every row, so the matrix is MDS.
+        search, whose row checks passed every row, so the matrix is MDS.
         Without it every field is recomputed from p.  The involution test
         and the class key are computed either way."""
         if _proved is None:
@@ -124,26 +139,6 @@ def check_units(ring: QuotientRing, values) -> None:
     for v in values:
         if not ring.is_unit(v):
             raise ValueError(f"value {ring.element_text(v)} is not a unit")
-
-
-def _scan_state(tree: ImplTree, ring: QuotientRing) -> tuple:
-    """(plan, scaled, scale, unpack) for a depth-first scan over tree's
-    nodes on ring's packed rows, with scale and unpack those of
-    `packed_rows`.  plan[p] = (m, n, j) for node p: its operand terms and
-    its output row, None if it is no output.  scaled[t] maps 1 and each
-    value used on term t since its row was last written to that row scaled
-    by it; term t sits at index t, so input c is at -c.  A scan replaces
-    node p's table whenever it writes p's row: the tables of the nodes past
-    the current one are stale, and each is written again before it is read.
-    So a scaled row is computed once per (row, value), not once per operand
-    pair, and a table holds at most one row per value."""
-    scale, unpack, units = packed_rows(ring, tree.k)
-    out_row = {o: j for j, o in enumerate(tree.outs)}
-    plan = [None] + [(m, n, out_row.get(p)) for p, (m, n) in enumerate(tree.nodes, start=1)]
-    scaled: list = [None] * (tree.capacity + len(units))
-    for c, u in enumerate(units):
-        scaled[-c] = {1: u}
-    return plan, scaled, scale, unpack
 
 
 def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
@@ -243,22 +238,104 @@ def assign_parameters(tree: ImplTree, ring: QuotientRing, cost_bound: int,
     scan = _scan_code(k, tree.nodes, outs, tuple(lim[1:]), fixed)(
         int.from_bytes, ring.mul_bytes(), row_checks(ring, k), [0] * (1 << 2 * k),
         cut, default, menu, unscaled, [{1: u} for u in packed_rows(ring, k)[2]], emit)
-    scan(budget)
+    scan(budget, 0)
     return entries
 
 
 # CPython compiles at most 20 statically nested blocks in one function, and
-# the scan nests two loops per node
+# the scans nest two loops per node
 _NODES_PER_FUNCTION = 10
+
+
+class _Node(NamedTuple):
+    """A node's code in a generated scan (see `_chained`): lines, (extra
+    indent, line) pairs that open its two nested loops, close, the lines
+    after those loops at its own indent, and prop, the lines after its
+    loops or its chained call in its parent's loop; uses and defs, the
+    names its code reads and writes."""
+    lines: list
+    uses: set
+    defs: set
+    close: list = []
+    prop: list = []
+
+
+def _chained(title: str, head: list[str], params: list[str], nodes: list[_Node],
+             leaf: list[str], leaf_uses: set, ret: str | None = None):
+    """Compile a scan generated per tree shape: `bind`, whose head lines
+    (at indent 1) take its arguments, returns f1, which runs the scan from
+    params: each node's loops nest in the innermost loop of the node before,
+    and leaf runs in the last node's.  The nodes are split into chained
+    functions of at most `_NODES_PER_FUNCTION` nodes, each called with the
+    names that nodes before it write and it or later nodes (or leaf) read.
+    With ret (a format of the first node's number), each function returns
+    that name and its call assigns it."""
+    def live(s):
+        if s == 1:
+            return ", ".join(params)
+        wrote = set(params).union(*(node.defs for node in nodes[:s - 1]))
+        read = set(leaf_uses).union(*(node.uses for node in nodes[s - 1:]))
+        return ", ".join(sorted(wrote & read))
+
+    cap, src = len(nodes), list(head)
+    for s in range(1, cap + 1, _NODES_PER_FUNCTION):
+        end = min(s + _NODES_PER_FUNCTION, cap + 1)
+        src.append(f" def f{s}({live(s)}):")
+        closing = []
+        for p in range(s, end):
+            indent, node = 2 * (p - s) + 2, nodes[p - 1]
+            src += [" " * (indent + extra) + line for extra, line in node.lines]
+            closing.append((indent, node.close + (node.prop if p > s else [])))
+        indent += 2
+        if end > cap:
+            src += [" " * indent + line for line in leaf]
+        else:
+            call = f"f{end}({live(end)})"
+            src.append(" " * indent + (f"{ret.format(end)} = {call}" if ret else call))
+            src += [" " * indent + line for line in nodes[end - 1].prop]
+        for indent, lines in reversed(closing):
+            src += [" " * indent + line for line in lines]
+        if ret:
+            src.append(f"  return {ret.format(s)}")
+    src.append(" return f1")
+    scope: dict = {}
+    exec(compile("\n".join(src), title, "exec"), scope)
+    return scope["bind"]
+
+
+def _table(t: int) -> str:
+    """The local that holds term t's row, or its scaled-row table."""
+    return f"s{t}" if t > 0 else f"i{-t}"
+
+
+def _scaled(v: str, t: int, x: str, k: int) -> list[str]:
+    """Lines that set v to term t's row scaled by x, on packed rows of k
+    ring entries: from t's table, or by bytes.translate with T[x] and
+    from_bytes, fb, on a miss, stored in the table.  A scan writes node p's
+    table afresh, {1: row}, whenever it writes p's row, so a scaled row is
+    computed once per (row, value), not once per operand pair, and a table
+    holds at most one row per value."""
+    return [f"{v} = {_table(t)}.get({x})", f"if {v} is None:",
+            f" {v} = {_table(t)}[{x}] = fb({_table(t)}[1].to_bytes({k}, 'little')"
+            f".translate(T[{x}]), 'little')"]
+
+
+def _unpacked(k: int, r: str, cube: bool) -> str:
+    """The entries of packed row r, as a row kernel takes them: its bytes on
+    a ring; on a cube entry c is bits [c*w, (c+1)*w), shifted by Wc and
+    masked by O = 2^w - 1, with w the run-time entry width."""
+    if not cube:
+        return f"{r}.to_bytes({k}, 'little')"
+    return "(" + "".join(f"{r} >> W{c} & O, " if c else f"{r} & O, " for c in range(k)) + ")"
 
 
 @lru_cache(maxsize=256)
 def _scan_code(k: int, nodes: tuple, outs: tuple, lims: tuple, fixed: int):
     """bind(from_bytes, tables, checks, dets, cut, default, menu, unscaled,
-    inputs, emit) -> scan(budget): `assign_parameters`' scan for a tree of
-    k inputs, these nodes and outputs, per-node depth limits (inf for
+    inputs, emit) -> scan(budget, 0): `assign_parameters`' scan for a tree
+    of k inputs, these nodes and outputs, per-node depth limits (inf for
     none) and the bit set fixed of positions held at 1, as source
-    generated for the shape and compiled once per process.
+    generated for the shape and compiled once per process (`_chained`).
 
     Node p is one loop over its first operand's options and one over its
     second's, each from menu(held)[left] (or unscaled, at the depth limit),
@@ -268,10 +345,7 @@ def _scan_code(k: int, nodes: tuple, outs: tuple, lims: tuple, fixed: int):
     and position.  A pair is cut when cut[p + 1].get(z, default) exceeds
     the budget left; an output row is checked by checks[j](row bytes,
     dets), the ring's row kernel (`blockmat.row_checks`).  Each complete
-    assignment calls emit(values, output rows, budget left, output depths).
-    The nodes are split into chained functions of at most
-    `_NODES_PER_FUNCTION` nodes, each called with the locals that later
-    nodes read."""
+    assignment calls emit(values, output rows, budget left, output depths)."""
     cap = len(nodes)
     terms = [t for node in nodes for t in node]
     prev = [max((q for q in range(pos) if terms[q] == t), default=None)
@@ -281,22 +355,14 @@ def _scan_code(k: int, nodes: tuple, outs: tuple, lims: tuple, fixed: int):
     out_row = {o: j for j, o in enumerate(outs)}
     depth_read = read | set(outs)
 
-    def table(t):
-        return f"s{t}" if t > 0 else f"i{-t}"
-
     def depth(t):
         return f"d{t}" if t > 0 else "0"
 
-    def scaled(v, t, x):
-        return [f"{v} = {table(t)}.get({x})", f"if {v} is None:",
-                f" {v} = {table(t)}[{x}] = fb({table(t)}[1].to_bytes({k}, 'little')"
-                f".translate(T[{x}]), 'little')"]
-
-    body, uses, defs = [], [], []  # per node: (indent, line)s, names read, names written
+    body = []
     for p, (m, n) in enumerate(nodes, start=1):
         pa, pb, lp = 2 * p - 2, 2 * p - 1, lims[p - 1]
         used = {f"u{p - 1}", f"z{p - 1}"} | {name for t in (m, n) if t > 0
-                                             for name in (table(t), depth(t))}
+                                             for name in (_table(t), depth(t))}
         used |= {f"h{prev[pos]}" for pos in (pa, pb) if prev[pos] is not None}
         lines = []
 
@@ -319,7 +385,7 @@ def _scan_code(k: int, nodes: tuple, outs: tuple, lims: tuple, fixed: int):
 
         lines += [(0, f"MA{p} = {menu(pa, m)}"), (0, f"MB{p} = {menu(pb, n)}"),
                   (0, f"for a{p}, ca{p}, ba{p}, la{p} in MA{p}[u{p - 1}]:")]
-        lines += [(1, s) for s in scaled(f"va{p}", m, f"a{p}")]
+        lines += [(1, s) for s in _scaled(f"va{p}", m, f"a{p}", k)]
         lines += [(1, s) for s in held(pa, f"ba{p}", f"z{p - 1}", f"za{p}")]
         lines += [(1, f"ua{p} = u{p - 1} - ca{p}"),
                   (1, f"da{p} = {depth(m)} + la{p}"),
@@ -327,10 +393,10 @@ def _scan_code(k: int, nodes: tuple, outs: tuple, lims: tuple, fixed: int):
                   (2, f"u{p} = ua{p} - cb{p}")]
         lines += [(2, s) for s in held(pb, f"bb{p}", f"za{p}", f"z{p}")]
         lines += [(2, f"if N{p + 1}.get(z{p}, DF) > u{p}:"), (3, "continue")]
-        lines += [(2, s) for s in scaled(f"vb{p}", n, f"b{p}")]
+        lines += [(2, s) for s in _scaled(f"vb{p}", n, f"b{p}", k)]
         lines.append((2, f"r{p} = va{p} ^ vb{p}"))
         if p in out_row:
-            lines += [(2, f"if not C{out_row[p]}(r{p}.to_bytes({k}, 'little'), D):"),
+            lines += [(2, f"if not C{out_row[p]}({_unpacked(k, f'r{p}', False)}, D):"),
                       (3, "continue")]
         wrote = {f"a{p}", f"b{p}", f"u{p}", f"z{p}", f"r{p}"}
         wrote |= {f"h{pos}" for pos in (pa, pb) if pos in reheld}
@@ -341,41 +407,20 @@ def _scan_code(k: int, nodes: tuple, outs: tuple, lims: tuple, fixed: int):
             lines += [(2, f"db{p} = {depth(n)} + lb{p}"),
                       (2, f"d{p} = 1 + (da{p} if da{p} > db{p} else db{p})")]
             wrote.add(f"d{p}")
-        body.append(lines)
-        uses.append(used)
-        defs.append(wrote)
+        body.append(_Node(lines, used, wrote))
 
     values = ", ".join(f"a{p}, b{p}" for p in range(1, cap + 1))
     emit = (f"emit(({values},), ({', '.join(f'r{o}' for o in outs)},), u{cap}, "
             f"({', '.join(f'd{o}' for o in outs)},))")
     last_uses = {f"a{p}" for p in range(1, cap + 1)} | {f"b{p}" for p in range(1, cap + 1)}
     last_uses |= {f"r{o}" for o in outs} | {f"d{o}" for o in outs} | {f"u{cap}"}
-    src = ["def bind(fb, T, C, D, N, DF, menu, U, I, emit):",
-           f" {''.join(f'C{j}, ' for j in range(k))}= C",
-           f" {''.join(f'i{c}, ' for c in range(k))}= I",
-           f" {''.join(f'N{p}, ' for p in range(2, cap + 2))}= N[2:]",
-           " M0 = menu(0)"]
-    # live[s]: what a function starting at node s is called with, the
-    # names that nodes before s write and nodes from s on (or emit) read
-    live = {s: ", ".join(sorted(set().union({"u0"}, *defs[:s - 1])
-                                & set().union(last_uses, *uses[s - 1:])))
-            for s in range(1, cap + 2, _NODES_PER_FUNCTION)}
-    for s in live:
-        if s > cap:
-            break
-        src.append(f" def f{s}({live[s]}):")
-        if s == 1:
-            src.append("  z0 = 0")
-        indent = 2
-        for p in range(s, min(s + _NODES_PER_FUNCTION, cap + 1)):
-            src += [" " * (indent + extra) + line for extra, line in body[p - 1]]
-            indent += 2
-        nxt = s + _NODES_PER_FUNCTION
-        src.append(" " * indent + (emit if nxt > cap else f"f{nxt}({live[nxt]})"))
-    src.append(" return f1")
-    scope: dict = {}
-    exec(compile("\n".join(src), f"<assignment scan k={k} nodes={nodes}>", "exec"), scope)
-    return scope["bind"]
+    head = ["def bind(fb, T, C, D, N, DF, menu, U, I, emit):",
+            f" {''.join(f'C{j}, ' for j in range(k))}= C",
+            f" {''.join(f'i{c}, ' for c in range(k))}= I",
+            f" {''.join(f'N{p}, ' for p in range(2, cap + 2))}= N[2:]",
+            " M0 = menu(0)"]
+    return _chained(f"<assignment scan k={k} nodes={nodes}>", head, ["u0", "z0"], body,
+                    [emit], last_uses)
 
 
 def search_lowest_cost(k: int, ring: QuotientRing,
@@ -444,7 +489,7 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
 
     For s = 1, 2, ... the candidates are the supports of s positions that
     `_support_need(tree, s)` finds feasible, in `combinations` order.  One
-    is a witness if `_support_walk` on ring's tracker, with the values of
+    is a witness if `_support_walk` on ring, with the values of
     value_set other than 1 on its positions and 1 elsewhere, passes.
 
     A tree that `symbolic_mds` rejects fails at once: a minor that vanishes
@@ -457,13 +502,12 @@ def simplify_tree(tree: ImplTree, ring: QuotientRing, value_set: list[int],
     values = [v for v in value_set if v != 1]
     npos = tree.scalar_positions()
     limit = npos if max_s is None else min(max_s, npos)
-    tracker = MinorTracker(ring, tree.k)
     for s in range(1, limit + 1):
         witnesses = []
         for subset in sorted(tuple(pos for pos in range(npos) if z >> pos & 1)
                              for z in _support_need(tree, s)[-1] if z.bit_count() == s):
             menus = [(values if pos in subset else (1,),) * (s + 1) for pos in range(npos)]
-            if _support_walk(tree, tracker, menus, s)[1]:
+            if _support_walk(tree, ring, menus, s)[1]:
                 witnesses.append(subset)
                 if first_only:
                     return s, witnesses
@@ -489,7 +533,7 @@ def _support_need(tree: ImplTree, most: int) -> list[dict]:
     most = min(most, npos)
     cube = Cube(most)
     menu = [(1, x) for x in cube.coordinates(tree.k)] + [(1,)]
-    return _support_walk(tree, MinorTracker(cube, tree.k), [menu] * npos, most)
+    return _support_walk(tree, cube, [menu] * npos, most)
 
 
 # the most coordinates of the charged-term table's cube: each one more
@@ -545,18 +589,17 @@ def _charged_table(tree: ImplTree, most: int, fixed: int) -> list[dict]:
     cube = Cube(min(sum(_fanouts(tree, fixed)[:most]), npos))
     coordinates = cube.coordinates(tree.k)
     menu = [(1, x) for x in coordinates[:most]] + [(1,)]
-    forced = [(x,) for x in coordinates[most:]]
     menus = [[(1,)] * (most + 1) if fixed >> pos & 1 else menu for pos in range(npos)]
-    return _support_walk(tree, MinorTracker(cube, tree.k), menus, most, forced, fixed)
+    return _support_walk(tree, cube, menus, most, coordinates[most:], fixed)
 
 
-def _support_walk(tree: ImplTree, tracker: MinorTracker, menus, most: int,
+def _support_walk(tree: ImplTree, ring: QuotientRing | Cube, menus, most: int,
                   forced: list | None = None, fixed: int = 0) -> list[dict]:
     """need[p][z] for p = 1..capacity+1: for a support z, a bitmask over
     the positions below 2p-2 (those of nodes 1..p-1), the fewest further
     charged positions that finish it to a support of at most `most` charged
-    positions whose assignment passes tracker.  A z with no such completion
-    is absent.
+    positions whose assignment passes ring's row checks.  A z with no such
+    completion is absent.
 
     One depth-first walk: position pos takes the values menus[pos][used],
     in order, where used counts the charged positions below pos, and is in
@@ -564,55 +607,110 @@ def _support_walk(tree: ImplTree, tracker: MinorTracker, menus, most: int,
     position is charged.  With forced, the reuse rule of the assignment
     scan: a position outside the bit set fixed whose operand term has an
     earlier support position is in the support at no charge, with the one
-    value forced[f], f the count of such positions below it.  Output j is
-    the tracker's row j, written in place, so a rejected prefix row cuts
-    all its extensions."""
-    cap = tree.capacity
-    add_row = tracker.add_row
-    plan, scaled, scale, unpack = _scan_state(tree, tracker.ring)
-    need: list[dict] = [{} for _ in range(cap + 2)]
-    # earlier[pos]: the earlier positions on pos's operand term under the
-    # reuse rule; a support position among them forces pos
+    value forced[f], f the count of such positions below it.  Output j
+    goes to ring's row kernel j (`row_checks`), written in place, so a
+    rejected prefix row cuts all its extensions.  The walk runs as code
+    generated for the tree's shape and the kind of ring (`_walk_code`),
+    which takes the cube's width, the menus and most at run time."""
+    k, cube = tree.k, isinstance(ring, Cube)
     terms = [t for node in tree.nodes for t in node]
     earlier = [0 if forced is None or fixed >> pos & 1
                else sum(1 << q for q in range(pos) if terms[q] == t)
                for pos, t in enumerate(terms)]
-
-    def rec(p: int, z: int, used: int, f: int) -> int:
-        """The least charged count of a passing support that extends z, or
-        most + 1."""
-        if p > cap:
-            need[p][z] = 0
-            return used
-        m, n, j = plan[p]
-        pa, pb = 2 * p - 2, 2 * p - 1
-        sm, sn = scaled[m], scaled[n]
-        best = most + 1
-        ga = 1 if z & earlier[pa] else 0
-        gb = 1 if z & earlier[pb] else 0  # pb's term is not pa's
-        for a in forced[f] if ga else menus[pa][used]:
-            va = sm.get(a)
-            if va is None:
-                va = sm[a] = scale(sm[1], a)
-            ia = a != 1
-            za, ua, fa = z | ia << pa, used + ia - ga, f + ga
-            for b in forced[fa] if gb else menus[pb][ua]:
-                vb = sn.get(b)
-                if vb is None:
-                    vb = sn[b] = scale(sn[1], b)
-                ib = b != 1
-                row = va ^ vb
-                if j is not None and not add_row(unpack(row), j):
-                    continue
-                scaled[p] = {1: row}
-                best = min(best, rec(p + 1, za | ib << pb, ua + ib - gb, fa + gb))
-        if best <= most:
-            need[p][z] = best - used
-        return best
-
-    rec(1, 0, 0, 0)
-    del rec  # it refers to itself: free the walk's state now, not at a full collection
+    need: list[dict] = [{} for _ in range(tree.capacity + 2)]
+    if cube:  # entry c at bits [c*w, (c+1)*w), and 1 scales by AND with every bit
+        w = 1 << ring.most
+        shifts, one = [c * w for c in range(k)], (1 << k * w) - 1
+        units = [(1 << w) - 1 << s for s in shifts]
+        fb = T = None
+    else:
+        units, one = [{1: 1 << 8 * c} for c in range(k)], 1
+        fb, T, w, shifts = int.from_bytes, ring.mul_bytes(), 0, None
+    # an option: (value, in the support, forced); charged iff in and not forced
+    opts = [[tuple((one if v == 1 else v, int(v != 1), 0) for v in values) for values in menu]
+            for menu in menus]
+    forced = [((x, 1, 1),) for x in forced or ()]
+    walk = _walk_code(k, tree.nodes, tree.outs, cube)(
+        row_checks(ring, k), [0] * (1 << 2 * k), opts, forced, earlier, units, need, most + 1,
+        fb, T, (1 << w) - 1, shifts)
+    walk(0, 0, 0)
     return need
+
+
+@lru_cache(maxsize=256)
+def _walk_code(k: int, nodes: tuple, outs: tuple, cube: bool):
+    """bind(checks, dets, options, forced, earlier, inputs, need, most + 1,
+    from_bytes, tables, entry mask, entry shifts) -> walk(0, 0, 0):
+    `_support_walk` for a tree of k inputs, these nodes and outputs, on a
+    `Cube` or a ring, as source generated for the shape and compiled once
+    per process (`_chained`).
+
+    Node p is one loop over its first position's options and one over its
+    second's, options[pos][used], or forced[f] when z meets earlier[pos]
+    (statically 0 for a position whose term has no earlier one).  Each node
+    keeps B, the least charged count of a passing support under its visit,
+    writes need[p][z] after its loops and hands B to its parent's.  Rows
+    are ints: on a cube a term's row is scaled by AND with the option's
+    value, a coordinate spread over the entries or, for 1, every bit; on a
+    ring it has a scaled-row table as in `assign_parameters`."""
+    cap = len(nodes)
+    terms = [t for node in nodes for t in node]
+    forceable = [t in terms[:pos] for pos, t in enumerate(terms)]
+    out_row = {o: j for j, o in enumerate(outs)}
+    read = set(terms)
+    body, f = [], "f0"
+
+    def position(x, pos, z, u, extra):
+        """The loop over pos's options as x, and the support, charged count
+        and forced count through it, z{x} (or z{p}), u{x} and f{x}"""
+        nonlocal f
+        menu = f"P{pos}[{u}]"
+        if forceable[pos]:
+            used.add(f)
+            menu = f"(F[{f}] if z{p - 1} & E{pos} else {menu})"
+        zx, ux = (f"z{x}", f"u{x}") if x[0] == "a" else (f"z{p}", f"u{p}")
+        lines = [(extra, f"for {x}, i{x}, g{x} in {menu}:"),
+                 (extra + 1, f"{zx} = {z} | i{x} << {pos}"),
+                 (extra + 1, f"{ux} = {u} + i{x}" + f" - g{x}" * forceable[pos])]
+        if forceable[pos]:
+            lines.append((extra + 1, f"f{x} = {f} + g{x}"))
+            f = f"f{x}"
+        return lines
+
+    for p, (m, n) in enumerate(nodes, start=1):
+        pa, pb = 2 * p - 2, 2 * p - 1
+        used = {f"z{p - 1}", f"u{p - 1}"} | {_table(t) for t in (m, n) if t > 0}
+        lines = [(0, f"B{p} = BIG")] + position(f"a{p}", pa, f"z{p - 1}", f"u{p - 1}", 0)
+        lines += ([(1, f"va{p} = {_table(m)} & a{p}")] if cube
+                  else [(1, line) for line in _scaled(f"va{p}", m, f"a{p}", k)])
+        lines += position(f"b{p}", pb, f"za{p}", f"ua{p}", 1)
+        if cube:
+            lines.append((2, f"r{p} = va{p} ^ {_table(n)} & b{p}"))
+        else:
+            lines += [(2, line) for line in _scaled(f"vb{p}", n, f"b{p}", k)]
+            lines.append((2, f"r{p} = va{p} ^ vb{p}"))
+        wrote = {f"z{p}", f"u{p}", f}
+        if p in out_row:
+            lines += [(2, f"if not C{out_row[p]}({_unpacked(k, f'r{p}', cube)}, D):"),
+                      (3, "continue")]
+        if p in read:
+            lines.append((2, f"s{p} = r{p}" if cube else f"s{p} = {{1: r{p}}}"))
+            wrote.add(f"s{p}")
+        body.append(_Node(lines, used, wrote,
+                          [f"if B{p} < BIG: N{p}[z{p - 1}] = B{p} - u{p - 1}"],
+                          [f"if B{p} < B{p - 1}: B{p - 1} = B{p}"]))
+    npos = 2 * cap
+    head = ["def bind(C, D, M, F, E, I, N, BIG, fb, T, O, W):",
+            f" {''.join(f'C{j}, ' for j in range(k))}= C",
+            f" {''.join(f'i{c}, ' for c in range(k))}= I",
+            f" {''.join(f'N{p}, ' for p in range(1, cap + 2))}= N[1:]",
+            f" {''.join(f'P{pos}, ' for pos in range(npos))}= M"]
+    head += [f" E{pos} = E[{pos}]" for pos in range(npos) if forceable[pos]]
+    if cube:
+        head.append(f" {''.join(f'W{c}, ' for c in range(k))}= W")
+    leaf = [f"N{cap + 1}[z{cap}] = 0", f"if u{cap} < B{cap}: B{cap} = u{cap}"]
+    return _chained(f"<support walk k={k} nodes={nodes} cube={cube}>", head,
+                    ["z0", "u0", "f0"], body, leaf, {f"z{cap}", f"u{cap}"}, ret="B{}")
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +742,20 @@ def involutory_search(trees: list[ImplTree], ring: QuotientRing,
     scaling, so it prunes before the permutation scan.  So does the support
     prune: if a minor is zero with formal parameters on the support of the
     nonzero edge exponents and 1 elsewhere, every assignment with that
-    support fails, and a branch is cut before its row reaches the tracker
+    support fails, and a branch is cut before its row reaches its kernel
     when no feasible support of at most min(max_s, max_t) positions extends
-    its support within the s and t left (see `_support_need`).  A negative
-    max_s or max_t admits nothing.  Results are deterministic for any
-    thread count.
+    its support within the s and t left (see `_support_need`).
+
+    M^2 = I needs det(M)^2 = 1, and row scalars a^f multiply det by a^(sum
+    f), so two screens run before a row's kernel (`_involutory_code`):
+    every last row must have det^2 * a^(2g) = 1 for some |g| at most the t
+    left (g = 0 if s is spent or no output takes a scalar); and where the
+    last output node reads an earlier output row and a term v set before
+    row k-2, det = a^e * det(rows 0..k-2, v's row) whatever that node's
+    exponent e is, so row k-2 is screened the same way, with g + e within
+    the t left.  Every hit passes the leaf's own test, det(R)^2 * a^(2 sum
+    f) = 1, so neither screen cuts one.  A negative max_s or max_t admits
+    nothing.  Results are deterministic for any thread count.
     """
     if min(max_s, max_t) < 0:  # no count or exponent total is negative
         return []
@@ -661,17 +768,10 @@ def involutory_search(trees: list[ImplTree], ring: QuotientRing,
 def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
                          max_s: int, max_t: int) -> list[InvolutoryHit]:
     k = tree.k
-    cap = tree.capacity
-    mul = ring.mul
-    mrows = ring.mul_rows()
+    mul = ring.mul_rows()
     alpha_pow = {e: ring.alpha_pow(e) for e in range(-max_t, max_t + 1)}
-    tracker = MinorTracker(ring, k)
-    add_row = tracker.add_row
-    plan, scaled, scale, unpack = _scan_state(tree, ring)
-    # the exponents (0: the identity) of each edge position and each row
-    # scalar, written at their depth like the scaled rows
-    exps = [0] * tree.scalar_positions()
-    fs = [0] * k
+    dets = [0] * (1 << 2 * k)
+    full = (1 << 2 * k) - 1  # the key of every row and column
     hits: list[InvolutoryHit] = []
 
     # opts[b]: the exponents a position may take with b of the budget t
@@ -684,45 +784,56 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     # a row scalar is folded into the operand scalars of its output node, so
     # it scales only its own row if no later node reads that output
     scalable = [not any(o in node for node in tree.nodes) for o in tree.outs]
+    # det(M)^2 = 1 is necessary for M^2 = I, and det(P D R) = prod(d) *
+    # det(R) does not depend on the row order: with row scalars a^f, det(R)^2
+    # * a^(2g) = 1, g = sum(f).  a2[g] = a^(2g); square[d] = d^2; good[T][d]:
+    # whether d^2 * a^(2g) = 1 for some |g| <= T
+    a2 = {g: mul[v][v] for g, v in alpha_pow.items()}
+    square = [row[d] for d, row in enumerate(mul)]
+    within = [{a2[g] for g in range(-b, b + 1)} for b in range(max_t + 1)]
+    good = [bytes(x in powers for x in square) for powers in within]
 
-    def record(order, t2):
+    @cache
+    def scalings(s_left: int, t_left: int) -> list:
+        """(row scalar exponents, their sum, the sum of their magnitudes)
+        for each scaling within s_left nonzero exponents and a total of
+        t_left, in scan order, row 0 first"""
+        got = [((), 0, 0, 0)]
+        for i in range(k):
+            got = [(fs + (f,), n + nz, g + f, t + mag) for fs, n, g, t in got
+                   for f, _, mag, nz in opts[max_t if scalable[i] else 0]
+                   if n + nz <= s_left and t + mag <= t_left]
+        return [(fs, g, t) for fs, _, g, t in got]
+
+    def leaf(exps, rows, s_used, t_used):
+        det_sq = square[dets[full]]
+        for fs, g, spent in scalings(max_s - s_used, max_t - t_used):
+            if mul[det_sq][a2[g]] != 1:
+                continue
+            mat = [r.to_bytes(k, "little").translate(tables[alpha_pow[f]])
+                   for r, f in zip(rows, fs)]
+            for order in permutations(range(k)):
+                if squares_to_identity([mat[i] for i in order], mul):
+                    hits.append(record(exps, fs, order, t_used + spent))
+
+    def record(exps, fs, order, t2):
         assignment = tuple((pos, e) for pos, e in enumerate(exps) if e)
         folded = {pos: alpha_pow[e] for pos, e in assignment}
         for j, f in enumerate(fs):
             if f:
                 o = tree.outs[j]
                 for pos in (2 * (o - 1), 2 * (o - 1) + 1):
-                    folded[pos] = mul(alpha_pow[f], folded.get(pos, 1))
+                    folded[pos] = mul[alpha_pow[f]][folded.get(pos, 1)]
         base = tree.to_slp(ring, folded)
         sl = Slp(ring, k, base.steps, tuple(tree.outs[order[i]] for i in range(k)))
         return InvolutoryHit(
             tree_index=t_idx,
             assignment=assignment,
-            row_scalars=tuple(fs),
-            row_order=tuple(order),
+            row_scalars=fs,
+            row_order=order,
             heuristic_t=t2,
             entry=CatalogEntry.from_slp(sl),
         )
-
-    # det(M)^2 = 1 is necessary for M^2 = I, and det(P D R) = prod(d) *
-    # det(R) does not depend on the row order.  The leaf screen compares
-    # squares, det(R)^2 * prod a^(2f) with sq[f] = a^(2f).
-    sq = {e: mul(v, v) for e, v in alpha_pow.items()}
-
-    def scal_rec(i: int, s2: int, t2: int, dprod: int, det_sq: int):
-        if i == k:
-            if mul(det_sq, dprod) != 1:
-                return
-            rows = [unpack(scale(scaled[o][1], alpha_pow[f]) if f else scaled[o][1])
-                    for o, f in zip(tree.outs, fs)]
-            for order in permutations(range(k)):
-                mat = tuple(rows[order[i2]] for i2 in range(k))
-                if squares_to_identity(mat, mrows):
-                    hits.append(record(order, t2))
-            return
-        for f, _, mag, nz in opts[max_t - t2 if s2 < max_s and scalable[i] else 0]:
-            fs[i] = f
-            scal_rec(i + 1, s2 + nz, t2 + mag, dprod if f == 0 else mul(dprod, sq[f]), det_sq)
 
     # the support prune: an assignment whose support of nonzero exponents
     # has a minor that is zero with formal parameters there and 1 elsewhere
@@ -731,43 +842,120 @@ def _involutory_one_tree(tree: ImplTree, t_idx: int, ring: QuotientRing,
     # which spends 1 of s and at least 1 of t; most + 1 exceeds any budget
     # (most itself, not the cube width that `_support_need` caps it to).
     most = min(max_s, max_t)
-    need = _support_need(tree, most)
-
-    def rec(p: int, s_used: int, t_used: int, z: int):
-        if p > cap:
-            det = tracker.full_det()
-            scal_rec(0, s_used, t_used, 1, mul(det, det))
-            return
-        m, n, j = plan[p]
-        pa, pb = 2 * p - 2, 2 * p - 1
-        sm, sn = scaled[m], scaled[n]
-        after = need[p + 1]
-        for ea, a, mag_a, nz_a in opts[max_t - t_used if s_used < max_s else 0]:
-            sa, ta = s_used + nz_a, t_used + mag_a
-            za = z | nz_a << pa
-            va = sm.get(a)
-            if va is None:
-                va = sm[a] = scale(sm[1], a)
-            for eb, b, mag_b, nz_b in opts[max_t - ta if sa < max_s else 0]:
-                sb, tb = sa + nz_b, ta + mag_b
-                z2 = za | nz_b << pb
-                more = after.get(z2, most + 1)
-                if more > max_s - sb or more > max_t - tb:
-                    continue
-                vb = sn.get(b)
-                if vb is None:
-                    vb = sn[b] = scale(sn[1], b)
-                row = va ^ vb
-                if j is not None and not add_row(unpack(row), j):
-                    continue
-                scaled[p] = {1: row}
-                exps[pa] = ea
-                exps[pb] = eb
-                rec(p + 1, sb, tb, z2)
-
-    rec(1, 0, 0, 0)
-    del rec  # it refers to itself: free the scan's state and table now
+    tables = ring.mul_bytes()
+    scan = _involutory_code(k, tree.nodes, tree.outs)(
+        int.from_bytes, tables, row_checks(ring, k), dets, _support_need(tree, most), opts,
+        [o[1:] for o in opts], max_s, max_t, most + 1,
+        [{1: 1 << 8 * c} for c in range(k)], mul, good, leaf)
+    scan(0, 0, 0)
     return hits
+
+
+@lru_cache(maxsize=256)
+def _involutory_code(k: int, nodes: tuple, outs: tuple):
+    """bind(from_bytes, tables, checks, dets, need, opts, nonzero opts,
+    max_s, max_t, most + 1, inputs, mul, good, leaf) -> scan(0, 0, 0):
+    `_involutory_one_tree`'s scan for a tree of k inputs, these nodes and
+    outputs, as source generated for the shape and compiled once per
+    process (`_chained`).
+
+    Node p is one loop over its first position's exponents, opts[b] with b
+    the t left (opts[0] once s is spent), and one over its second's.  The
+    support z with the first exponent set has two completions, the second
+    exponent 0 or not, so two need[p + 1] lookups give its options: opts[w]
+    if 0 is allowed, else opts[w] less 0, with w the most |exponent| that a
+    nonzero one and the need after it leave.  The order is that of opts.
+    Rows and scaled-row tables are as in `assign_parameters`, and output j
+    goes to its row kernel, checks[j](row bytes, dets).
+
+    Two screens run ahead of a kernel, on the test det(R)^2 * a^(2g) = 1
+    for some |g| <= T (good[T]), which every hit passes at the leaf:
+      - before the last row's kernel, det(R) is its cofactor expansion on
+        the stored minors of rows 0..k-2, and T the t left if s is left and
+        some output row is scalable, else 0;
+      - before row k-2's, when the last output node reads an earlier output
+        row and a term v set before row k-2: its row is a^a times that row
+        plus a^e times v's, so det(R) = a^e * det(rows 0..k-2, v's row) with
+        e still free, and T the t left if s is left.  The cofactors of
+        row k-2 in that matrix are computed once per visit of its node.
+    Each complete assignment calls leaf(exponents, output rows, s used, t
+    used)."""
+    cap = len(nodes)
+    read = set(t for node in nodes for t in node)
+    out_row = {o: j for j, o in enumerate(outs)}
+    rows = (1 << k - 1) - 1  # rows 0..k-2
+
+    def minor(rowmask, cols):
+        return f"D[{rowmask << k | sum(1 << c for c in cols)}]"
+
+    # the row k-2 screen: v, the term that the last output node adds to an
+    # earlier output row, if it is set before row k-2
+    last, v = nodes[outs[-1] - 1], None
+    for r, t in (last, last[::-1]):
+        if r in outs[:-1] and t < outs[-2]:
+            v = t
+            break
+    body = []
+    for p, (m, n) in enumerate(nodes, start=1):
+        pa, pb = 2 * p - 2, 2 * p - 1
+        used = {f"c{p - 1}", f"t{p - 1}", f"z{p - 1}"} | {_table(t) for t in (m, n) if t > 0}
+        lines = []
+        j = out_row.get(p)
+        if j == k - 2 and v is not None:
+            used.add(_table(v))
+            lines.append((0, f"w{p} = {_table(v)}[1].to_bytes({k}, 'little')"))
+            for c in range(k):
+                terms = [f"w{p}[{c2}]" if k == 2 else
+                         f"MUL[w{p}[{c2}]][{minor(rows >> 1, set(range(k)) - {c, c2})}]"
+                         for c2 in range(k) if c2 != c]
+                lines.append((0, f"q{p}_{c} = {' ^ '.join(terms)}"))
+        lines += [(0, f"for ea{p}, a{p}, ma{p}, na{p} in "
+                      f"O[MT - t{p - 1} if c{p - 1} < MS else 0]:"),
+                  (1, f"ca{p} = c{p - 1} + na{p}"),
+                  (1, f"ta{p} = t{p - 1} + ma{p}"),
+                  (1, f"za{p} = z{p - 1} | na{p} << {pa}"),
+                  (1, f"ls{p} = MS - ca{p}"),
+                  (1, f"lt{p} = MT - ta{p}"),
+                  (1, f"x{p} = N{p + 1}.get(za{p}, BIG)"),
+                  (1, f"y{p} = N{p + 1}.get(za{p} | {1 << pb}, BIG)")]
+        lines += [(1, line) for line in _scaled(f"va{p}", m, f"a{p}", k)]
+        lines.append((1, f"for eb{p}, b{p}, mb{p}, nb{p} in (BZ if x{p} <= ls{p} and x{p} <= lt{p}"
+                         f" else BN)[lt{p} - y{p} if y{p} < ls{p} and y{p} < lt{p} else 0]:"))
+        lines += [(2, line) for line in _scaled(f"vb{p}", n, f"b{p}", k)]
+        lines += [(2, f"r{p} = va{p} ^ vb{p}"),
+                  (2, f"c{p} = ca{p} + nb{p}"),
+                  (2, f"t{p} = ta{p} + mb{p}")]
+        if j is not None:
+            lines.append((2, f"rb{p} = {_unpacked(k, f'r{p}', False)}"))
+            cofactors = None
+            if j == k - 1:
+                cofactors = [minor(rows, set(range(k)) - {c}) for c in range(k)]
+                free = any(o not in read for o in outs)
+            elif j == k - 2 and v is not None:
+                cofactors, free = [f"q{p}_{c}" for c in range(k)], True
+            if cofactors:
+                det = " ^ ".join(f"MUL[rb{p}[{c}]][{x}]" for c, x in enumerate(cofactors))
+                table = f"(G[MT - t{p}] if c{p} < MS else G0)" if free else "G0"
+                lines += [(2, f"if not {table}[{det}]:"), (3, "continue")]
+            lines += [(2, f"if not C{j}(rb{p}, D):"), (3, "continue")]
+        lines.append((2, f"z{p} = za{p} | nb{p} << {pb}"))
+        wrote = {f"c{p}", f"t{p}", f"z{p}", f"r{p}", f"ea{p}", f"eb{p}"}
+        if p in read:
+            lines.append((2, f"s{p} = {{1: r{p}}}"))
+            wrote.add(f"s{p}")
+        body.append(_Node(lines, used, wrote))
+
+    exps = ", ".join(f"ea{p}, eb{p}" for p in range(1, cap + 1))
+    leaf = [f"leaf(({exps},), ({', '.join(f'r{o}' for o in outs)},), c{cap}, t{cap})"]
+    leaf_uses = {f"e{x}{p}" for p in range(1, cap + 1) for x in "ab"}
+    leaf_uses |= {f"r{o}" for o in outs} | {f"c{cap}", f"t{cap}"}
+    head = ["def bind(fb, T, C, D, N, O, BN, MS, MT, BIG, I, MUL, G, leaf):",
+            f" {''.join(f'C{j}, ' for j in range(k))}= C",
+            f" {''.join(f'i{c}, ' for c in range(k))}= I",
+            f" {''.join(f'N{p}, ' for p in range(2, cap + 2))}= N[2:]",
+            " BZ, G0 = O, G[0]"]
+    return _chained(f"<involutory scan k={k} nodes={nodes} outs={outs}>", head,
+                    ["c0", "t0", "z0"], body, leaf, leaf_uses)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,18 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from scan_reference import assign_parameters_reference
+from hypothesis import given, settings, strategies as st, target
+from scan_reference import (assign_parameters_reference, charged_table_reference,
+                            involutory_one_tree_reference, support_need_reference,
+                            support_walk_reference)
 
-from mdsforge import blockmat, catalogs, instantiate
+from mdsforge import blockmat, catalogs, cli, instantiate
 from mdsforge.gf2 import FormatError, ring
 from mdsforge.blockmat import BlockMatrix, is_involutory, is_mds
 from mdsforge.slp import Slp, Step, extract_matrix
 from mdsforge.sympoly import EVAL_MODULUS, SP_ONE, _det, term_vectors
-from mdsforge.treesearch import ImplTree, search_at_capacity, symbolic_mds, tree_from_text
+from mdsforge.treesearch import (ImplTree, search_at_capacity, symbolic_mds, tree_from_text,
+                                  tree_to_text)
 from mdsforge.instantiate import (
     CatalogEntry,
     InfeasibleError,
@@ -237,36 +240,55 @@ def test_depth_bound_narrows_the_charged_tables(monkeypatch, cap9_depth3_classes
     # At depth 3 most positions of E2's trees stay 1 in every assignment,
     # and the tables leave them out: depth-blind tables for budgets 1-5
     # made 1,470,911 add_row calls on the cube, and the search took 18 s
-    # instead of 0.7
-    calls = Counter()
-    add_row = blockmat.MinorTracker.add_row
-
-    def counting(tracker, row, j):
-        calls["cube" if isinstance(tracker.ring, blockmat.Cube) else tracker.ring] += 1
-        return add_row(tracker, row, j)
-
-    monkeypatch.setattr(blockmat.MinorTracker, "add_row", counting)
+    # instead of 0.7.  The cube count is that of the recursive walk's
+    # add_row calls; the scan's own row checks count on r8
+    calls = _counting_row_checks(monkeypatch)
     instantiate._charged_table.cache_clear()
     cat = search_lowest_cost(4, r8, 3, trees=cap9_depth3_classes)
     assert [e.cost for e in cat] == [77, 77]
-    assert calls == {"cube": 15_556}
+    assert _per_ring(calls) == {"cube": 15_556, r8: 1_942}
 
 
 def _counting_row_checks(monkeypatch) -> Counter:
-    """Counts of the generated scan's row checks, by row, from now on."""
+    """Counts of the generated scans' row checks, by (ring, row), from now
+    on, every `blockmat.Cube` counted as "cube"."""
     calls = Counter()
     row_checks = instantiate.row_checks
 
     def counting(ring, k):
+        key = "cube" if isinstance(ring, blockmat.Cube) else ring
+
         def count(j, check):
             def counted(row, dets):
-                calls[j] += 1
+                calls[key, j] += 1
                 return check(row, dets)
             return counted
         return [count(j, check) for j, check in enumerate(row_checks(ring, k))]
 
     monkeypatch.setattr(instantiate, "row_checks", counting)
     return calls
+
+
+def _counting_add_rows(monkeypatch) -> Counter:
+    """Counts of `MinorTracker.add_row` calls, keyed as
+    `_counting_row_checks` keys its counts, from now on."""
+    calls = Counter()
+    add_row = blockmat.MinorTracker.add_row
+
+    def counting(tracker, row, j):
+        calls["cube" if isinstance(tracker.ring, blockmat.Cube) else tracker.ring, j] += 1
+        return add_row(tracker, row, j)
+
+    monkeypatch.setattr(blockmat.MinorTracker, "add_row", counting)
+    return calls
+
+
+def _per_ring(calls: Counter) -> Counter:
+    """Counts by (ring, row) summed over the rows."""
+    total = Counter()
+    for (key, _), n in calls.items():
+        total[key] += n
+    return total
 
 
 def test_scan_of_a_tree_no_support_makes_mds_checks_no_row(monkeypatch, trees8, r8):
@@ -505,6 +527,10 @@ def _involutory_reference(tree, r, max_s, max_t, ring_pow):
 # of its own
 _CANCELLING = ImplTree(2, ((-1, 0), (-1, 0), (1, 2)), (2, 3))
 
+# the last output node 6 reads output row 0 (node 2) and node 4; outputs 5
+# and 6 take row scalars
+_ROW_READ = ImplTree(3, ((-2, -1), (0, 1), (-2, 2), (1, 3), (-2, 4), (2, 4)), (2, 5, 6))
+
 _BRUTE_FORCE_CASES = [
     # every output scalable, then one output that a later node reads
     (ImplTree(2, ((-1, 0), (-1, 1)), (1, 2)), "x^8+x^2+1", 2, 4, 4),
@@ -516,6 +542,13 @@ _BRUTE_FORCE_CASES = [
     # a support prefix that passes every minor of its rows but that no
     # feasible support completes (see test_support_table_cuts_...)
     (_CANCELLING, "x^4+x+1", 3, 4, 4),
+    # the determinant screens with a row scalar in play: the last output
+    # node reads two terms that are no output row, so only the last row is
+    # screened; then one that reads output row 0 and node 4, set before
+    # row 1, so row 1 is screened too
+    (ImplTree(2, ((-1, 0), (-1, 1), (0, 2)), (1, 3)), "x^8+x^2+1", 2, 8, 6),
+    (_ROW_READ, "x^4+x+1", 3, 4, 12),
+    (_ROW_READ, "x^8+x^2+1", 3, 4, 12),
 ]
 
 
@@ -531,6 +564,75 @@ def test_involutory_search_matches_brute_force(ring_pow, tree, modulus, max_s, m
                   for h in hits), key=lambda h: h[:3])
     assert got == _involutory_reference(tree, r, max_s, max_t, ring_pow)
     assert len(got) == count
+
+
+def _screened_rows(tree) -> set:
+    """The output rows whose candidates the determinant screens test: the
+    last, and row k-2 when the last output node reads an earlier output row
+    and a term set before row k-2."""
+    last, outs = tree.nodes[tree.outs[-1] - 1], tree.outs
+    reads = any(r in outs[:-1] and v < outs[-2] for r, v in (last, last[::-1]))
+    return {tree.k - 1} | ({tree.k - 2} if reads else set())
+
+
+@pytest.mark.parametrize("tree, modulus, max_s, max_t, count", _BRUTE_FORCE_CASES)
+def test_determinant_screens_cut_only_their_rows(monkeypatch, tree, modulus, max_s, max_t,
+                                                 count):
+    # on the brute-force trees, whose hits the screens keep: a row they do
+    # not test is checked as often as in the recursion, which tests
+    # det(M)^2 = 1 at the leaf only, and a row they test less often
+    r = ring(modulus)
+    calls = _counting_row_checks(monkeypatch)
+    hits = instantiate._involutory_one_tree(tree, 1, r, max_s, max_t)
+    added = _counting_add_rows(monkeypatch)
+    assert involutory_one_tree_reference(tree, 1, r, max_s, max_t) == hits
+    screened = _screened_rows(tree)
+    for j in range(tree.k):
+        scanned = added[r, j] - len(hits)  # each hit's entry checks its MDS rows once more
+        assert calls[r, j] < scanned if j in screened else calls[r, j] == scanned, j
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_involutory_scan_matches_the_recursive_reference(scan_trees, data):
+    # the generated scan, with its support prune and determinant screens,
+    # against the plain recursion: hit for hit, in order, class keys included
+    tree = data.draw(st.sampled_from(data.draw(st.sampled_from(scan_trees))), label="tree")
+    r = ring(data.draw(st.sampled_from(["x^4+x+1", "x^8+x^2+1"])))
+    max_s, max_t = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    got = instantiate._involutory_one_tree(tree, 1, r, max_s, max_t)
+    want = involutory_one_tree_reference(tree, 1, r, max_s, max_t)
+    target(float(len(want)))  # steer the draws toward hits
+    assert got == want
+    assert [h.entry.canonical for h in got] == [h.entry.canonical for h in want]
+
+
+def test_involutory_cli_on_the_5x5_tree_matches_the_reference(monkeypatch, capsys, tmp_path, r8):
+    # capacity 12 takes two chained functions.  The 5x5 tree has no hit this
+    # cheap, so a k=3 tree file with hits runs too; with the recursion in
+    # place of the scan the command prints the same.  On the 5x5 tree the
+    # rows below k-2, which no screen tests, are checked as often as in the
+    # recursion
+    tree5 = catalogs.tree_5x5()
+    small = tmp_path / "tree.txt"
+    small.write_text(tree_to_text(_ROW_READ))
+    runs = [[str(catalogs.data_path("trees", "5x5_tree.txt")), "5"], [str(small), "4"]]
+
+    def command(path, bound):
+        code = cli.main(["involutory", "--tree", path, "--ring", "x^8+x^2+1",
+                         "--max-s", bound, "--max-t", bound])
+        return code, capsys.readouterr().out
+
+    calls = _counting_row_checks(monkeypatch)
+    got = [command(*runs[0])]
+    scanned = [calls[r8, j] for j in range(tree5.k - 2)]
+    got.append(command(*runs[1]))
+    assert [code for code, _ in got] == [2, 0]
+    added = _counting_add_rows(monkeypatch)
+    monkeypatch.setattr(instantiate, "_involutory_one_tree", involutory_one_tree_reference)
+    assert command(*runs[0]) == got[0]
+    assert scanned == [added[r8, j] for j in range(tree5.k - 2)] and all(scanned)
+    assert command(*runs[1]) == got[1]
 
 
 def _support_need_reference(tree, most):
@@ -592,6 +694,52 @@ def test_tree_file_path_rule_matches_determinants(tree):
     assert symbolic_mds(tree) == _every_minor_nonzero(tree, range(tree.scalar_positions()))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_support_walk_matches_the_recursive_reference(scan_trees, data):
+    # the generated walk against the plain recursion on a tracker, table
+    # for table: the involutory table on the cube, the charged table with
+    # its forced positions, with and without fixed ones, and a ring walk
+    # over simplify_tree's menus on one of the feasible supports
+    tree = data.draw(st.sampled_from(data.draw(st.sampled_from(scan_trees))), label="tree")
+    npos, most = tree.scalar_positions(), data.draw(st.integers(0, 4), label="most")
+    kind = data.draw(st.sampled_from(["cube", "charged", "ring"]))
+    if kind == "cube":
+        assert _support_need(tree, most) == support_need_reference(tree, most)
+    elif kind == "charged":
+        fixed = data.draw(st.integers(0, (1 << npos) - 1)) if data.draw(st.booleans()) else 0
+        most = min(most, len(instantiate._fanouts(tree, fixed)))
+        got = instantiate._charged_table.__wrapped__(tree, most, fixed)
+        assert got == charged_table_reference(tree, most, fixed)
+    else:
+        r = ring(data.draw(st.sampled_from(["x^4+x+1", "x^8+x^2+1"])))
+        values = alpha_powers(r, -2, 2)[1:]
+        supports = sorted(support_need_reference(tree, most)[-1]) or [0]
+        z = data.draw(st.sampled_from(supports))
+        menus = [(values if z >> pos & 1 else (1,),) * (most + 1) for pos in range(npos)]
+        want = support_walk_reference(tree, blockmat.MinorTracker(r, tree.k), menus, most)
+        assert instantiate._support_walk(tree, r, menus, most) == want
+
+
+def test_support_walks_past_the_nesting_limit_match_the_reference(r56):
+    # capacities 12 and 16 take two chained functions each, the second
+    # handing its least charged count back through the call
+    tree5 = catalogs.tree_5x5()
+    tree6 = tree_from_text(Path(catalogs.data_path("trees", "6x6_tree.txt")).read_text())
+    need = _support_need(tree5, 5)
+    assert need[1] == {0: 5} and need == support_need_reference(tree5, 5)
+    for tree, most, fewest in ((tree5, 4, 3), (tree6, 5, 5)):
+        need = instantiate._charged_table.__wrapped__(tree, most, 0)
+        assert need[1] == {0: fewest} and need == charged_table_reference(tree, most, 0)
+    # simplify_tree's walk on its 5x5 witness
+    values = [r56.alpha_pow(e) for e in (1, -1, 2, -2, 3, -3, 4, -4)]
+    menus = [(values if pos in (0, 4, 5, 13, 17) else (1,),) * 6
+             for pos in range(tree5.scalar_positions())]
+    need = instantiate._support_walk(tree5, r56, menus, 5)
+    assert need[1] == {0: 5}
+    assert need == support_walk_reference(tree5, blockmat.MinorTracker(r56, 5), menus, 5)
+
+
 def _simplify_reference(tree, r, values):
     """simplify_tree by brute force: the least s for which some s positions,
     each at a value of values other than 1, and 1 elsewhere give an MDS
@@ -637,20 +785,16 @@ def test_simplify_tree_bounds_the_walk_work(monkeypatch, r56):
     # calls as on the GF(2^8) tracker with a determinant hook before.  A
     # symbolic screen per subset made 37,869 add_row calls; a concrete scan
     # that stopped at the first passing assignment made 100 on r56, where
-    # the walk finishes each candidate support.  The symbolic_mds check
-    # ahead of the walk adds one row per output on the evaluation field
-    calls = Counter()
-    add_row = blockmat.MinorTracker.add_row
-
-    def counting(tracker, row, j):
-        calls["cube" if isinstance(tracker.ring, blockmat.Cube) else tracker.ring] += 1
-        return add_row(tracker, row, j)
-
-    monkeypatch.setattr(blockmat.MinorTracker, "add_row", counting)
+    # the walk finishes each candidate support.  The walks call the row
+    # kernels directly; only the symbolic_mds check ahead of them goes
+    # through MinorTracker.add_row, one row per output on the evaluation
+    # field
+    calls, added = _counting_row_checks(monkeypatch), _counting_add_rows(monkeypatch)
     values = [1] + [r56.alpha_pow(e) for e in (1, -1, 2, -2, 3, -3, 4, -4)]
     got = simplify_tree(catalogs.tree_5x5(), r56, values, max_s=5, first_only=True)
     assert got == (5, [(0, 4, 5, 13, 17)])
-    assert calls == {"cube": 23_141, r56: 36_093, ring(EVAL_MODULUS): 5}
+    assert _per_ring(calls) == {"cube": 23_141, r56: 36_093}
+    assert _per_ring(added) == {ring(EVAL_MODULUS): 5}
 
 
 def test_a_parameter_is_never_read_as_the_identity():
@@ -678,17 +822,24 @@ def test_support_table_cuts_a_prefix_whose_rows_pass():
 
 def test_support_prune_bounds_the_scan_work(monkeypatch, trees8, r8):
     # a count of the work, where a wall time would not be reproducible:
-    # without the support prune this scan made 143,856 add_row calls
-    calls = Counter()
-    add_row = blockmat.MinorTracker.add_row
-
-    def counting(tracker, row, j):
-        calls[tracker.ring] += 1
-        return add_row(tracker, row, j)
-
-    monkeypatch.setattr(blockmat.MinorTracker, "add_row", counting)
+    # without the support prune this scan made 143,856 add_row calls, and
+    # 27,740 with it (27,716 in the scan, 24 in the hits' MDS checks)
+    # before the determinant screens
+    calls = _counting_row_checks(monkeypatch)
     assert len(involutory_search([trees8[2]], r8, 6, 5)) == 6
-    assert calls[r8] == 27_740
+    assert _per_ring(calls) == {"cube": 6_119, r8: 18_655}
+
+
+def test_determinant_screens_bound_the_scan_work(monkeypatch, trees8, r8):
+    # the row checks per output row over the bundled trees at the bench's
+    # bounds.  Without the screens rows 2 and 3 took 92,116 and 39,382:
+    # det(M)^2 = 1 cuts a last row before its kernel, and, where the last
+    # output node reads output row 0, 1 or 2 and a term set before row 2,
+    # a row 2 candidate too
+    calls = _counting_row_checks(monkeypatch)
+    assert len(involutory_search(trees8, r8, 6, 5)) == 18
+    assert {j: n for (key, j), n in calls.items() if key == r8} == {
+        0: 7_499, 1: 91_802, 2: 19_433, 3: 6_206}
 
 
 def test_negative_bounds_scan_nothing(monkeypatch, trees8, r8):
